@@ -1,252 +1,143 @@
 """Linear-time signature entries of piecewise bilinear membranes.
 
-For a word w the running integrand
+For a word w of length j the running integrand
 
     f_w(u, v) = integral over {s_1 <= ... <= s_j <= u} x {t_1 <= ... <= t_j <= v}
                 of prod_r d12 X_{i_r}(s_r, t_r)
 
 is a polynomial of bidegree at most (j, j) on every grid cell, because the
-mixed derivative d12 X_i is constant per cell.  Appending a letter i means
-integrating f_w * d12 X_i over the rectangle [0,u] x [0,v], which splits per
-target cell into four regions: the block of full cells below-left, a strip of
-cells full in s but partial in t, the mirrored strip, and the partial corner
-cell.  Block contributions are a 2-D prefix sum of scalars, strip
-contributions are 1-D prefix sums of univariate polynomial tables, and the
-corner is the per-cell double indefinite integral, so one letter costs
-Theta(j^2 m n) and a length-k word costs O(k^3 m n).
+mixed derivative d12 X_i is constant per cell.  Cell (a, b), 0-based, covers
+[a/m, (a+1)/m] x [b/n, (b+1)/n]; the first grid direction (size m) is s, the
+second (size n) is t.  Each cell stores its piece in the local coordinates
+x = m u - a, y = n v - b in [0, 1], in the divided-power basis
+x^p/p! * y^q/q!.  In these coordinates d12 X_i du dv = D dx dy, where D is the
+cell's mixed node difference, and after scaling the grid by the lcm L of its
+denominators D becomes an integer Delta.
 
-Convention: the first grid direction (size m, index a) parametrizes s, the
-second (size n, index b) parametrizes t; cell (a, b), 0-based, covers
-[a/m, (a+1)/m] x [b/n, (b+1)/n].  Polynomials are stored per cell as
-coefficient tables in the global coordinates (u, v).
+Appending a letter integrates f_w * Delta over [0, u] x [0, v], which splits
+per target cell into four regions:
+
+- the corner (the target cell itself, up to (x, y)): the divided-power
+  antiderivative is an index shift (p, q) -> (p + 1, q + 1) times Delta;
+- the strip of cells (a', b) with a' < a, full in x and partial in y:
+  evaluating x^(p+1)/(p+1)! at 1 leaves the weight 1/(p+1)!, and the strips
+  with the same b share y, so the term is an exclusive cumsum along a;
+- the mirrored strip, an exclusive cumsum along b;
+- the block of full cells a' < a, b' < b: an exclusive 2-D cumsum of the
+  full-cell integrals.
+
+Scaling every coefficient by (S!)^2 at the step to word length S turns the
+weights 1/(p+1)! into integers S!/(p+1)!, so the whole recursion runs on Python
+ints in numpy object arrays, vectorized over cells.  One letter costs
+Theta(j^2 m n) and a length-k word costs O(k^3 m n).  The only division is the
+final rat(num, den), with den the product of the step scales, the evaluation
+weights at (1, 1) and L^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial, lcm
+
+import numpy as np
 
 from .membranes import GridData
-from .polyops import powers, teval
-from .rational import ONE, Rat, ZERO, rat
+from .rational import Rat, rat
 from .tensor import SigTensor
 
 
-def cell_derivatives(grid: GridData) -> list:
-    """Per-cell constants d12 X_i: value[i][a][b] = m n * (mixed node difference)."""
-    mn = rat(grid.m * grid.n)
-    out = []
-    for comp in grid.values:
-        comp_out = []
-        for a in range(grid.m):
-            row = []
-            for b in range(grid.n):
-                row.append(
-                    mn
-                    * (
-                        comp[a + 1][b + 1]
-                        - comp[a][b + 1]
-                        - comp[a + 1][b]
-                        + comp[a][b]
-                    )
-                )
-            comp_out.append(row)
-        out.append(comp_out)
-    return out
+def cell_derivatives(grid: GridData) -> tuple[np.ndarray, int]:
+    """(Delta, L): Delta[i, a, b] = L * (mixed node difference of X_i on cell (a, b)).
+
+    L is the lcm of the denominators of all node values, so Delta is an
+    (d, m, n) object array of Python ints and d12 X_i du dv = Delta/L dx dy.
+    """
+    flat = [x for comp in grid.values for row in comp for x in row]
+    scale = lcm(*{x.denominator for x in flat})
+    v = np.array(
+        [x.numerator * (scale // x.denominator) for x in flat], dtype=object
+    ).reshape(grid.d, grid.m + 1, grid.n + 1)
+    return v[:, 1:, 1:] - v[:, :-1, 1:] - v[:, 1:, :-1] + v[:, :-1, :-1], scale
 
 
-@dataclass(frozen=True)
+def _weights(top: int, size: int, start: int) -> np.ndarray:
+    """[top!/(start + p)! for p < size], an object array of Python ints."""
+    return np.array([factorial(top) // factorial(start + p) for p in range(size)], dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
 class CellPolyField:
-    """Per-cell bivariate polynomials representing one continuous function.
+    """A continuous piecewise polynomial: cell (a, b) holds
+    sum over p, q of coeffs[a, b, p, q] / scale * x^p/p! * y^q/q!.
 
-    ``polys[a][b]`` is the (word_len+1) x (word_len+1) coefficient table of
-    the restriction to cell (a, b), in global (u, v) coordinates.  Fields are
-    never mutated after construction; advancing a letter builds a new field.
+    ``coeffs`` is an (m, n, S, S) object array of Python ints, S = word_len + 1.
+    Fields are never mutated after construction; advancing builds a new field.
     """
 
-    m: int
-    n: int
-    word_len: int
-    polys: tuple  # m x n of coefficient tables (nested sequences)
+    coeffs: np.ndarray
+    scale: int = 1
+
+    def __post_init__(self):
+        c = self.coeffs
+        if c.dtype != object or c.ndim != 4 or c.shape[2] != c.shape[3]:
+            raise ValueError("malformed field: coefficients need an (m, n, S, S) object array")
+
+    @property
+    def m(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def word_len(self) -> int:
+        return self.coeffs.shape[2] - 1
 
     @classmethod
     def ones(cls, m: int, n: int) -> "CellPolyField":
-        table = ((ONE,),)
-        return cls(m, n, 0, tuple(tuple(table for _ in range(n)) for _ in range(m)))
+        return cls(np.ones((m, n, 1, 1), dtype=object))
 
-    def eval_at(self, u, v) -> Rat:
-        """Evaluate at a point of the unit square via its (clamped) cell."""
-        u, v = rat(u), rat(v)
-        a = min(int(u * self.m), self.m - 1)
-        b = min(int(v * self.n), self.n - 1)
-        return teval(self.polys[a][b], u, v)
-
-    def corner_value(self) -> Rat:
-        return teval(self.polys[self.m - 1][self.n - 1], ONE, ONE)
+    def corner(self) -> tuple[int, int]:
+        """(num, den) of the value at (u, v) = (1, 1)."""
+        k = self.word_len
+        w = _weights(k, k + 1, 0)
+        return w @ self.coeffs[-1, -1] @ w, self.scale * factorial(k) ** 2
 
 
-def advance_letter(field: CellPolyField, derivs_i) -> CellPolyField:
-    """One recursion step: the double cumulative integral of field * d12 X_i.
+def advance_letter(field: CellPolyField, delta: np.ndarray) -> CellPolyField:
+    """One recursion step: the double cumulative integral of field * Delta.
 
-    ``derivs_i`` is the m x n table of per-cell constants for the appended
-    letter.  Work is Theta(word_len^2 m n).
+    ``delta`` is the (m, n) integer table of the appended letter, from
+    ``cell_derivatives``.  Work is Theta(word_len^2 m n).
     """
-    m, n, deg = field.m, field.n, field.word_len
-    size = deg + 1
-    nsize = deg + 2
-    if len(field.polys) != m or any(
-        len(field.polys[a]) != n
-        or len(field.polys[a][b]) > size
-        or any(len(row) > size for row in field.polys[a][b])
-        for a in range(m)
-        for b in range(n)
-    ):
-        raise ValueError("malformed field: cell table exceeds the bidegree bound")
-
-    # powers of the cell corner abscissae, up to the new degree
-    spow = [powers(rat(a, m), nsize) for a in range(m + 1)]
-    tpow = [powers(rat(b, n), nsize) for b in range(n + 1)]
-    inv = [[rat(1, (p + 1) * (q + 1)) for q in range(size)] for p in range(size)]
-
-    zero_vec = [ZERO] * nsize
-    # per-cell pieces of the four-region split
-    corner: list = [[None] * n for _ in range(m)]   # partial corner, bivariate
-    row_int: list = [[None] * n for _ in range(m)]  # s full over the cell, t partial: poly in v
-    col_int: list = [[None] * n for _ in range(m)]  # t full, s partial: poly in u
-    cell_int: list = [[ZERO] * n for _ in range(m)]  # full-cell integrals
-
-    for a in range(m):
-        s0p, s1p = spow[a], spow[a + 1]
-        for b in range(n):
-            d = derivs_i[a][b]
-            if not d:
-                corner[a][b] = None
-                row_int[a][b] = zero_vec
-                col_int[a][b] = zero_vec
-                continue
-            t0p, t1p = tpow[b], tpow[b + 1]
-            p_tab = field.polys[a][b]
-            # antiderivative in both variables of d * f_w on this cell
-            g = [[ZERO] * nsize for _ in range(nsize)]
-            for p, prow in enumerate(p_tab):
-                gp = g[p + 1]
-                invp = inv[p]
-                for q, c in enumerate(prow):
-                    if c:
-                        gp[q + 1] = d * c * invp[q]
-            # strip piece, s over the whole cell, t from the cell floor to v
-            rv = [ZERO] * nsize
-            for p in range(1, nsize):
-                w = s1p[p] - s0p[p]
-                gp = g[p]
-                for q in range(1, nsize):
-                    c = gp[q]
-                    if c:
-                        rv[q] += c * w
-            rv0 = ZERO
-            for q in range(1, nsize):
-                if rv[q]:
-                    rv0 += rv[q] * t0p[q]
-            rv[0] = -rv0
-            row_int[a][b] = rv
-            # mirrored strip piece
-            cu = [ZERO] * nsize
-            for q in range(1, nsize):
-                w = t1p[q] - t0p[q]
-                for p in range(1, nsize):
-                    c = g[p][q]
-                    if c:
-                        cu[p] += c * w
-            cu0 = ZERO
-            for p in range(1, nsize):
-                if cu[p]:
-                    cu0 += cu[p] * s0p[p]
-            cu[0] = -cu0
-            col_int[a][b] = cu
-            # full-cell integral: the strip piece evaluated at the cell ceiling
-            ci = ZERO
-            for q in range(nsize):
-                if rv[q]:
-                    ci += rv[q] * t1p[q]
-            cell_int[a][b] = ci
-            # corner piece: subtract the restrictions to the cell floor lines
-            gu = [ZERO] * nsize  # G(u, t0) coefficients in u
-            gv = [ZERO] * nsize  # G(s0, v) coefficients in v
-            for p in range(1, nsize):
-                gp = g[p]
-                acc = ZERO
-                for q in range(1, nsize):
-                    c = gp[q]
-                    if c:
-                        acc += c * t0p[q]
-                        gv[q] += c * s0p[p]
-                gu[p] = acc
-            c00 = ZERO
-            for p in range(1, nsize):
-                if gu[p]:
-                    c00 += gu[p] * s0p[p]
-            for p in range(1, nsize):
-                g[p][0] = -gu[p]
-            g0 = g[0]
-            for q in range(1, nsize):
-                g0[q] = -gv[q]
-            g0[0] = c00
-            corner[a][b] = g
-
-    # 2-D prefix of full-cell integrals: block term for cell (a, b) sums a' < a, b' < b
-    block = [[ZERO] * (n + 1) for _ in range(m + 1)]
-    for a in range(m):
-        racc = ZERO
-        brow, brow1 = block[a], block[a + 1]
-        crow = cell_int[a]
-        for b in range(n):
-            racc += crow[b]
-            brow1[b + 1] = brow[b + 1] + racc
-
-    new_polys = []
-    for a in range(m):
-        row_polys = []
-        for b in range(n):
-            cr = corner[a][b]
-            if cr is None:
-                row_polys.append([[ZERO] * nsize for _ in range(nsize)])
-            else:
-                row_polys.append(cr)  # corner tables are fresh; reuse in place
-        new_polys.append(row_polys)
-
-    # strip prefix sums: row term sums cells (a', b) with a' < a, col term mirrors
-    for b in range(n):
-        acc = list(zero_vec)
-        for a in range(m):
-            t0 = new_polys[a][b][0]
-            for q in range(nsize):
-                if acc[q]:
-                    t0[q] += acc[q]
-            ri = row_int[a][b]
-            acc = [x + y for x, y in zip(acc, ri)]
-    for a in range(m):
-        acc = list(zero_vec)
-        tab_row = new_polys[a]
-        for b in range(n):
-            tab = tab_row[b]
-            for p in range(nsize):
-                if acc[p]:
-                    tab[p][0] += acc[p]
-            ci = col_int[a][b]
-            acc = [x + y for x, y in zip(acc, ci)]
-            tab[0][0] += block[a][b]
-
-    return CellPolyField(m, n, deg + 1, tuple(tuple(row) for row in new_polys))
+    m, n, s = field.m, field.n, field.word_len + 1
+    if delta.shape != (m, n):
+        raise ValueError(f"delta has shape {delta.shape}, the field has {m} x {n} cells")
+    top = factorial(s)
+    w = _weights(s, s, 1)  # s!/(p+1)!, the weight of a full cell in x or y
+    g = field.coeffs * delta[:, :, None, None]
+    strip_y = (g * w[:, None]).sum(axis=2)  # x over the full cell: poly in y
+    strip_x = g @ w  # y over the full cell: poly in x
+    full = strip_y @ w
+    out = np.zeros((m, n, s + 1, s + 1), dtype=object)
+    out[:, :, 1:, 1:] = g * top**2
+    out[1:, :, 0, 1:] = np.cumsum(strip_y, axis=0)[:-1] * top
+    out[:, 1:, 1:, 0] = np.cumsum(strip_x, axis=1)[:, :-1] * top
+    out[1:, 1:, 0, 0] = np.cumsum(np.cumsum(full, axis=0), axis=1)[:-1, :-1]
+    return CellPolyField(out, field.scale * top**2)
 
 
 def sig_word_fast(grid: GridData, word) -> Rat:
     """<sigma(X), w> for the piecewise bilinear interpolant of the grid."""
-    derivs = cell_derivatives(grid)
+    delta, scale = cell_derivatives(grid)
     field = CellPolyField.ones(grid.m, grid.n)
     for letter in word:
         if not 1 <= letter <= grid.d:
             raise ValueError(f"letter {letter} out of range [1, {grid.d}]")
-        field = advance_letter(field, derivs[letter - 1])
-    return field.corner_value()
+        field = advance_letter(field, delta[letter - 1])
+    num, den = field.corner()
+    return rat(num, den * scale ** len(word))
 
 
 def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
@@ -256,15 +147,16 @@ def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
     d = grid.d
     if k == 0:
         return SigTensor.level_zero(d)
-    derivs = cell_derivatives(grid)
-    entries = [ZERO] * d**k
+    delta, scale = cell_derivatives(grid)
+    entries = [None] * d**k
 
     def walk(field: CellPolyField, depth: int, offset: int) -> None:
         for letter in range(d):
-            child = advance_letter(field, derivs[letter])
+            child = advance_letter(field, delta[letter])
             off = offset * d + letter
             if depth + 1 == k:
-                entries[off] = child.corner_value()
+                num, den = child.corner()
+                entries[off] = rat(num, den * scale**k)
             else:
                 walk(child, depth + 1, off)
 

@@ -13,6 +13,7 @@ shape or contract violations (CLI exit 3).
 from __future__ import annotations
 
 import json
+import re
 
 from .linalg import Matrix
 from .membranes import GridData, PolynomialMembrane
@@ -31,13 +32,21 @@ class ContractError(ValueError):
     """Well-formed input violating a shape or method contract."""
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text, where: str):
+    """Exactly the ASCII grammar [+-]?[0-9]+(/[0-9]+)? with a nonzero denominator."""
     if not isinstance(text, str):
         raise FileFormatError(f"{where}: expected a rational string, got {type(text).__name__}")
-    try:
-        return rat(text.strip())
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise FileFormatError(f"{where}: {text!r} is not a rational 'p' or 'p/q'") from None
+    match = _RATIONAL.fullmatch(text)
+    if match is not None:
+        num, den = match.groups()
+        try:
+            return rat(int(num), int(den)) if den else rat(int(num))
+        except (ValueError, ZeroDivisionError):  # past int's digit limit, or q = 0
+            pass
+    raise FileFormatError(f"{where}: {text!r} is not a rational 'p' or 'p/q'")
 
 
 def load_json_file(path: str) -> dict:

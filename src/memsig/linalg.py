@@ -145,11 +145,18 @@ def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
     return out, scales
 
 
-def _bareiss_rank(a: list[list[int]]) -> int:
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free elimination of integer rows in place; returns (rank, swap sign).
+
+    On a square matrix the last diagonal entry ends as sign * det: at full
+    rank every pivot lies on the diagonal, and at short rank the rows past the
+    rank, the last row among them, are zero.
+    """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     prev = 1
     r = 0
+    sign = 1
     for c in range(ncols):
         piv = None
         for i in range(r, nrows):
@@ -160,6 +167,7 @@ def _bareiss_rank(a: list[list[int]]) -> int:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         p = a[r][c]
         arow = a[r]
         for i in range(r + 1, nrows):
@@ -171,7 +179,7 @@ def _bareiss_rank(a: list[list[int]]) -> int:
         r += 1
         if r == nrows:
             break
-    return r
+    return r, sign
 
 
 def rank(m: Matrix) -> int:
@@ -179,14 +187,14 @@ def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     a, _ = _integer_rows(m)
-    return _bareiss_rank(a)
+    return _bareiss(a)[0]
 
 
 def rank_int_rows(rows: list[list[int]]) -> int:
     """Rank of an integer matrix given as mutable rows (consumed)."""
     if not rows or not rows[0]:
         return 0
-    return _bareiss_rank(rows)
+    return _bareiss(rows)[0]
 
 
 def det(m: Matrix):
@@ -197,27 +205,7 @@ def det(m: Matrix):
     if n == 0:
         return ONE
     a, scales = _integer_rows(m)
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return ZERO
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        p = a[c][c]
-        arow = a[c]
-        for i in range(c + 1, n):
-            ai = a[i]
-            f = ai[c]
-            for j in range(c, n):
-                ai[j] = (p * ai[j] - f * arow[j]) // prev
-        prev = p
+    _, sign = _bareiss(a)
     scale = 1
     for s in scales:
         scale *= s

@@ -1,14 +1,12 @@
-"""Small dense polynomial kernels shared by the integration oracles and the
-fast membrane algorithm.
+"""Small dense univariate polynomial kernels for the path integration oracles.
 
-Univariate polynomials are coefficient lists [c0, c1, ...]; bivariate
-polynomials are coefficient tables T[p][q] for u^p v^q.  Everything is exact
+Polynomials are coefficient lists [c0, c1, ...].  Everything is exact
 rational arithmetic; no simplification or trailing-zero trimming is attempted.
 """
 
 from __future__ import annotations
 
-from .rational import ONE, ZERO
+from .rational import ZERO
 
 
 def padd(p: list, q: list) -> list:
@@ -18,10 +16,6 @@ def padd(p: list, q: list) -> list:
     for i, c in enumerate(q):
         out[i] += c
     return out
-
-
-def pscale(p: list, c) -> list:
-    return [c * x for x in p]
 
 
 def pmul(p: list, q: list) -> list:
@@ -44,20 +38,4 @@ def peval(p: list, x):
     acc = ZERO
     for c in reversed(p):
         acc = acc * x + c
-    return acc
-
-
-def powers(x, top: int) -> list:
-    """[x^0, x^1, ..., x^top]."""
-    out = [ONE]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
-
-
-def teval(table: list[list], u, v):
-    """Evaluate a bivariate coefficient table at (u, v)."""
-    acc = ZERO
-    for row in reversed(table):
-        acc = acc * u + peval(row, v)
     return acc

@@ -1,9 +1,9 @@
 """Exact rational scalars.
 
 Every signature entry, matrix coefficient and polynomial coefficient in this
-package is an exact rational.  We use ``gmpy2.mpq`` when available (roughly an
-order of magnitude faster than ``fractions.Fraction``, which matters for the
-grid-sized benchmarks) and fall back to ``fractions.Fraction`` otherwise.
+package is an exact rational.  We use ``gmpy2.mpq`` when available and fall
+back to ``fractions.Fraction`` otherwise; the grid kernel runs on Python ints
+and divides once per entry, so it does not depend on the choice.
 Both types store lowest terms with positive denominator and interoperate with
 plain ints, so the rest of the package treats the scalar as opaque.
 

@@ -240,7 +240,8 @@ def dimension_formula(d: int, m: int, n: int) -> int | None:
             value = common - rat(3 * m * n, 2) + rat(m + n)
         else:
             value = common - rat(7 * m * n, 2) + rat(3 * (m + n) - 2)
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise ArithmeticError(f"dimension formula produced a non-integer: {value}")
         return int(value)
     if m % 2 == 1 and n % 2 == 1:
         a = (m - 1) * (n - 1) + 1

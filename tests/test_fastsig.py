@@ -1,3 +1,6 @@
+from math import factorial
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -19,7 +22,6 @@ from memsig.membranes import (
     core_matrix,
     sig_via_congruence,
 )
-from memsig.polyops import teval
 from memsig.rational import rat
 from memsig.tensor import words_iter
 
@@ -29,71 +31,126 @@ def bilinear_grid(u):
     return GridData(len(u), 1, 1, tuple(((rat(0), rat(0)), (rat(0), rat(c))) for c in u))
 
 
+def constant_delta(m, n, c):
+    return np.full((m, n), c, dtype=object)
+
+
+def piece_at(field, a, b, u, v):
+    """Evaluate the piece of cell (a, b) at (u, v) from its local coefficients."""
+    x, y = rat(u) * field.m - a, rat(v) * field.n - b
+    total = sum(
+        int(c) * x**p * y**q / (factorial(p) * factorial(q))
+        for (p, q), c in np.ndenumerate(field.coeffs[a, b])
+    )
+    return rat(total) / field.scale
+
+
+def field_at(field, u, v):
+    """Evaluate a field at a point of the unit square via its (clamped) cell."""
+    a = min(int(rat(u) * field.m), field.m - 1)
+    b = min(int(rat(v) * field.n), field.n - 1)
+    return piece_at(field, a, b, u, v)
+
+
 class TestCellDerivatives:
     def test_single_cell(self):
-        derivs = cell_derivatives(bilinear_grid((rat(5), rat(-2))))
-        assert derivs[0][0][0] == 5 and derivs[1][0][0] == -2
+        delta, scale = cell_derivatives(bilinear_grid((rat(5), rat(-2))))
+        assert scale == 1
+        assert delta.shape == (2, 1, 1) and delta[0, 0, 0] == 5 and delta[1, 0, 0] == -2
 
     def test_constant_grid(self):
         g = GridData(1, 2, 2, ((((rat(3),) * 3),) * 3,))
-        assert all(x == 0 for comp in cell_derivatives(g) for row in comp for x in row)
+        delta, scale = cell_derivatives(g)
+        assert scale == 1 and delta.shape == (1, 2, 2) and not delta.any()
 
     def test_axis_grid_is_scaled_indicator(self):
         m, n = 3, 2
-        derivs = cell_derivatives(axis_grid(m, n))
+        delta, scale = cell_derivatives(axis_grid(m, n))
         from memsig.membranes import nu_inv
 
+        assert scale == 1
         for x in range(m * n):
             i, j = nu_inv(x + 1, n)
             for a in range(m):
                 for b in range(n):
-                    expected = rat(m * n) if (a + 1, b + 1) == (i, j) else rat(0)
-                    assert derivs[x][a][b] == expected
+                    assert delta[x, a, b] == (1 if (a + 1, b + 1) == (i, j) else 0)
+
+    def test_denominators_are_cleared_by_their_lcm(self):
+        g = GridData(
+            1, 1, 2, (((rat(1, 4), rat(0), rat(1, 6)), (rat(0), rat(1), rat(2, 3))),)
+        )
+        delta, scale = cell_derivatives(g)
+        assert scale == 12
+        assert delta.dtype == object and all(type(x) is int for x in delta.flat)
+        # mixed node differences 1 + 1/4 = 5/4 and 2/3 - 1/6 - 1 = -1/2
+        assert list(delta[0, 0]) == [15, -6]
+
+    def test_huge_rational_nodes_stay_exact(self, rng):
+        # numerators near 10^20 and denominators near 10^6 overflow any
+        # fixed-width kernel; the result must still match the congruence route
+        d, m, n = 2, 2, 3
+        g = GridData(
+            d,
+            m,
+            n,
+            tuple(
+                tuple(
+                    tuple(
+                        rat(rng.randint(-10**20, 10**20), rng.randint(10**6 - 50, 10**6))
+                        for _ in range(n + 1)
+                    )
+                    for _ in range(m + 1)
+                )
+                for _ in range(d)
+            ),
+        )
+        membrane = PiecewiseBilinearMembrane(g)
+        for k in (1, 2, 3):
+            assert sig_tensor_fast(g, k) == sig_via_congruence(membrane, k)
 
 
 class TestAdvanceLetter:
     def test_constant_integrand_single_cell(self):
         f = CellPolyField.ones(1, 1)
-        g = advance_letter(f, [[rat(3)]])
+        g = advance_letter(f, constant_delta(1, 1, 3))
         # integral of 3 over [0,u] x [0,v] is 3 u v
         for u, v in [(rat(1, 3), rat(1, 2)), (rat(1), rat(1))]:
-            assert g.eval_at(u, v) == 3 * u * v
+            assert field_at(g, u, v) == 3 * u * v
 
     def test_constant_integrand_stitches_across_cells(self):
+        # Delta dx dy = 7 dx dy is 7 m n du dv on a 2 x 2 grid
         f = CellPolyField.ones(2, 2)
-        c = rat(7, 2)
-        g = advance_letter(f, [[c, c], [c, c]])
+        g = advance_letter(f, constant_delta(2, 2, 7))
         for u, v in [
             (rat(0), rat(0)), (rat(1, 4), rat(3, 4)), (rat(1, 2), rat(1, 2)),
             (rat(3, 4), rat(1, 4)), (rat(1), rat(1)), (rat(1, 2), rat(1)),
         ]:
-            assert g.eval_at(u, v) == c * u * v
+            assert field_at(g, u, v) == 28 * u * v
 
     def test_two_advances_single_cell(self):
         u = (rat(2), rat(-3))
-        derivs = cell_derivatives(bilinear_grid(u))
+        delta, _ = cell_derivatives(bilinear_grid(u))
         f = CellPolyField.ones(1, 1)
-        f1 = advance_letter(f, derivs[0])
-        assert f1.corner_value() == u[0]
-        f2 = advance_letter(f1, derivs[0])
-        assert f2.corner_value() == u[0] ** 2 / 4
+        f1 = advance_letter(f, delta[0])
+        assert rat(*f1.corner()) == u[0]
+        f2 = advance_letter(f1, delta[0])
+        assert rat(*f2.corner()) == u[0] ** 2 / 4
 
     def test_degree_grows_by_one(self):
         f = CellPolyField.ones(2, 3)
-        d = [[rat(1)] * 3 for _ in range(2)]
+        d = constant_delta(2, 3, 1)
         for expected_len in (1, 2, 3):
             assert f.word_len == expected_len - 1
-            assert all(
-                len(f.polys[a][b]) == expected_len and len(f.polys[a][b][0]) == expected_len
-                for a in range(2)
-                for b in range(3)
-            )
+            assert f.coeffs.shape == (2, 3, expected_len, expected_len)
             f = advance_letter(f, d)
 
     def test_malformed_field_rejected(self):
-        bad = CellPolyField(1, 1, 0, ((((rat(1), rat(1)), (rat(0), rat(0))),),))
         with pytest.raises(ValueError):
-            advance_letter(bad, [[rat(1)]])
+            CellPolyField(np.ones((1, 1, 2, 1), dtype=object))
+        with pytest.raises(ValueError):
+            CellPolyField(np.ones((1, 1, 1, 1), dtype=np.int64))
+        with pytest.raises(ValueError):
+            advance_letter(CellPolyField.ones(2, 2), constant_delta(2, 1, 1))
 
 
 class TestSigWordFast:
@@ -206,19 +263,13 @@ class TestFieldContinuity:
         # clamp the sample ordinate into [0, 1]
         t = abs(frac)
         t = t - int(t) if t != int(t) else rat(0)
-        derivs = cell_derivatives(g)
-        f = advance_letter(
-            advance_letter(CellPolyField.ones(g.m, g.n), derivs[0]), derivs[0]
-        )
+        delta, _ = cell_derivatives(g)
+        f = advance_letter(advance_letter(CellPolyField.ones(g.m, g.n), delta[0]), delta[0])
         for a in range(g.m - 1):
             u = rat(a + 1, g.m)
             v = t / g.n  # stays inside the first row of cells
-            left = teval(f.polys[a][0], u, v)
-            right = teval(f.polys[a + 1][0], u, v)
-            assert left == right
+            assert piece_at(f, a, 0, u, v) == piece_at(f, a + 1, 0, u, v)
         for b in range(g.n - 1):
             v = rat(b + 1, g.n)
             u = t / g.m
-            low = teval(f.polys[0][b], u, v)
-            high = teval(f.polys[0][b + 1], u, v)
-            assert low == high
+            assert piece_at(f, 0, b, u, v) == piece_at(f, 0, b + 1, u, v)

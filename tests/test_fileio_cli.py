@@ -217,6 +217,18 @@ class TestCliCommands:
         code, _ = run_cli(["sig", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", " 3/4 ", "٣", "1/0", "3/-4"])
+    def test_exit_code_outside_rational_grammar(self, tmp_path, text):
+        doc = {"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", text]]]}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["sig", str(path)])
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("text, value", [("+3", rat(3)), ("-0", rat(0)), ("-4/6", rat(-2, 3))])
+    def test_rational_grammar_accepts_signed_ascii(self, text, value):
+        assert fileio.parse_rational(text, "x") == value
+
     def test_exit_code_shape_error(self, tmp_path):
         doc = {"d": 2, "m": 1, "n": 1, "values": [[["0", "0"], ["0", "1"]]]}
         path = tmp_path / "short.json"

@@ -119,6 +119,11 @@ class TestDet:
             return
         assert det(a @ b) == det(a) * det(b)
 
+    def test_singular_with_nonzero_leading_column(self):
+        m = Matrix.from_rows([[1, 2, 3], [2, 4, 7], [3, 6, 1]])
+        assert rank(m) == 2
+        assert det(m) == 0
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             det(Matrix.zeros(2, 3))
