@@ -8,7 +8,6 @@ algorithm and the variety diagnostics.
 from .fastsig import (
     CellPolyField,
     advance_letter,
-    cell_derivatives,
     sig_matrix_fast,
     sig_tensor_fast,
     sig_word_fast,
@@ -36,6 +35,7 @@ from .membranes import (
     axis_grid,
     axis_membrane_eval,
     bilinear_decompose,
+    cell_derivatives,
     core_matrix,
     core_tensor,
     hadamard_sig,

@@ -3,9 +3,11 @@
 The fast backend is the per-cell prefix-sum algorithm (time Theta(k^3 m n) per
 word).  The congruence baseline forms the signature matrix as A C A^T with the
 full (mn)^2-entry axis core, so its cost is quadratic in the number of grid
-cells; on integer grids the baseline streams core blocks through numpy int64
-matmuls (exact, overflow-guarded) instead of materializing the core, which
-keeps the memory footprint linear while leaving the Theta((mn)^2) work intact.
+cells.  The baseline clears the grid's denominators once and streams core
+blocks through integer matmuls (numpy int64 under an overflow guard, Python
+ints otherwise) instead of materializing the core, which keeps the memory
+footprint linear while leaving the Theta((mn)^2) work intact; it has no
+rational fallback.
 
 Timings use the monotonic clock; callers take medians over repeats.  CSV rows
 are (method, m, n, nanos).
@@ -24,7 +26,7 @@ import numpy as np
 
 from .fastsig import sig_matrix_fast, sig_tensor_fast
 from .linalg import Matrix
-from .membranes import GridData, PiecewiseBilinearMembrane, sig_via_congruence
+from .membranes import GridData, cell_derivatives
 from .rational import rat
 
 
@@ -41,31 +43,19 @@ def random_integer_grid(
     return GridData(d, m, n, vals)
 
 
-def _integer_grid_array(grid: GridData) -> np.ndarray | None:
-    flat = []
-    for comp in grid.values:
-        for row in comp:
-            for x in row:
-                if x.denominator != 1:
-                    return None
-                flat.append(int(x))
-    return np.array(flat, dtype=object).reshape(grid.d, grid.m + 1, grid.n + 1)
-
-
 def congruence_matrix_quadratic(grid: GridData, block_elems: int = 2_000_000) -> Matrix:
     """Exact signature matrix via the explicit (mn)^2 core congruence.
 
-    Streams column blocks of 4 * C_axis (integer entries in {0, 1, 2, 4})
-    generated from the index comparisons, multiplies them into A, and divides
-    by 4 at the end.  Falls back to the dense rational route for non-integer
-    grids or when int64 bounds could overflow.
+    With (Delta, L) from ``cell_derivatives``, A = Delta / L is the d x mn
+    transform onto the axis dictionary.  Streams column blocks of 4 * C_axis
+    (integer entries in {0, 1, 2, 4}) generated from the index comparisons,
+    multiplies them into Delta, and divides by 4 L^2 at the end.  The products
+    run in numpy int64 when a bound on their entries fits, else on Python ints.
     """
-    v = _integer_grid_array(grid)
-    if v is None:
-        return sig_via_congruence(PiecewiseBilinearMembrane(grid), 2).to_matrix()
+    delta, scale = cell_derivatives(grid)
     d, m, n = grid.d, grid.m, grid.n
     big = m * n
-    a = (v[:, 1:, 1:] - v[:, :-1, 1:] - v[:, 1:, :-1] + v[:, :-1, :-1]).reshape(d, big)
+    a = delta.reshape(d, big)
     amax = int(np.max(np.abs(a))) if big else 0
     # |W| <= mn * 4 * amax, |S4| <= mn * |W| * amax; keep both inside int64
     safe = amax == 0 or big * 4 * amax * big * amax < 2**62
@@ -83,7 +73,8 @@ def congruence_matrix_quadratic(grid: GridData, block_elems: int = 2_000_000) ->
         block = (ci * cj).astype(dtype)
         w[:, c0:c1] = a @ block
     s4 = w @ a.T
-    return Matrix(d, d, tuple(rat(int(s4[i, j]), 4) for i in range(d) for j in range(d)))
+    den = 4 * scale**2
+    return Matrix(d, d, tuple(rat(int(s4[i, j]), den) for i in range(d) for j in range(d)))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ RNG seed for generic-point sampling.  Exit codes: 0 success, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import random
 import sys
@@ -80,17 +81,7 @@ def _cmd_dim(args) -> int:
     report = dimension_report(
         args.d, args.m, args.n, args.level, args.trials, _seeded_rng(), args.kind
     )
-    doc = {
-        "d": report.d,
-        "m": report.m,
-        "n": report.n,
-        "level": report.level,
-        "measured_dim": report.measured_dim,
-        "formula_dim": report.formula_dim,
-        "ambient": report.ambient,
-        "trials": report.trials,
-        "agree": report.agree,
-    }
+    doc = {**dataclasses.asdict(report), "agree": report.agree}
     _emit(fileio.dump_json(doc), args.out)
     return EXIT_OK
 

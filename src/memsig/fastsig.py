@@ -12,7 +12,7 @@ second (size n) is t.  Each cell stores its piece in the local coordinates
 x = m u - a, y = n v - b in [0, 1], in the divided-power basis
 x^p/p! * y^q/q!.  In these coordinates d12 X_i du dv = D dx dy, where D is the
 cell's mixed node difference, and after scaling the grid by the lcm L of its
-denominators D becomes an integer Delta.
+denominators D becomes an integer Delta (``membranes.cell_derivatives``).
 
 Appending a letter integrates f_w * Delta over [0, u] x [0, v], which splits
 per target cell into four regions:
@@ -37,27 +37,13 @@ weights at (1, 1) and L^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import factorial
 
 import numpy as np
 
-from .membranes import GridData
+from .membranes import GridData, cell_derivatives
 from .rational import Rat, rat
-from .tensor import SigTensor
-
-
-def cell_derivatives(grid: GridData) -> tuple[np.ndarray, int]:
-    """(Delta, L): Delta[i, a, b] = L * (mixed node difference of X_i on cell (a, b)).
-
-    L is the lcm of the denominators of all node values, so Delta is an
-    (d, m, n) object array of Python ints and d12 X_i du dv = Delta/L dx dy.
-    """
-    flat = [x for comp in grid.values for row in comp for x in row]
-    scale = lcm(*{x.denominator for x in flat})
-    v = np.array(
-        [x.numerator * (scale // x.denominator) for x in flat], dtype=object
-    ).reshape(grid.d, grid.m + 1, grid.n + 1)
-    return v[:, 1:, 1:] - v[:, :-1, 1:] - v[:, 1:, :-1] + v[:, :-1, :-1], scale
+from .tensor import SigTensor, check_entry_count
 
 
 def _weights(top: int, size: int, start: int) -> np.ndarray:
@@ -145,6 +131,7 @@ def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
     if k < 0:
         raise ValueError("level must be >= 0")
     d = grid.d
+    check_entry_count(d, k)
     if k == 0:
         return SigTensor.level_zero(d)
     delta, scale = cell_derivatives(grid)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm
 
-from .rational import ONE, ZERO, rat
+from .rational import ONE, ZERO, clear_denominators, rat
 
 
 @dataclass(frozen=True)
@@ -137,11 +136,9 @@ def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
     """Clear denominators row by row; returns (integer rows, row scales)."""
     out, scales = [], []
     for row in m.to_rows():
-        d = 1
-        for x in row:
-            d = lcm(d, int(x.denominator))
-        scales.append(d)
-        out.append([int(x * d) for x in row])
+        ints, scale = clear_denominators(row)
+        out.append(ints)
+        scales.append(scale)
     return out, scales
 
 

@@ -20,6 +20,8 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .linalg import Matrix
 from .paths import (
     AxisPath,
@@ -27,7 +29,7 @@ from .paths import (
     axis_path_sig_entry,
     moment_path_sig_entry,
 )
-from .rational import ONE, Rat, ZERO, rat
+from .rational import ONE, Rat, ZERO, clear_denominators, rat
 from .tensor import SigTensor, tucker_apply
 
 log = logging.getLogger(__name__)
@@ -73,6 +75,19 @@ class GridData:
                 f"grid values must have shape {self.d} x {self.m + 1} x {self.n + 1}"
             )
         object.__setattr__(self, "values", vals)
+
+
+def cell_derivatives(grid: GridData) -> tuple[np.ndarray, int]:
+    """(Delta, L): Delta[i, a, b] = L * (mixed node difference of X_i on cell (a, b)).
+
+    L is the lcm of the denominators of all node values, so Delta is an
+    (d, m, n) object array of Python ints and d12 X_i du dv = Delta/L dx dy.
+    Read row-major, Delta[i] lists the cells (a, b) in the column order
+    nu(a + 1, b + 1) of the axis dictionary.
+    """
+    ints, scale = clear_denominators([x for comp in grid.values for row in comp for x in row])
+    v = np.array(ints, dtype=object).reshape(grid.d, grid.m + 1, grid.n + 1)
+    return v[:, 1:, 1:] - v[:, :-1, 1:] - v[:, 1:, :-1] + v[:, :-1, :-1], scale
 
 
 @dataclass(frozen=True)
@@ -167,14 +182,8 @@ def bilinear_decompose(grid: GridData) -> Matrix:
     + X((i-1)/m, (j-1)/n).  Cumulative 2-D sums of the columns reproduce the
     reduced grid node values.
     """
-    rows = []
-    for comp in grid.values:
-        row = []
-        for i in range(1, grid.m + 1):
-            for j in range(1, grid.n + 1):
-                row.append(comp[i][j] - comp[i - 1][j] - comp[i][j - 1] + comp[i - 1][j - 1])
-        rows.append(row)
-    return Matrix.from_rows(rows)
+    delta, scale = cell_derivatives(grid)
+    return Matrix(grid.d, grid.m * grid.n, tuple(rat(x, scale) for x in delta.flat))
 
 
 def axis_membrane_eval(m: int, n: int, i: int, j: int, s, t) -> Rat:

@@ -13,6 +13,23 @@ from itertools import product
 from .linalg import Matrix
 from .rational import ONE, ZERO, rat
 
+# Largest tensor built: 10^7 rational entries already take over a gigabyte, and
+# the tests, scripts and benchmark stay below 10^5.
+MAX_ENTRIES = 10**7
+
+
+def check_entry_count(dim: int, level: int) -> None:
+    """Raise ValueError if dim**level, the entry count, exceeds MAX_ENTRIES.
+
+    Never forms dim**level for a huge level: with dim >= 2, a level of at
+    least MAX_ENTRIES.bit_length() already gives 2**level > MAX_ENTRIES.
+    """
+    if (dim > 1 and level >= MAX_ENTRIES.bit_length()) or dim**level > MAX_ENTRIES:
+        raise ValueError(
+            f"a level-{level} tensor over dimension {dim} has more than "
+            f"{MAX_ENTRIES} entries"
+        )
+
 
 def words_iter(dim: int, level: int):
     """All words (1-based letters) of the given length, row-major order."""
@@ -38,6 +55,7 @@ class SigTensor:
     @classmethod
     def from_function(cls, level: int, dim: int, entry_fn) -> "SigTensor":
         """Build from a function on words with 1-based letters."""
+        check_entry_count(dim, level)
         return cls(level, dim, tuple(entry_fn(w) for w in words_iter(dim, level)))
 
     @classmethod
@@ -110,6 +128,7 @@ def tucker_apply(t: SigTensor, a: Matrix) -> SigTensor:
     """
     if a.cols != t.dim:
         raise ValueError(f"matrix has {a.cols} columns but tensor dimension is {t.dim}")
+    check_entry_count(a.rows, t.level)  # bounds every intermediate mode too
     entries = list(t.entries)
     dims = [t.dim] * t.level
     for mode in range(t.level):
@@ -119,7 +138,3 @@ def tucker_apply(t: SigTensor, a: Matrix) -> SigTensor:
 
 def all_ones(level: int, dim: int) -> SigTensor:
     return SigTensor(level, dim, (ONE,) * dim**level)
-
-
-def zeros(level: int, dim: int) -> SigTensor:
-    return SigTensor(level, dim, (ZERO,) * dim**level)

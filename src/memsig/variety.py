@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 
 from .linalg import (
     CongruenceInvariants,
@@ -34,7 +34,7 @@ from .linalg import (
     sym_skew_split,
 )
 from .membranes import core_matrix, core_tensor
-from .rational import ONE, Rat, rat
+from .rational import ONE, Rat, clear_denominators, rat
 from .tensor import SigTensor, mode_apply
 
 
@@ -126,10 +126,7 @@ def tucker_jacobian_rank(core: SigTensor, base: Matrix) -> int:
         raise ValueError("base point shape must be d x core.dim")
     if k == 0:
         return 0
-    scale = 1
-    for e in core.entries:
-        scale = lcm(scale, int(e.denominator))
-    int_core = [int(e * scale) for e in core.entries]
+    int_core, _ = clear_denominators(core.entries)
     # contract the base point into every slot except r
     parts = []
     for r in range(k):

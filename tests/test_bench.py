@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from memsig.bench import (
@@ -7,7 +8,7 @@ from memsig.bench import (
     run_bench,
 )
 from memsig.fastsig import sig_matrix_fast
-from memsig.membranes import GridData
+from memsig.membranes import GridData, cell_derivatives
 from memsig.rational import rat
 
 
@@ -26,6 +27,20 @@ class TestQuadraticBaseline:
             for _ in range(2)
         )
         g = GridData(2, 2, 2, vals)
+        assert congruence_matrix_quadratic(g) == sig_matrix_fast(g)
+
+    def test_rational_grid_with_huge_cleared_delta_stays_exact(self, rng):
+        # denominators near 10^6 give an lcm L, and so a cleared Delta, far
+        # beyond the int64 guard: the object-dtype branch must run
+        vals = tuple(
+            tuple(
+                tuple(rat(rng.randint(-9, 9), rng.randint(10**6 - 50, 10**6)) for _ in range(4))
+                for _ in range(3)
+            )
+            for _ in range(2)
+        )
+        g = GridData(2, 2, 3, vals)
+        assert int(np.max(np.abs(cell_derivatives(g)[0]))) > 2**31
         assert congruence_matrix_quadratic(g) == sig_matrix_fast(g)
 
     def test_huge_values_take_object_dtype_branch(self, rng):

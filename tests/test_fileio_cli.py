@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from memsig import cli, fileio
+from memsig import cli, fileio, tensor
 from memsig.bench import random_integer_grid
 from memsig.membranes import GridData, PolynomialMembrane
 from memsig.rational import rat, rat_str
@@ -154,6 +154,9 @@ class TestCliCommands:
         code, out = run_cli(["dim", "--d", "3", "--m", "2", "--n", "2"], {"MEMSIG_SEED": "7"}, monkeypatch)
         doc = json.loads(out)
         assert code == 0 and doc["measured_dim"] == 9 and doc["ambient"] == 9
+        assert list(doc) == [
+            "d", "m", "n", "level", "measured_dim", "formula_dim", "ambient", "trials", "agree"
+        ]
 
     def test_dim_level3(self, monkeypatch):
         code, out = run_cli(
@@ -235,6 +238,14 @@ class TestCliCommands:
         path.write_text(json.dumps(doc))
         code, _ = run_cli(["sig", str(path)])
         assert code == 3
+
+    def test_exit_code_over_entry_budget(self, monkeypatch, capsys, tmp_path, rng):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid_doc(random_integer_grid(2, 1, 1, rng))))
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", 4)
+        code, out = run_cli(["sig", str(path), "--level", "3", "--method", "fast"])
+        assert code == 3 and out == ""
+        assert "more than 4 entries" in capsys.readouterr().err
 
     def test_seed_reproducibility(self, monkeypatch):
         _, out1 = run_cli(["dim", "--d", "4", "--m", "2", "--n", "2", "--trials", "1"], {"MEMSIG_SEED": "11"}, monkeypatch)

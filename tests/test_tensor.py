@@ -1,11 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import matrices
+from memsig import tensor
+from memsig.bench import random_integer_grid
+from memsig.fastsig import sig_tensor_fast
 from memsig.linalg import Matrix
 from memsig.membranes import core_tensor
 from memsig.rational import rat
-from memsig.tensor import SigTensor, all_ones, tucker_apply, words_iter
+from memsig.tensor import SigTensor, all_ones, check_entry_count, tucker_apply, words_iter
 
 
 def test_level_zero_is_scalar_one():
@@ -68,3 +73,27 @@ def test_tucker_shape_mismatch():
 
 def test_words_iter_order():
     assert list(words_iter(2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def test_entry_count_check():
+    check_entry_count(10, 7)  # exactly MAX_ENTRIES
+    check_entry_count(1, 10**18)
+    for dim, level in [(10, 8), (25, 8), (2, 10**18), (10**8, 1)]:
+        with pytest.raises(ValueError, match="entries"):
+            check_entry_count(dim, level)
+
+
+def test_oversized_tensors_are_refused_before_any_entry(monkeypatch):
+    monkeypatch.setattr(tensor, "MAX_ENTRIES", 8)
+
+    def entry(word):
+        raise AssertionError("no entry may be computed")
+
+    with pytest.raises(ValueError):
+        SigTensor.from_function(2, 3, entry)
+    with pytest.raises(ValueError):
+        tucker_apply(all_ones(2, 2), Matrix(3, 2, (1,) * 6))
+    grid = random_integer_grid(3, 2, 2, random.Random(1))
+    assert len(sig_tensor_fast(grid, 1).entries) == 3
+    with pytest.raises(ValueError):
+        sig_tensor_fast(grid, 2)
