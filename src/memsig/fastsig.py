@@ -32,6 +32,12 @@ ints in numpy object arrays, vectorized over cells.  One letter costs
 Theta(j^2 m n) and a length-k word costs O(k^3 m n).  The only division is the
 final rat(num, den), with den the product of the step scales, the evaluation
 weights at (1, 1) and L^k.
+
+The last letter of a word needs only the value at (1, 1), the sum of the
+full-cell integrals, so ``sig_tensor_fast`` builds no last field: the d entries
+below one prefix are one product Delta.reshape(d, -1) @ (coeffs @ w @ w).ravel()
+with the parent's coefficients.  ``sig_word_fast`` keeps the full advance and
+``corner()`` as the independent route.
 """
 
 from __future__ import annotations
@@ -138,14 +144,15 @@ def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
     entries = [None] * d**k
 
     def walk(field: CellPolyField, depth: int, offset: int) -> None:
+        if depth + 1 == k:
+            s = field.word_len + 1
+            w = _weights(s, s, 1)
+            nums = delta.reshape(d, -1) @ (field.coeffs @ w @ w).ravel()
+            den = field.scale * factorial(s) ** 2 * scale**k
+            entries[offset * d : offset * d + d] = [rat(x, den) for x in nums]
+            return
         for letter in range(d):
-            child = advance_letter(field, delta[letter])
-            off = offset * d + letter
-            if depth + 1 == k:
-                num, den = child.corner()
-                entries[off] = rat(num, den * scale**k)
-            else:
-                walk(child, depth + 1, off)
+            walk(advance_letter(field, delta[letter]), depth + 1, offset * d + letter)
 
     walk(CellPolyField.ones(grid.m, grid.n), 0, 0)
     return SigTensor(k, d, tuple(entries))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .rational import ONE, ZERO, clear_denominators, rat
+from .rational import ONE, ZERO, clear_denominators, cleared_array, rat
 
 
 @dataclass(frozen=True)
@@ -91,18 +91,10 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                s = ZERO
-                for t in range(self.cols):
-                    x = ai[t]
-                    if x:
-                        s += x * b[t][j]
-                out.append(s)
-        return Matrix(self.rows, other.cols, tuple(out))
+        a, ascale = cleared_array(self.entries, (self.rows, self.cols))
+        b, bscale = cleared_array(other.entries, (other.rows, other.cols))
+        den = ascale * bscale
+        return Matrix(self.rows, other.cols, tuple(rat(x, den) for x in (a @ b).flat))
 
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -29,8 +29,8 @@ from .paths import (
     axis_path_sig_entry,
     moment_path_sig_entry,
 )
-from .rational import ONE, Rat, ZERO, clear_denominators, rat
-from .tensor import SigTensor, tucker_apply
+from .rational import ONE, Rat, ZERO, cleared_array, rat
+from .tensor import CORE_CACHE_SIZE, SigTensor, check_budget, tucker_apply
 
 log = logging.getLogger(__name__)
 
@@ -85,8 +85,9 @@ def cell_derivatives(grid: GridData) -> tuple[np.ndarray, int]:
     Read row-major, Delta[i] lists the cells (a, b) in the column order
     nu(a + 1, b + 1) of the axis dictionary.
     """
-    ints, scale = clear_denominators([x for comp in grid.values for row in comp for x in row])
-    v = np.array(ints, dtype=object).reshape(grid.d, grid.m + 1, grid.n + 1)
+    v, scale = cleared_array(
+        [x for comp in grid.values for row in comp for x in row], (grid.d, grid.m + 1, grid.n + 1)
+    )
     return v[:, 1:, 1:] - v[:, :-1, 1:] - v[:, 1:, :-1] + v[:, :-1, :-1], scale
 
 
@@ -124,6 +125,7 @@ class PolynomialMembrane:
         Terms with i = 0 or j = 0 do not affect the signature and are dropped
         with a logged warning.
         """
+        check_budget(d * m * n, f"a {d} x {m * n} coefficient matrix")
         rows = [[ZERO] * (m * n) for _ in range(d)]
         for i, j, dim, coeff in terms:
             if i == 0 or j == 0:
@@ -232,7 +234,7 @@ def product_sig_entry(sig_x_entry, sig_y_entry, tupleword) -> Rat:
     return rat(sig_x_entry(iword)) * rat(sig_y_entry(jword))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CORE_CACHE_SIZE)
 def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
     """Level-k core tensor (dim mn) of the moment or axis membrane.
 

@@ -19,7 +19,7 @@ from math import factorial
 from .linalg import Matrix
 from .polyops import padd, peval, pint, pmul
 from .rational import ONE, Rat, ZERO, rat
-from .tensor import SigTensor, tucker_apply
+from .tensor import CORE_CACHE_SIZE, SigTensor, tucker_apply
 
 log = logging.getLogger(__name__)
 
@@ -168,12 +168,12 @@ def axis_path_sig_entry(word, m: int) -> Rat:
     return rat(1, den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CORE_CACHE_SIZE)
 def moment_path_core(m: int, k: int) -> SigTensor:
     return SigTensor.from_function(k, m, moment_path_sig_entry)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CORE_CACHE_SIZE)
 def axis_path_core(m: int, k: int) -> SigTensor:
     return SigTensor.from_function(k, m, lambda w: axis_path_sig_entry(w, m))
 

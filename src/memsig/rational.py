@@ -3,8 +3,9 @@
 Every signature entry, matrix coefficient and polynomial coefficient in this
 package is an exact rational, a ``fractions.Fraction`` (in lowest terms with
 positive denominator, and interoperable with plain ints).  The integer kernels
-(the grid algorithm, Bareiss elimination, the Jacobian rank) clear
-denominators once with ``clear_denominators``, run on Python ints and divide
+(the grid algorithm, Bareiss elimination, the Tucker action, the Jacobian rank
+and matrix products) clear denominators once with ``clear_denominators`` (or
+``cleared_array``, its numpy object-array form), run on Python ints and divide
 once per result.
 
 Serialization convention (shared with the CLI file formats): decimal-integer
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction as Rat
 from math import lcm
+
+import numpy as np
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -43,6 +46,12 @@ def clear_denominators(values) -> tuple[list[int], int]:
     """
     scale = lcm(*{x.denominator for x in values})
     return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def cleared_array(values, shape) -> tuple[np.ndarray, int]:
+    """``clear_denominators`` as a numpy object array of Python ints of the given shape."""
+    ints, scale = clear_denominators(values)
+    return np.array(ints, dtype=object).reshape(shape), scale
 
 
 def rat_str(value) -> str:

@@ -3,6 +3,12 @@
 A level-k tensor over dimension d stores its d^k rational entries row-major,
 indexed by words (i_1, ..., i_k) with 1-based letters (matching the math;
 flat offsets are 0-based internally).  The level-0 tensor is the scalar 1.
+
+The Tucker action is an integer kernel: ``tucker_apply`` clears the
+denominators of the tensor and of the matrix once, applies ``mode_apply`` (one
+``np.tensordot`` on numpy object arrays of Python ints) once per mode, and
+divides once per entry.  The Jacobian of ``variety.tucker_jacobian_rank`` is
+built from the same contraction.
 """
 
 from __future__ import annotations
@@ -10,12 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .linalg import Matrix
-from .rational import ONE, ZERO, rat
+from .rational import ONE, cleared_array, rat
 
 # Largest tensor built: 10^7 rational entries already take over a gigabyte, and
 # the tests, scripts and benchmark stay below 10^5.
 MAX_ENTRIES = 10**7
+
+# Cores kept by the core-tensor caches (membranes.core_tensor, paths.*_path_core):
+# enough for every (m, n) <= 8 of a dimension table at one level.
+CORE_CACHE_SIZE = 64
 
 
 def check_entry_count(dim: int, level: int) -> None:
@@ -29,6 +41,12 @@ def check_entry_count(dim: int, level: int) -> None:
             f"a level-{level} tensor over dimension {dim} has more than "
             f"{MAX_ENTRIES} entries"
         )
+
+
+def check_budget(entries: int, what: str) -> None:
+    """Raise ValueError if ``what``, of ``entries`` entries, exceeds MAX_ENTRIES."""
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"{what} has more than {MAX_ENTRIES} entries")
 
 
 def words_iter(dim: int, level: int):
@@ -88,36 +106,13 @@ class SigTensor:
         return cls(2, m.rows, m.entries)
 
 
-def mode_apply(entries: list, dims: list[int], mode: int, a: Matrix) -> tuple[list, list[int]]:
-    """Contract one tensor mode with a matrix: new[..., x, ...] = sum_y A[x, y] old[..., y, ...]."""
-    p = dims[mode]
-    if a.cols != p:
-        raise ValueError(f"mode {mode} has size {p}, matrix has {a.cols} columns")
-    d = a.rows
-    pre = 1
-    for s in dims[:mode]:
-        pre *= s
-    post = 1
-    for s in dims[mode + 1 :]:
-        post *= s
-    arows = a.to_rows()
-    new = [ZERO] * (pre * d * post)
-    for u in range(pre):
-        base_old = u * p * post
-        base_new = u * d * post
-        for x in range(d):
-            row = arows[x]
-            off_new = base_new + x * post
-            for y in range(p):
-                c = row[y]
-                if not c:
-                    continue
-                off_old = base_old + y * post
-                for v in range(post):
-                    val = entries[off_old + v]
-                    if val:
-                        new[off_new + v] += c * val
-    return new, dims[:mode] + [d] + dims[mode + 1 :]
+def mode_apply(arr: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Contract axis 0 with ``a``: new[..., x] = sum_y a[x, y] arr[y, ...].
+
+    The new axis goes last, so k calls on a k-axis array apply ``a`` in every
+    mode, in order.  Both are object arrays of Python ints.
+    """
+    return np.tensordot(arr, a, axes=(0, 1))
 
 
 def tucker_apply(t: SigTensor, a: Matrix) -> SigTensor:
@@ -129,11 +124,12 @@ def tucker_apply(t: SigTensor, a: Matrix) -> SigTensor:
     if a.cols != t.dim:
         raise ValueError(f"matrix has {a.cols} columns but tensor dimension is {t.dim}")
     check_entry_count(a.rows, t.level)  # bounds every intermediate mode too
-    entries = list(t.entries)
-    dims = [t.dim] * t.level
-    for mode in range(t.level):
-        entries, dims = mode_apply(entries, dims, mode, a)
-    return SigTensor(t.level, a.rows, tuple(entries))
+    arr, scale = cleared_array(t.entries, (t.dim,) * t.level)
+    amat, ascale = cleared_array(a.entries, (a.rows, a.cols))
+    for _ in range(t.level):
+        arr = mode_apply(arr, amat)
+    den = scale * ascale**t.level
+    return SigTensor(t.level, a.rows, tuple(rat(x, den) for x in arr.flat))
 
 
 def all_ones(level: int, dim: int) -> SigTensor:

@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .linalg import (
     CongruenceInvariants,
     GammaBlock,
@@ -34,8 +36,8 @@ from .linalg import (
     sym_skew_split,
 )
 from .membranes import core_matrix, core_tensor
-from .rational import ONE, Rat, clear_denominators, rat
-from .tensor import SigTensor, mode_apply
+from .rational import ONE, Rat, cleared_array, rat
+from .tensor import SigTensor, check_budget, check_entry_count, mode_apply
 
 
 # --------------------------------------------------------------------------
@@ -114,45 +116,39 @@ def random_integer_matrix(rows: int, cols: int, rng: random.Random, bound: int =
     )
 
 
+def _check_jacobian_size(d: int, p: int, k: int) -> None:
+    """Raise ValueError if the (d * p) x d^k Jacobian exceeds tensor.MAX_ENTRIES."""
+    check_entry_count(d, k)
+    check_budget(d * p * d**k, f"the level-{k} Jacobian for d = {d} and a dimension-{p} core")
+
+
 def tucker_jacobian_rank(core: SigTensor, base: Matrix) -> int:
     """Exact rank of the derivative of A -> [[core; A, ..., A]] at ``base``.
 
     The derivative sends E to the sum over slots r of the Tucker product with
-    E in slot r and the base point elsewhere; it is materialized as a
-    (d * p) x d^k integer matrix after clearing the core's denominators.
+    E in slot r and the base point elsewhere.  With core and base cleared of
+    denominators (which scales the derivative, not its rank), slot r of
+    E = e_alpha e_beta^T contributes P_r[beta, ...] at i_r = alpha, where P_r
+    contracts the base into every mode but r.  The result is a
+    (d * p) x d^k integer matrix.
     """
     k, p, d = core.level, core.dim, base.rows
     if base.cols != p:
         raise ValueError("base point shape must be d x core.dim")
     if k == 0:
         return 0
-    int_core, _ = clear_denominators(core.entries)
-    # contract the base point into every slot except r
-    parts = []
+    _check_jacobian_size(d, p, k)
+    c, _ = cleared_array(core.entries, (p,) * k)
+    b, _ = cleared_array(base.entries, (d, p))
+    jac = np.zeros((d, p) + (d,) * k, dtype=object)
     for r in range(k):
-        entries: list = list(int_core)
-        dims = [p] * k
+        part = c
         for mode in range(k):
-            if mode != r:
-                entries, dims = mode_apply(entries, dims, mode, base)
-        parts.append([int(x) for x in entries])
-    ncols = d**k
-    rows = []
-    for alpha in range(d):
-        for beta in range(p):
-            row = [0] * ncols
-            for r in range(k):
-                post = d ** (k - 1 - r)
-                entries = parts[r]
-                for u in range(d**r):
-                    src = (u * p + beta) * post
-                    dst = (u * d + alpha) * post
-                    for v in range(post):
-                        x = entries[src + v]
-                        if x:
-                            row[dst + v] += x
-            rows.append(row)
-    return rank_int_rows(rows)
+            part = np.moveaxis(part, 0, -1) if mode == r else mode_apply(part, b)
+        part = np.moveaxis(part, r, 0)
+        for alpha in range(d):
+            jac[(alpha, slice(None)) + (slice(None),) * r + (alpha,)] += part
+    return rank_int_rows(jac.reshape(d * p, d**k).tolist())
 
 
 def image_dimension(
@@ -171,6 +167,7 @@ def image_dimension(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_jacobian_size(d, core.dim, core.level)
     rng = rng if rng is not None else random.Random()
     best = 0
     for _ in range(trials):

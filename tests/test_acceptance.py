@@ -5,8 +5,12 @@ criterion.  Criteria 5 and 6 are the slow ones (wall-clock benchmark and the
 full dimension tables).
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 from itertools import product
 
 from memsig.bench import run_bench
@@ -228,6 +232,18 @@ def test_c06_dimension_tables_d456():
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     _report("C6 dimension tables d=4,5,6", elapsed, f"{len(measured_all)} entries, 3 trials each")
+
+
+def test_dimension_tables_script_prints_the_d4_table():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "dimension_tables.py"), "--d", "4", "--trials", "3", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    rows = [line.split("|")[1].split() for line in done.stdout.splitlines()[3:7]]
+    assert [[int(x) for x in row] for row in rows] == DIM_TABLE[4]
 
 
 def test_c07_level3_dimensions_d3():

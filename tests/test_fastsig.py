@@ -206,6 +206,24 @@ class TestSigTensorFast:
     def test_oracle_equivalence_level3(self, g):
         assert sig_tensor_fast(g, 3) == sig_via_congruence(PiecewiseBilinearMembrane(g), 3)
 
+    def test_every_entry_matches_the_word_route(self, rng):
+        for k in (1, 2, 3):
+            g = GridData(
+                3,
+                2,
+                3,
+                tuple(
+                    tuple(
+                        tuple(rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4))
+                        for _ in range(3)
+                    )
+                    for _ in range(3)
+                ),
+            )
+            t = sig_tensor_fast(g, k)
+            for w in words_iter(3, k):
+                assert t.get(w) == sig_word_fast(g, w), (k, w)
+
     def test_level0(self):
         assert sig_tensor_fast(bilinear_grid((rat(2),)), 0).entries == (rat(1),)
 

@@ -247,6 +247,14 @@ class TestCliCommands:
         assert code == 3 and out == ""
         assert "more than 4 entries" in capsys.readouterr().err
 
+    def test_exit_code_polynomial_over_entry_budget(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"kind": "polynomial", "d": 5, "m": 5, "n": 5, "terms": []}))
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", 124)
+        code, out = run_cli(["sig", str(path), "--level", "1"])
+        assert code == 3 and out == ""
+        assert "more than 124 entries" in capsys.readouterr().err
+
     def test_seed_reproducibility(self, monkeypatch):
         _, out1 = run_cli(["dim", "--d", "4", "--m", "2", "--n", "2", "--trials", "1"], {"MEMSIG_SEED": "11"}, monkeypatch)
         _, out2 = run_cli(["dim", "--d", "4", "--m", "2", "--n", "2", "--trials", "1"], {"MEMSIG_SEED": "11"}, monkeypatch)

@@ -192,6 +192,14 @@ class TestJordanStructure:
                 assert rank(power) == predicted
 
 
+class TestMatmul:
+    def test_empty_inner_dimension_gives_zeros(self):
+        assert Matrix(2, 0, ()) @ Matrix(0, 3, ()) == Matrix.zeros(2, 3)
+
+    def test_empty_outer_dimensions(self):
+        assert Matrix(0, 2, ()) @ Matrix(2, 0, ()) == Matrix(0, 0, ())
+
+
 class TestInverse:
     @given(square_matrices(max_size=4))
     def test_inverse_roundtrip(self, m):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import matrices
+from memsig import tensor
 from memsig.fastsig import sig_tensor_fast
 from memsig.linalg import Matrix, kron
 from memsig.membranes import (
@@ -439,6 +440,12 @@ class TestPolynomialMembraneInput:
             )
         assert "dropping term" in caplog.text
         assert spec.coeffs == Matrix.from_rows([[3, 0, 0, 0]])
+
+    def test_oversized_coefficient_matrix_is_refused(self, monkeypatch):
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", 100)
+        assert PolynomialMembrane.from_terms(4, 5, 5, []).coeffs == Matrix.zeros(4, 25)
+        with pytest.raises(ValueError, match="more than 100 entries"):
+            PolynomialMembrane.from_terms(5, 5, 5, [])
 
     def test_fast_equals_congruence_on_random_grids(self, rng):
         for _ in range(5):

@@ -66,6 +66,28 @@ def test_tucker_composition(a, b):
     assert tucker_apply(tucker_apply(t, a), b) == tucker_apply(t, b @ a)
 
 
+def test_tucker_rational_nonsquare_matches_direct_sum():
+    rng = random.Random(5)
+
+    def rational():
+        return rat(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for d, p in [(2, 3), (4, 3)]:
+        a = Matrix(d, p, tuple(rational() for _ in range(d * p)))
+        for level in range(4):
+            t = SigTensor(level, p, tuple(rational() for _ in range(p**level)))
+            expected = []
+            for word in words_iter(d, level):
+                total = rat(0)
+                for inner in words_iter(p, level):
+                    term = t.get(inner)
+                    for i, j in zip(word, inner):
+                        term *= a.at(i - 1, j - 1)
+                    total += term
+                expected.append(total)
+            assert tucker_apply(t, a).entries == tuple(expected), (d, p, level)
+
+
 def test_tucker_shape_mismatch():
     with pytest.raises(ValueError):
         tucker_apply(core_tensor("axis", 2, 2, 2), Matrix.identity(3))

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from memsig import tensor
 from memsig.linalg import (
     CongruenceInvariants,
     GammaBlock,
@@ -121,6 +122,28 @@ class TestImageDimension:
 
     def test_jacobian_rank_zero_level(self):
         assert tucker_jacobian_rank(core_tensor("axis", 1, 1, 0), Matrix.identity(1)) == 0
+
+    def test_jacobian_rank_is_invariant_under_scaling_the_base(self, rng):
+        core = core_tensor("axis", 2, 2, 2)
+        b = random_integer_matrix(4, 4, rng)
+        for c in (1, rat(1, 3), rat(1, 10000)):
+            assert tucker_jacobian_rank(core, b.scale(c)) == 14
+
+    def test_oversized_jacobian_is_refused_before_any_base_point(self, monkeypatch, rng):
+        core = core_tensor("axis", 2, 2, 2)
+        base = random_integer_matrix(4, 4, rng)
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", 4 * 4 * 16 - 1)
+
+        class NoDraws(random.Random):
+            def randint(self, a, b):
+                raise AssertionError("no base point may be drawn")
+
+        with pytest.raises(ValueError, match="more than 255 entries"):
+            image_dimension(core, 4, 3, NoDraws())
+        with pytest.raises(ValueError, match="Jacobian"):
+            tucker_jacobian_rank(core, base)
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", 4 * 4 * 16)
+        assert tucker_jacobian_rank(core, base) == 14
 
     def test_moment_core_gives_same_dimension(self, rng):
         assert image_dimension(core_tensor("moment", 2, 2, 2), 4, 3, rng) == 14
