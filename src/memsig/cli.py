@@ -2,8 +2,9 @@
 
 Subcommands: sig, core, dim, invariants, check-relations, bench, decompose.
 All output is UTF-8 JSON or CSV on stdout or --out.  MEMSIG_SEED fixes the
-RNG seed for generic-point sampling.  Exit codes: 0 success, 2 parse error,
-3 shape/contract error, 4 relation-check failure.
+RNG seed for generic-point sampling.  Exit codes: 0 success, 2 parse error
+or unreadable/unwritable file, 3 shape/contract error (also arguments that
+measure nothing, such as d = 0 or zero samples), 4 relation-check failure.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ def _seeded_rng() -> random.Random:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise fileio.FileFormatError(f"{out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -55,6 +55,8 @@ def load_json_file(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):

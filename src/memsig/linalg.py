@@ -1,11 +1,20 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are small (at most a few hundred rows at desk scale), so everything
-here is plain dense code.  Rank and determinant go through fraction-free
-Bareiss elimination on denominator-cleared integer rows, which keeps
-intermediate entries polynomially sized instead of letting rational
-numerators/denominators blow up.  The Pfaffian uses Pfaffian-preserving
-congruence pivots (O(n^3), no combinatorial expansion).
+here is plain dense code on denominator-cleared integer rows.
+
+- Rank is first computed modulo the prime 2^31 - 1 by elimination in numpy
+  int64.  The rank mod p is never above the rational rank, so a full rank
+  mod p, min(rows, cols), is exact.  A short rank mod p proves nothing, and
+  the rank then comes from fraction-free Bareiss elimination on Python ints,
+  which keeps intermediate entries polynomially sized.  Bareiss is the only
+  route to determinants and to short ranks.
+- ``solve`` (and ``inverse`` and ``cosquare`` through it) runs the same
+  Bareiss routine as a fraction-free Gauss-Jordan elimination of [A | B]:
+  each division is exact by the previous pivot, and one division per entry
+  of the result turns it back into rationals.
+- The Pfaffian uses Pfaffian-preserving congruence pivots (O(n^3), no
+  combinatorial expansion).
 
 ``pm1_jordan_structure`` recovers the Jordan block multiset of a matrix whose
 only eigenvalues are +1 and -1 from the exact rank sequences rank((M -+ I)^j);
@@ -16,6 +25,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .rational import ONE, ZERO, clear_denominators, cleared_array, rat
 
@@ -134,19 +146,54 @@ def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
     return out, scales
 
 
-def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+# residues are below 2^31, so each product in the elimination is below 2^62
+# and a difference of two such products stays inside int64
+_PRIME = 2**31 - 1
+
+
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix over GF(2^31 - 1), by elimination in int64.
+
+    Entries are reduced on Python ints before the cast, so any size is
+    handled.  A minor that is nonzero mod p is nonzero over the integers, so
+    this rank is never above the rank over the rationals.
+    """
+    a = (np.array(rows, dtype=object) % _PRIME).astype(np.int64)
+    nrows, ncols = a.shape
+    r = 0
+    for c in range(ncols):
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
+            continue
+        piv = r + nonzero[0]
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r + 1 :, c:] = (a[r, c] * a[r + 1 :, c:] - a[r + 1 :, c, None] * a[r, c:]) % _PRIME
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _bareiss(a: list[list[int]], jordan_cols: int | None = None) -> tuple[int, int]:
     """Fraction-free elimination of integer rows in place; returns (rank, swap sign).
 
     On a square matrix the last diagonal entry ends as sign * det: at full
     rank every pivot lies on the diagonal, and at short rank the rows past the
     rank, the last row among them, are zero.
+
+    With ``jordan_cols`` it is fraction-free Gauss-Jordan elimination: pivots
+    are taken only in the first ``jordan_cols`` columns and each pivot also
+    clears its column above.  Every division, in both forms, is exact by the
+    previous pivot, because each entry is a minor of the input.  Columns left
+    of the current pivot are not updated.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     prev = 1
     r = 0
     sign = 1
-    for c in range(ncols):
+    for c in range(ncols if jordan_cols is None else jordan_cols):
         piv = None
         for i in range(r, nrows):
             if a[i][c]:
@@ -159,7 +206,8 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
             sign = -sign
         p = a[r][c]
         arow = a[r]
-        for i in range(r + 1, nrows):
+        below = range(r + 1, nrows)
+        for i in below if jordan_cols is None else chain(range(r), below):
             ai = a[i]
             f = ai[c]
             for j in range(c, ncols):
@@ -172,17 +220,21 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over the rationals (fraction-free Bareiss elimination)."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a, _ = _integer_rows(m)
-    return _bareiss(a)[0]
+    """Exact rank over the rationals: ``rank_int_rows`` of the row-cleared matrix."""
+    return rank_int_rows(_integer_rows(m)[0])
 
 
 def rank_int_rows(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix given as mutable rows (consumed)."""
+    """Exact rank of an integer matrix given as mutable rows (consumed).
+
+    The rank mod 2^31 - 1 is returned when it is full, min(rows, cols), since
+    it is never above the exact rank; otherwise Bareiss elimination decides.
+    """
     if not rows or not rows[0]:
         return 0
+    r = _rank_mod_p(rows)
+    if r == min(len(rows), len(rows[0])):
+        return r
     return _bareiss(rows)[0]
 
 
@@ -259,41 +311,33 @@ def pfaffian(m: Matrix):
     return pf
 
 
+def solve(a: Matrix, b: Matrix) -> Matrix:
+    """The exact X with a @ X == b, for a square nonsingular ``a``.
+
+    Each row of [a | b] is cleared of denominators (which leaves X as it is),
+    and one fraction-free Gauss-Jordan elimination turns the integer matrix
+    into [p I | p X], p the last pivot; X is the right block over p.
+    """
+    if not a.is_square:
+        raise ValueError("solve needs a square matrix")
+    if b.rows != a.rows:
+        raise ValueError(f"solve needs a right-hand side with {a.rows} rows, got {b.rows}")
+    n = a.rows
+    rows = [clear_denominators(ra + rb)[0] for ra, rb in zip(a.to_rows(), b.to_rows())]
+    if _bareiss(rows, jordan_cols=n)[0] < n:
+        raise ValueError("matrix is singular")
+    p = rows[n - 1][n - 1] if n else 1
+    return Matrix(n, b.cols, tuple(rat(x, p) for row in rows for x in row[n:]))
+
+
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan elimination."""
-    if not m.is_square:
-        raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    a = m.to_rows()
-    b = Matrix.identity(n).to_rows()
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            b[c], b[piv] = b[piv], b[c]
-        p = a[c][c]
-        a[c] = [x / p for x in a[c]]
-        b[c] = [x / p for x in b[c]]
-        for i in range(n):
-            if i == c:
-                continue
-            f = a[i][c]
-            if not f:
-                continue
-            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-            b[i] = [x - f * y for x, y in zip(b[i], b[c])]
-    return Matrix.from_rows(b)
+    """Exact inverse, ``solve(m, I)``."""
+    return solve(m, Matrix.identity(m.rows))
 
 
 def cosquare(m: Matrix) -> Matrix:
-    """M^{-T} M for nonsingular M; its Jordan form classifies congruence."""
-    return inverse(m.transpose()) @ m
+    """M^{-T} M for nonsingular M, as ``solve(M^T, M)``; its Jordan form classifies congruence."""
+    return solve(m.transpose(), m)
 
 
 class SpectrumError(ValueError):

@@ -160,19 +160,27 @@ def image_dimension(
 ) -> int:
     """Dimension of the Zariski closure of A -> [[core; A..A]] over d x p matrices.
 
-    Measured as the maximal derivative rank over ``trials`` random integer
-    base points (entries uniform in [-bound, bound]); an unlucky rank-deficient
-    sample only lowers a single trial.  The closure-dimension = generic-rank
-    identification is an assumption of the method, not proven here.
+    Measured as the maximal derivative rank over at most ``trials`` random
+    integer base points (entries uniform in [-bound, bound]); an unlucky
+    rank-deficient sample only lowers a single trial.  ``trials`` is an upper
+    limit: the trials stop once one reaches the full rank min(d p, d^k) of
+    the (d p) x d^k Jacobian, which no further trial can exceed.  The
+    closure-dimension = generic-rank identification is an assumption of the
+    method, not proven here.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     _check_jacobian_size(d, core.dim, core.level)
     rng = rng if rng is not None else random.Random()
+    full = min(d * core.dim, d**core.level)
     best = 0
     for _ in range(trials):
         b = random_integer_matrix(d, core.dim, rng, bound)
         best = max(best, tucker_jacobian_rank(core, b))
+        if best == full:
+            break
     return best
 
 
@@ -313,6 +321,8 @@ def relation_checks(
     and det(X) det(C^sym) = det(C) det(X^sym).  Other triples carry no
     built-in relations.
     """
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     rng = rng if rng is not None else random.Random()
     if (d, m, n) == (2, 2, 1):
         c = core_matrix("moment", 2, 1)

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsig import cli, fileio, tensor
 from memsig.bench import random_integer_grid
@@ -255,9 +259,127 @@ class TestCliCommands:
         assert code == 3 and out == ""
         assert "more than 124 entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_exits_2(self, tmp_path, single_cell_grid_file, capsys, target):
+        path = tmp_path / target
+        code, out = run_cli(["sig", single_cell_grid_file, "--level", "1", "--out", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_input_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", "\xff"]]]}')
+        code, out = run_cli(["sig", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dim", "--d", "0", "--m", "2", "--n", "2"],
+            ["check-relations", "--d", "2", "--m", "2", "--n", "1", "--samples", "0"],
+            ["check-relations", "--d", "4", "--m", "2", "--n", "2", "--samples", "-1"],
+        ],
+    )
+    def test_arguments_that_measure_nothing_exit_3(self, capsys, args):
+        code, out = run_cli(args)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_seed_reproducibility(self, monkeypatch):
         _, out1 = run_cli(["dim", "--d", "4", "--m", "2", "--n", "2", "--trials", "1"], {"MEMSIG_SEED": "11"}, monkeypatch)
         _, out2 = run_cli(["dim", "--d", "4", "--m", "2", "--n", "2", "--trials", "1"], {"MEMSIG_SEED": "11"}, monkeypatch)
         assert out1 == out2
         doc = json.loads(out1)
         assert doc["measured_dim"] == 14 and doc["formula_dim"] == 14 and doc["agree"] is True
+
+
+# --------------------------------------------------------------------------
+# fuzz: malformed documents and output paths never escape as a traceback
+
+_RATIONALS = st.sampled_from(["0", "-3", "1/2", "+7/3", "-4/6", "12"])
+_BAD_VALUES = st.one_of(
+    st.sampled_from(["1/0", "x", "", "1.5", "٣", "3/-4"]), st.integers(-2, 2), st.none(), st.just(["1"])
+)
+_MISSING = object()
+_BAD_SIZES = st.sampled_from([-1, 0, 4, True, "2", 1.5, None, _MISSING])
+_INDICES = st.one_of(st.integers(-1, 4), st.sampled_from([True, "1", None]))
+
+
+def _with_fault(draw, doc: dict, nested: list) -> dict:
+    """Leave ``doc`` as it is, or give it one fault: a size, a length or a value."""
+    fault = draw(st.sampled_from(["none", "size", "length", "value"]))
+    if fault == "size":
+        key, size = draw(st.sampled_from(["d", "m", "n"])), draw(_BAD_SIZES)
+        if size is _MISSING:
+            del doc[key]
+        else:
+            doc[key] = size
+    elif fault == "length" and nested:
+        part = draw(st.sampled_from(nested))
+        part.append(part[-1]) if draw(st.booleans()) else part.pop()
+    elif fault == "value" and nested and nested[-1]:
+        nested[-1][draw(st.integers(0, len(nested[-1]) - 1))] = draw(_BAD_VALUES)
+    return doc
+
+
+@st.composite
+def grid_like_docs(draw):
+    d, m, n = (draw(st.integers(1, 3)) for _ in range(3))
+    values = [[[draw(_RATIONALS) for _ in range(n + 1)] for _ in range(m + 1)] for _ in range(d)]
+    doc = {"d": d, "m": m, "n": n, "values": values}
+    return _with_fault(draw, doc, [values, values[0], values[0][0]])
+
+
+@st.composite
+def polynomial_like_docs(draw):
+    d, m, n = (draw(st.integers(1, 3)) for _ in range(3))
+    doc = {"kind": "polynomial", "d": d, "m": m, "n": n}
+    if draw(st.booleans()):
+        doc["A"] = [[draw(_RATIONALS) for _ in range(m * n)] for _ in range(d)]
+        return _with_fault(draw, doc, [doc["A"], doc["A"][0]])
+    term = st.tuples(_INDICES, _INDICES, _INDICES, st.one_of(_RATIONALS, _BAD_VALUES)).map(list)
+    doc["terms"] = draw(st.lists(st.one_of(term, term, _BAD_VALUES), max_size=4))
+    return _with_fault(draw, doc, [])
+
+
+_DOC_BYTES = st.one_of(
+    grid_like_docs().map(lambda doc: json.dumps(doc).encode()),
+    polynomial_like_docs().map(lambda doc: json.dumps(doc).encode()),
+    st.binary(max_size=40),
+    st.sampled_from([b"[]", b"{", b'"x"', b"{}", b'{"values": 1}', b"\xff\xfe{}"]),
+)
+
+_COMMANDS = [
+    ["sig", "--level", "2"],
+    ["sig", "--level", "0"],
+    ["sig", "--level", "-1"],
+    ["sig", "--level", "3", "--method", "fast"],
+    ["sig", "--method", "congruence", "--float"],
+    ["decompose"],
+]
+
+
+class TestCliFuzz:
+    @given(
+        _DOC_BYTES,
+        st.sampled_from(_COMMANDS),
+        st.sampled_from([None, "out.json", "missing/out.json", ".", ""]),
+    )
+    @settings(max_examples=300)
+    def test_exit_code_and_no_traceback(self, text, command, out):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.json"
+            path.write_bytes(text)
+            argv = [command[0], str(path), *command[1:]]
+            if out is not None:
+                argv += ["--out", str(Path(tmp) / out) if out else out]
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, _ = run_cli(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith("error: ")

@@ -8,6 +8,9 @@ from conftest import matrices, rationals, skew_matrices, square_matrices
 from memsig.linalg import (
     Matrix,
     SpectrumError,
+    _bareiss,
+    _integer_rows,
+    _rank_mod_p,
     cosquare,
     det,
     inverse,
@@ -15,6 +18,8 @@ from memsig.linalg import (
     pfaffian,
     pm1_jordan_structure,
     rank,
+    rank_int_rows,
+    solve,
     sym_skew_split,
 )
 from memsig.membranes import core_matrix
@@ -22,6 +27,12 @@ from memsig.rational import rat
 from memsig.variety import random_integer_matrix
 
 HALF = rat(1, 2)
+
+P = 2**31 - 1
+
+# entries that vanish mod P, or exceed int64, so that the rank mod P can fall
+# below the rational rank and the exact fallback must decide
+HARD_ENTRIES = [0, 1, -1, 2, P, -P, 2 * P, P << 40, (P << 40) + 1, 2**64, -(2**70) - 3]
 
 MOM2 = Matrix.from_rows([[rat(1, 2), rat(2, 3)], [rat(1, 3), rat(1, 2)]])
 
@@ -102,6 +113,68 @@ class TestRank:
                 if det(g) != 0:
                     break
             assert rank(g @ m) == r
+
+
+def bareiss_rank(rows) -> int:
+    """The exact oracle: Bareiss elimination of a copy of ``rows``."""
+    return _bareiss([list(r) for r in rows])[0]
+
+
+@st.composite
+def low_rank_matrices(st_draw, max_size=5):
+    """A product (r x k) @ (k x c), so the rank is at most k, often below min(r, c)."""
+    r, k, c = (st_draw(st.integers(1, max_size)) for _ in range(3))
+    return st_draw(matrices(rows=r, cols=k)) @ st_draw(matrices(rows=k, cols=c))
+
+
+class TestModularRank:
+    @given(st.one_of(matrices(max_size=6), low_rank_matrices()))
+    def test_rational_rank_matches_bareiss(self, m):
+        assert rank(m) == bareiss_rank(_integer_rows(m)[0])
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-(2**80), 2**80), min_size=c, max_size=c), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_integer_rank_matches_bareiss(self, rows):
+        assert rank_int_rows([list(r) for r in rows]) == bareiss_rank(rows)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda c: st.lists(
+                st.lists(st.sampled_from(HARD_ENTRIES), min_size=c, max_size=c), min_size=1, max_size=4
+            )
+        )
+    )
+    def test_entries_vanishing_mod_p_fall_back_to_bareiss(self, rows):
+        exact = bareiss_rank(rows)
+        assert _rank_mod_p(rows) <= exact
+        assert rank_int_rows([list(r) for r in rows]) == exact
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[P, 0], [0, 1]],
+            [[P << 40, 0], [0, 1]],
+            [[2**64, 2**65], [1, P + 2]],
+        ],
+    )
+    def test_rank_mod_p_below_rational_rank(self, rows):
+        assert _rank_mod_p(rows) == 1
+        assert rank_int_rows([list(r) for r in rows]) == 2
+        assert rank(Matrix.from_rows(rows)) == 2
+
+    def test_entries_above_int64_at_full_rank(self):
+        rows = [[2**64 + 1, 2**70], [3, 2**63 + 5]]
+        assert _rank_mod_p(rows) == 2 == rank_int_rows([list(r) for r in rows])
+
+    def test_empty(self):
+        assert rank_int_rows([]) == 0
+        assert rank_int_rows([[], []]) == 0
+        assert rank(Matrix(0, 3, ())) == 0 and rank(Matrix(3, 0, ())) == 0
 
 
 class TestDet:
@@ -208,6 +281,44 @@ class TestInverse:
                 inverse(m)
             return
         assert m @ inverse(m) == Matrix.identity(m.rows)
+
+
+class TestSolve:
+    @given(square_matrices(max_size=5), st.integers(0, 4), st.data())
+    def test_solution_satisfies_the_system(self, a, k, data):
+        b = data.draw(matrices(rows=a.rows, cols=k)) if k else Matrix(a.rows, 0, ())
+        if det(a) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                solve(a, b)
+            return
+        assert a @ solve(a, b) == b
+
+    @given(square_matrices(max_size=5))
+    def test_cosquare_definition(self, m):
+        if det(m) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                cosquare(m)
+            return
+        assert m.transpose() @ cosquare(m) == m
+
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.integers(1, n - 1).flatmap(
+                lambda k: st.tuples(matrices(rows=n, cols=k), matrices(rows=k, cols=n))
+            )
+        )
+    )
+    def test_rank_deficient_product_is_singular(self, factors):
+        left, right = factors  # n x k @ k x n with k < n has rank below n
+        with pytest.raises(ValueError, match="singular"):
+            solve(left @ right, Matrix.identity(left.rows))
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="square"):
+            solve(Matrix.zeros(2, 3), Matrix.zeros(2, 1))
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve(Matrix.identity(2), Matrix.zeros(3, 1))
+        assert solve(Matrix(0, 0, ()), Matrix(0, 2, ())) == Matrix(0, 2, ())
 
 
 class TestExactness:

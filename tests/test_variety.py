@@ -145,6 +145,26 @@ class TestImageDimension:
         monkeypatch.setattr(tensor, "MAX_ENTRIES", 4 * 4 * 16)
         assert tucker_jacobian_rank(core, base) == 14
 
+    def test_trials_stop_at_full_rank(self):
+        class CountingRandom(random.Random):
+            draws = 0
+
+            def randint(self, a, b):
+                self.draws += 1
+                return super().randint(a, b)
+
+        core = core_tensor("axis", 2, 2, 2)
+        rng = CountingRandom(5)
+        assert image_dimension(core, 2, 3, rng) == 4  # full: min(2 * 4, 2^2)
+        assert rng.draws == 2 * 4  # one base point
+        rng = CountingRandom(5)
+        assert image_dimension(core, 4, 3, rng) == 14  # short of min(16, 16)
+        assert rng.draws == 3 * 4 * 4  # every trial
+
+    def test_refuses_d_zero(self, rng):
+        with pytest.raises(ValueError, match="d >= 1"):
+            image_dimension(core_tensor("axis", 2, 2, 2), 0, 3, rng)
+
     def test_moment_core_gives_same_dimension(self, rng):
         assert image_dimension(core_tensor("moment", 2, 2, 2), 4, 3, rng) == 14
 
@@ -229,6 +249,11 @@ class TestRelationChecks:
     def test_no_builtin_relations(self, rng):
         report = relation_checks(2, 2, 2, 10, rng)
         assert report.status == "no-relations"
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_refuses_no_samples(self, rng, samples):
+        with pytest.raises(ValueError, match="at least one sample"):
+            relation_checks(2, 2, 1, samples, rng)
 
     def test_seeded_reproducibility(self):
         r1 = relation_checks(4, 2, 2, 5, random.Random(99))
