@@ -9,8 +9,9 @@ ints otherwise) instead of materializing the core, which keeps the memory
 footprint linear while leaving the Theta((mn)^2) work intact; it has no
 rational fallback.
 
-Timings use the monotonic clock; callers take medians over repeats.  CSV rows
-are (method, m, n, nanos).
+Timings use the monotonic clock.  Each repeat times every size and method once,
+so a slow stretch of the host hits all sizes alike; a row keeps every repeat's
+time and reports the median.  CSV rows are (method, m, n, nanos).
 """
 
 from __future__ import annotations
@@ -82,7 +83,11 @@ class BenchRow:
     method: str
     m: int
     n: int
-    nanos: int
+    times: tuple  # ns, one per repeat, in the order run
+
+    @property
+    def nanos(self) -> int:
+        return int(statistics.median(self.times))
 
 
 @dataclass(frozen=True)
@@ -137,29 +142,34 @@ def run_bench(
 ) -> BenchResult:
     """Median-of-repeats timings per size and method, plus the fast-method fit.
 
-    ``doubling_ratios`` maps each method to median(t at size) / median(t at
-    the previous size) for consecutive size pairs where m*n quadruples (i.e.
-    both orders double); only the largest such pair is reported.
+    All grids are drawn first, in size order; then each repeat times every
+    (size, method) pair once, in that order.  ``doubling_ratios`` maps each
+    method to median(t at size) / median(t at the previous size) for
+    consecutive size pairs where m*n quadruples (i.e. both orders double);
+    only the largest such pair is reported.
     """
     rng = random.Random(seed)
-    rows: list[BenchRow] = []
-    medians: dict[tuple[str, tuple[int, int]], int] = {}
-    for m, n in sizes:
-        grid = random_integer_grid(d, m, n, rng)
+    grids = [random_integer_grid(d, m, n, rng) for m, n in sizes]
+    jobs = []
+    for (m, n), grid in zip(sizes, grids):
         for method in methods:
             if method == "fast":
-                fn = lambda: sig_tensor_fast(grid, level)
+                fn = lambda grid=grid: sig_tensor_fast(grid, level)
             elif method == "congruence":
                 if level != 2:
                     raise ValueError("the congruence baseline benchmarks level 2 only")
-                fn = lambda: congruence_matrix_quadratic(grid)
+                fn = lambda grid=grid: congruence_matrix_quadratic(grid)
             else:
                 raise ValueError(f"unknown method {method!r}")
-            times = [_time_ns(fn) for _ in range(repeats)]
-            med = int(statistics.median(times))
-            rows.append(BenchRow(method, m, n, med))
-            medians[(method, (m, n))] = med
-        if check_agreement and level == 2 and "congruence" in methods:
+            jobs.append((method, m, n, fn))
+    times = [[] for _ in jobs]
+    for _ in range(repeats):
+        for job_times, (_, _, _, fn) in zip(times, jobs):
+            job_times.append(_time_ns(fn))
+    rows = [BenchRow(method, m, n, tuple(t)) for (method, m, n, _), t in zip(jobs, times)]
+    medians = {(r.method, (r.m, r.n)): r.nanos for r in rows}
+    if check_agreement and level == 2 and "congruence" in methods:
+        for (m, n), grid in zip(sizes, grids):
             if sig_matrix_fast(grid) != congruence_matrix_quadratic(grid):
                 raise AssertionError(f"backends disagree on grid {m}x{n}")
     fast_points = [

@@ -18,7 +18,9 @@ here is plain dense code on denominator-cleared integer rows.
 
 ``pm1_jordan_structure`` recovers the Jordan block multiset of a matrix whose
 only eigenvalues are +1 and -1 from the exact rank sequences rank((M -+ I)^j);
-this is all the spectral information the congruence normal forms need.
+this is all the spectral information the congruence normal forms need.  The
+ranks are taken of integer powers (L M -+ L I)^j, L clearing M, since scaling
+by L^j changes no rank.
 """
 
 from __future__ import annotations
@@ -105,35 +107,31 @@ class Matrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         a, ascale = cleared_array(self.entries, (self.rows, self.cols))
         b, bscale = cleared_array(other.entries, (other.rows, other.cols))
-        den = ascale * bscale
-        return Matrix(self.rows, other.cols, tuple(rat(x, den) for x in (a @ b).flat))
+        return _from_cleared(a @ b, ascale * bscale)
 
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
 
+def _from_cleared(arr: np.ndarray, den: int) -> Matrix:
+    """The matrix arr / den, for a 2-D object array of Python ints."""
+    return Matrix(*arr.shape, tuple(rat(x, den) for x in arr.flat))
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: block (i, j) equals a[i, j] * b."""
-    out = []
-    for i in range(a.rows):
-        for p in range(b.rows):
-            for j in range(a.cols):
-                aij = a.at(i, j)
-                for q in range(b.cols):
-                    out.append(aij * b.at(p, q))
-    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
+    x, ascale = cleared_array(a.entries, (a.rows, a.cols))
+    y, bscale = cleared_array(b.entries, (b.rows, b.cols))
+    return _from_cleared(np.kron(x, y), ascale * bscale)
 
 
 def sym_skew_split(m: Matrix) -> tuple[Matrix, Matrix]:
     """Split a square matrix into (M + M^T)/2 and (M - M^T)/2."""
     if not m.is_square:
         raise ValueError("sym/skew split needs a square matrix")
-    mt = m.transpose()
-    half = rat(1, 2)
-    sym = (m + mt).scale(half)
-    skew = (m - mt).scale(half)
-    return sym, skew
+    c, scale = cleared_array(m.entries, (m.rows, m.cols))
+    return _from_cleared(c + c.T, 2 * scale), _from_cleared(c - c.T, 2 * scale)
 
 
 def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -356,18 +354,19 @@ def pm1_jordan_structure(m: Matrix) -> Counter:
     if not m.is_square:
         raise ValueError("Jordan structure needs a square matrix")
     n = m.rows
+    c, scale = cleared_array(m.entries, (n, n))
     blocks: Counter = Counter()
     total = 0
     for mu in (1, -1):
-        shifted = m - Matrix.identity(n).scale(mu)
+        shifted = c - mu * scale * np.eye(n, dtype=object)
         ranks = [n]
-        power = Matrix.identity(n)
+        power = shifted
         for _ in range(n):
-            power = power @ shifted
-            r = rank(power)
+            r = rank_int_rows(power.tolist())
             ranks.append(r)
             if r == ranks[-2]:
                 break
+            power = power @ shifted
         stable = ranks[-1]
         total += n - stable
         ranks.append(stable)  # pad so r_{j+1} exists for the last drop

@@ -3,8 +3,9 @@
 A two-parameter membrane with polynomial or piecewise-bilinear coordinates is
 a linear transform of a dictionary membrane (moment resp. axis), so its
 signature tensors are the dictionary core tensors pushed through the Tucker
-action.  Core entries factor into products of path-signature entries because
-the dictionary membranes are products of paths.
+action.  The dictionary membranes are products of paths, so a core entry is
+the product of two path-signature entries, and the whole level-k core is the
+outer product of the two level-k path cores with their axes interleaved.
 
 The single flattening convention for pairs (i, j) in [m] x [n] is
 nu(i, j) = n (i - 1) + j (1-based); at level 2 this makes the moment and axis
@@ -23,14 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import Matrix
-from .paths import (
-    AxisPath,
-    MomentPath,
-    axis_path_sig_entry,
-    moment_path_sig_entry,
-)
+from .paths import AxisPath, MomentPath, axis_path_core, moment_path_core
 from .rational import ONE, Rat, ZERO, cleared_array, rat
-from .tensor import CORE_CACHE_SIZE, SigTensor, check_budget, tucker_apply
+from .tensor import CORE_CACHE_SIZE, SigTensor, check_budget, check_entry_count, tucker_apply
 
 log = logging.getLogger(__name__)
 
@@ -238,24 +234,24 @@ def product_sig_entry(sig_x_entry, sig_y_entry, tupleword) -> Rat:
 def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
     """Level-k core tensor (dim mn) of the moment or axis membrane.
 
-    Entries are products of the two path closed forms on the nu-decoded
-    letter pairs; at level 2 this equals the Kronecker product of the two
-    path signature matrices.
+    The entry at (nu(i_1, j_1), ..., nu(i_k, j_k)) is Px[i-word] Py[j-word]
+    for the level-k path cores Px, Py, so the core is the outer product of the
+    two cleared path cores, axes reordered to (i_1, j_1, ..., i_k, j_k) and
+    each pair merged by nu, over one denominator.  At level 2 this is the
+    Kronecker product of the two path signature matrices.
     """
     if kind == "moment":
-        ex = moment_path_sig_entry
-        ey = moment_path_sig_entry
+        path_core = moment_path_core
     elif kind == "axis":
-        ex = lambda w: axis_path_sig_entry(w, m)
-        ey = lambda w: axis_path_sig_entry(w, n)
+        path_core = axis_path_core
     else:
         raise ValueError(f"unknown core kind {kind!r} (expected 'moment' or 'axis')")
-    pairs = [nu_inv(x, n) for x in range(1, m * n + 1)]
-
-    def entry(word):
-        return product_sig_entry(ex, ey, [pairs[x - 1] for x in word])
-
-    return SigTensor.from_function(k, m * n, entry)
+    check_entry_count(m * n, k)
+    x, lx = cleared_array(path_core(m, k).entries, (m,) * k)
+    y, ly = cleared_array(path_core(n, k).entries, (n,) * k)
+    outer = np.asarray(np.multiply.outer(x, y))  # a bare int at k = 0
+    arr = outer.transpose([a for r in range(k) for a in (r, k + r)]).reshape((m * n,) * k)
+    return SigTensor(k, m * n, tuple(rat(v, lx * ly) for v in arr.flat))
 
 
 def core_matrix(kind: str, m: int, n: int) -> Matrix:

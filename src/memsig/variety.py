@@ -56,12 +56,11 @@ def congruence_invariants(m: Matrix) -> CongruenceInvariants:
     Requires the cosquare spectrum to be contained in {+1, -1}.  Jordan blocks
     J_k(+1) with k odd and J_k(-1) with k even become Gamma_k; the remaining
     blocks (J_k(-1) with k odd, J_k(+1) with k even) must pair up and become
-    H_{2k}(-1) resp. H_{2k}(+1).
+    H_{2k}(-1) resp. H_{2k}(+1).  A singular matrix raises ValueError from
+    ``solve`` inside ``cosquare``.
     """
     if not m.is_square:
         raise ValueError("congruence invariants need a square matrix")
-    if det(m) == 0:
-        raise ValueError("congruence invariants need a nonsingular matrix")
     jordan = pm1_jordan_structure(cosquare(m))
     blocks: list = []
     for (mu, k), cnt in sorted(jordan.items()):
@@ -321,6 +320,8 @@ def relation_checks(
     and det(X) det(C^sym) = det(C) det(X^sym).  Other triples carry no
     built-in relations.
     """
+    if min(d, m, n) < 1:
+        raise ValueError(f"need d, m, n >= 1, got ({d}, {m}, {n})")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = rng if rng is not None else random.Random()

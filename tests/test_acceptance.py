@@ -193,12 +193,14 @@ def test_c05_complexity_scaling():
         [(100, 100), (200, 200)],
         d=2, level=2, repeats=3, methods=("congruence",), seed=SEED,
     )
+    # every repeat's time, so a failure shows which size was slow
+    times = {f"{r.method} {r.m}x{r.n}": r.times for r in fast.rows + cong.rows}
     assert fast.fast_exponent is not None
-    assert 0.75 <= fast.fast_exponent <= 1.25, fast.fast_exponent
+    assert 0.75 <= fast.fast_exponent <= 1.25, (fast.fast_exponent, times)
     med = {(r.method, (r.m, r.n)): r.nanos for r in fast.rows + cong.rows}
     fast_ratio = med[("fast", (200, 200))] / med[("fast", (100, 100))]
     cong_ratio = med[("congruence", (200, 200))] / med[("congruence", (100, 100))]
-    assert cong_ratio >= 2 * fast_ratio, (cong_ratio, fast_ratio)
+    assert cong_ratio >= 2 * fast_ratio, (cong_ratio, fast_ratio, times)
     elapsed = time.perf_counter() - start
     _report(
         "C5 complexity",

@@ -1,6 +1,10 @@
+import random
+import statistics
+
 import numpy as np
 import pytest
 
+from memsig import bench
 from memsig.bench import (
     congruence_matrix_quadratic,
     fit_exponent,
@@ -63,6 +67,18 @@ class TestHarness:
         assert "fast" in result.doubling_ratios and "congruence" in result.doubling_ratios
         lines = result.csv_lines()
         assert lines[0] == "method,m,n,nanos" and len(lines) >= 5
+
+    def test_repeats_interleave_sizes_on_the_same_grids(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "sig_tensor_fast", lambda grid, level: calls.append(grid))
+        sizes = [(1, 2), (2, 2), (2, 3)]
+        result = run_bench(sizes, d=2, repeats=3, methods=("fast",), seed=5)
+        rng = random.Random(5)
+        grids = [random_integer_grid(2, m, n, rng) for m, n in sizes]
+        assert calls == grids * 3
+        for row in result.rows:
+            assert len(row.times) == 3
+            assert row.nanos == int(statistics.median(row.times))
 
     def test_congruence_baseline_is_level2_only(self):
         with pytest.raises(ValueError):

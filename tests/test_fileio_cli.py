@@ -281,6 +281,10 @@ class TestCliCommands:
             ["dim", "--d", "0", "--m", "2", "--n", "2"],
             ["check-relations", "--d", "2", "--m", "2", "--n", "1", "--samples", "0"],
             ["check-relations", "--d", "4", "--m", "2", "--n", "2", "--samples", "-1"],
+            ["check-relations", "--d", "0", "--m", "2", "--n", "1"],
+            ["check-relations", "--d", "2", "--m", "0", "--n", "1"],
+            ["check-relations", "--d", "2", "--m", "2", "--n", "0"],
+            ["core", "--kind", "moment", "--m", "-1", "--n", "-1"],
         ],
     )
     def test_arguments_that_measure_nothing_exit_3(self, capsys, args):

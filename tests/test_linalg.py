@@ -57,6 +57,16 @@ class TestKron:
         b = Matrix.from_rows([[1, 2], [3, 4]])
         assert kron(Matrix.from_rows([[2]]), b) == b.scale(2)
 
+    @given(matrices(max_size=3), matrices(max_size=3))
+    def test_block_definition(self, a, b):
+        k = kron(a, b)
+        assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+        for i in range(a.rows):
+            for j in range(a.cols):
+                for p in range(b.rows):
+                    for q in range(b.cols):
+                        assert k.at(i * b.rows + p, j * b.cols + q) == a.at(i, j) * b.at(p, q)
+
     @given(matrices(max_size=3), matrices(max_size=3), matrices(max_size=3), matrices(max_size=3))
     @settings(max_examples=25)
     def test_mixed_product(self, a, b, c, d):
@@ -245,6 +255,32 @@ class TestJordanStructure:
     def test_rejects_other_eigenvalues(self):
         with pytest.raises(SpectrumError):
             pm1_jordan_structure(Matrix.from_rows([[2]]))
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(1, 3), (-1, 2), (1, 1)],
+            [(-1, 3), (-1, 1), (1, 2), (1, 2)],
+            [(1, 1), (-1, 1), (-1, 3), (1, 3)],
+            [(-1, 2), (-1, 2), (-1, 1)],
+        ],
+    )
+    def test_recovers_blocks_under_rational_similarity(self, rng, blocks):
+        n = sum(size for _, size in blocks)
+        j = [[0] * n for _ in range(n)]
+        start = 0
+        for mu, size in blocks:
+            for r in range(size):
+                j[start + r][start + r] = mu
+                if r + 1 < size:
+                    j[start + r][start + r + 1] = 1
+            start += size
+        p = Matrix.zeros(n, n)
+        while det(p) == 0:
+            p = Matrix(n, n, tuple(rat(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n * n)))
+        assert any(x.denominator > 1 for x in p.entries)
+        m = p @ Matrix.from_rows(j) @ inverse(p)
+        assert pm1_jordan_structure(m) == Counter(blocks)
 
     def test_reconstructs_rank_sequences(self):
         m = cosquare(core_matrix("axis", 2, 3))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import matrices
-from memsig import tensor
+from memsig import membranes, tensor
 from memsig.fastsig import sig_tensor_fast
 from memsig.linalg import Matrix, kron
 from memsig.membranes import (
@@ -42,7 +42,7 @@ from memsig.paths import (
     pw_poly_path_sig_oracle,
 )
 from memsig.rational import rat
-from memsig.tensor import all_ones, tucker_apply, words_iter
+from memsig.tensor import SigTensor, all_ones, tucker_apply, words_iter
 
 A_EXAMPLE = Matrix.from_rows([[1, -1, 1, 1], [1, 1, 0, -1]])
 
@@ -192,12 +192,46 @@ class TestCoreTensors:
         with pytest.raises(ValueError):
             core_tensor("fourier", 2, 2, 2)
 
+    def test_built_without_product_sig_entry(self, monkeypatch):
+        expected = core_tensor("moment", 2, 3, 3)
+
+        def refuse(*args):
+            raise AssertionError("core_tensor called product_sig_entry")
+
+        monkeypatch.setattr(membranes, "product_sig_entry", refuse)
+        # __wrapped__ skips the lru cache, so the core is built again
+        assert core_tensor.__wrapped__("moment", 2, 3, 3) == expected
+        assert core_tensor.__wrapped__("axis", 3, 2, 2) == core_tensor("axis", 3, 2, 2)
+
+    def test_oversized_core_is_refused_before_any_path_core(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a path core was built")
+
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", 100)
+        monkeypatch.setattr(membranes, "moment_path_core", refuse)
+        monkeypatch.setattr(membranes, "axis_path_core", refuse)
+        for kind in ("moment", "axis"):
+            with pytest.raises(ValueError, match="more than 100 entries"):
+                core_tensor.__wrapped__(kind, 4, 3, 2)
+
 
 class TestCoreOracle:
+    SIZES = [*product(range(1, 4), repeat=2), (1, 4), (4, 1)]
+
+    def test_cores_match_product_sig_entry(self):
+        for m, n in self.SIZES:
+            for kind, path in (("moment", MomentPath), ("axis", AxisPath)):
+                ex, ey = path_sig_entry_fn(path(m)), path_sig_entry_fn(path(n))
+                for k in range(4):
+                    expected = SigTensor.from_function(
+                        k, m * n, lambda w: product_sig_entry(ex, ey, [nu_inv(x, n) for x in w])
+                    )
+                    assert core_tensor(kind, m, n, k) == expected, (kind, m, n, k)
+
     def test_cores_match_symbolic_integration(self):
         # nested integration over the product of simplices factors into the
         # two 1-D iterated integrals; each factor is integrated symbolically
-        for m, n in product(range(1, 4), repeat=2):
+        for m, n in self.SIZES:
             mom_m, mom_n = moment_path_poly(m), moment_path_poly(n)
             ax_m, ax_n = axis_path_pieces(m), axis_path_pieces(n)
             for k in range(4):
