@@ -18,7 +18,7 @@ import re
 from .linalg import Matrix
 from .membranes import GridData, PolynomialMembrane
 from .rational import rat, rat_str
-from .tensor import SigTensor
+from .tensor import SigTensor, check_entry_count
 
 TENSOR_ORDER = "row-major-1-based-words"
 MATRIX_ORDER = "row-major"
@@ -89,9 +89,9 @@ def grid_from_doc(doc: dict) -> GridData:
         for a, row in enumerate(comp):
             if not isinstance(row, list) or len(row) != n + 1:
                 raise ContractError(f"values[{i}][{a}] must have n+1={n + 1} entries")
-            rows.append(tuple(parse_rational(x, f"values[{i}][{a}][{b}]") for b, x in enumerate(row)))
-        comps.append(tuple(rows))
-    return GridData(d, m, n, tuple(comps))
+            rows.append([parse_rational(x, f"values[{i}][{a}][{b}]") for b, x in enumerate(row)])
+        comps.append(rows)
+    return GridData(d, m, n, comps)
 
 
 def polynomial_from_doc(doc: dict) -> PolynomialMembrane:
@@ -161,6 +161,10 @@ def tensor_from_doc(doc: dict) -> SigTensor:
         raise FileFormatError("'entries' must be a list of rational strings")
     if doc.get("order", TENSOR_ORDER) != TENSOR_ORDER:
         raise ContractError(f"unsupported tensor order {doc.get('order')!r}")
+    try:
+        check_entry_count(dim, level)
+    except ValueError as exc:
+        raise ContractError(str(exc)) from None
     if len(entries) != dim**level:
         raise ContractError(f"'entries' must have dim^level = {dim ** level} items, got {len(entries)}")
     return SigTensor(level, dim, tuple(parse_rational(x, f"entries[{i}]") for i, x in enumerate(entries)))

@@ -7,6 +7,10 @@ action.  The dictionary membranes are products of paths, so a core entry is
 the product of two path-signature entries, and the whole level-k core is the
 outer product of the two level-k path cores with their axes interleaved.
 
+A grid is stored in one exact form, integer nodes over one denominator
+(``GridData.nodes`` and ``GridData.scale``), which is the form the grid
+kernels read: a cell's mixed node difference is an integer difference.
+
 The single flattening convention for pairs (i, j) in [m] x [n] is
 nu(i, j) = n (i - 1) + j (1-based); at level 2 this makes the moment and axis
 core matrices exactly the Kronecker products of the path core matrices.
@@ -48,43 +52,63 @@ def nu_inv(x: int, n: int) -> tuple[int, int]:
 # grid data and membrane specs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class GridData:
-    """d x (m+1) x (n+1) rational node values, values[i][a][b] = X_i(a/m, b/n)."""
+    """Rational node values X_i(a/m, b/n) over one common denominator.
+
+    ``nodes`` is a read-only (d, m+1, n+1) numpy object array of Python ints
+    and ``scale`` the lcm L of the node denominators in lowest terms, so
+    X_i(a/m, b/n) = nodes[i, a, b] / L; ``values`` derives the rationals.
+    ``GridData(d, m, n, values)`` takes nested values[i][a][b] (ints or
+    rationals; a float or a string raises TypeError) and clears them once.
+    Grids with equal values compare and hash equal.
+    """
 
     d: int
     m: int
     n: int
-    values: tuple
+    nodes: np.ndarray
+    scale: int
 
-    def __post_init__(self):
-        if self.d < 1 or self.m < 1 or self.n < 1:
-            raise ValueError("need d >= 1 and m, n >= 1")
-        vals = tuple(
-            tuple(tuple(rat(x) for x in row) for row in comp) for comp in self.values
-        )
-        if len(vals) != self.d or any(
-            len(comp) != self.m + 1 or any(len(row) != self.n + 1 for row in comp)
-            for comp in vals
+    def __init__(self, d: int, m: int, n: int, values):
+        if min(d, m, n) < 1 or len(values) != d or any(
+            len(comp) != m + 1 or any(len(row) != n + 1 for row in comp) for comp in values
         ):
-            raise ValueError(
-                f"grid values must have shape {self.d} x {self.m + 1} x {self.n + 1}"
-            )
-        object.__setattr__(self, "values", vals)
+            raise ValueError(f"need d, m, n >= 1 and values of shape {d} x {m + 1} x {n + 1}")
+        flat = [x if type(x) is int else rat(x) for comp in values for row in comp for x in row]
+        nodes, scale = cleared_array(flat, (d, m + 1, n + 1))
+        nodes.flags.writeable = False
+        self.__dict__.update(d=d, m=m, n=n, nodes=nodes, scale=scale)
+
+    @property
+    def values(self) -> tuple:
+        """values[i][a][b] = X_i(a/m, b/n) as nested tuples of rationals."""
+        return tuple(
+            tuple(tuple(rat(x, self.scale) for x in row) for row in comp)
+            for comp in self.nodes.tolist()
+        )
+
+    def _key(self) -> tuple:
+        return self.nodes.shape, self.scale, tuple(self.nodes.flat)
+
+    def __eq__(self, other):
+        return isinstance(other, GridData) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def cell_derivatives(grid: GridData) -> tuple[np.ndarray, int]:
     """(Delta, L): Delta[i, a, b] = L * (mixed node difference of X_i on cell (a, b)).
 
-    L is the lcm of the denominators of all node values, so Delta is an
-    (d, m, n) object array of Python ints and d12 X_i du dv = Delta/L dx dy.
-    Read row-major, Delta[i] lists the cells (a, b) in the column order
-    nu(a + 1, b + 1) of the axis dictionary.
+    Delta is the mixed difference of the stored integer nodes and L the
+    grid's scale, so nothing is cleared here: Delta is a (d, m, n) object
+    array of Python ints and d12 X_i du dv = Delta/L dx dy.  Read row-major,
+    Delta[i] lists the cells (a, b) in the column order nu(a + 1, b + 1) of
+    the axis dictionary.
     """
-    v, scale = cleared_array(
-        [x for comp in grid.values for row in comp for x in row], (grid.d, grid.m + 1, grid.n + 1)
-    )
-    return v[:, 1:, 1:] - v[:, :-1, 1:] - v[:, 1:, :-1] + v[:, :-1, :-1], scale
+    v = grid.nodes
+    return v[:, 1:, 1:] - v[:, :-1, 1:] - v[:, 1:, :-1] + v[:, :-1, :-1], grid.scale
 
 
 @dataclass(frozen=True)
@@ -159,18 +183,9 @@ class TransformedMembrane:
 
 def reduce_grid(grid: GridData) -> GridData:
     """Subtract the axis restrictions: same signature, zero on row 0 / col 0."""
-    vals = []
-    for comp in grid.values:
-        vals.append(
-            tuple(
-                tuple(
-                    comp[a][b] - comp[0][b] - comp[a][0] + comp[0][0]
-                    for b in range(grid.n + 1)
-                )
-                for a in range(grid.m + 1)
-            )
-        )
-    return GridData(grid.d, grid.m, grid.n, tuple(vals))
+    v = grid.nodes
+    reduced = (v - v[:, :1] - v[:, :, :1] + v[:, :1, :1]) * rat(1, grid.scale)
+    return GridData(grid.d, grid.m, grid.n, reduced)
 
 
 def bilinear_decompose(grid: GridData) -> Matrix:
@@ -207,16 +222,10 @@ def axis_membrane_eval(m: int, n: int, i: int, j: int, s, t) -> Rat:
 def axis_grid(m: int, n: int, d: int | None = None) -> GridData:
     """Node values of the axis membrane itself: value[nu(i,j)][a][b] = [i<=a][j<=b]."""
     d = m * n if d is None else d
-    vals = []
-    for x in range(1, d + 1):
-        i, j = nu_inv(x, n)
-        vals.append(
-            tuple(
-                tuple(ONE if i <= a and j <= b else ZERO for b in range(n + 1))
-                for a in range(m + 1)
-            )
-        )
-    return GridData(d, m, n, tuple(vals))
+    x = np.arange(d)
+    rows = x[:, None] // n + 1 <= np.arange(m + 1)  # i <= a, with (i, j) = nu_inv(x + 1)
+    cols = x[:, None] % n + 1 <= np.arange(n + 1)  # j <= b
+    return GridData(d, m, n, (rows[:, :, None] & cols[:, None, :]).astype(int).tolist())
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ positive denominator, and interoperable with plain ints).  The integer kernels
 (the grid algorithm, Bareiss elimination, the Tucker action, the Jacobian rank
 and matrix products) clear denominators once with ``clear_denominators`` (or
 ``cleared_array``, its numpy object-array form), run on Python ints and divide
-once per result.
+once per result; a grid is cleared once, when its ``GridData`` is built.
 
 Serialization convention (shared with the CLI file formats): decimal-integer
 strings ``"p"`` or ``"p/q"`` in lowest terms.
@@ -26,17 +26,16 @@ ONE = Rat(1)
 def rat(value, den=None):
     """Coerce to the exact rational scalar type.
 
-    Accepts ints, rational types and strings ``"p"`` / ``"p/q"``; a ``Rat``
-    with no ``den`` is returned as it is (it is immutable).  Floats are
-    rejected: silently rounding one would break the exactness contract.
+    Accepts ints and rational types; a ``Rat`` with no ``den`` is returned as
+    it is (it is immutable).  Floats are rejected, since silently rounding one
+    would break the exactness contract, and so are strings: text is read only
+    by ``fileio.parse_rational``, in the one grammar ``"p"`` / ``"p/q"``.
     """
-    if isinstance(value, float) or isinstance(den, float):
-        raise TypeError("floats are not exact; pass an int, string or rational")
-    if den is not None:
-        return Rat(value, den)
-    if type(value) is Rat:
+    if den is None and type(value) is Rat:
         return value
-    return Rat(value)
+    if isinstance(value, (float, str)) or isinstance(den, (float, str)):
+        raise TypeError("pass ints or rationals; floats are inexact and text goes through a parser")
+    return Rat(value) if den is None else Rat(value, den)
 
 
 def clear_denominators(values) -> tuple[list[int], int]:

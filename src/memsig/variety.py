@@ -155,12 +155,11 @@ def image_dimension(
     d: int,
     trials: int = 3,
     rng: random.Random | None = None,
-    bound: int = 1000,
 ) -> int:
     """Dimension of the Zariski closure of A -> [[core; A..A]] over d x p matrices.
 
     Measured as the maximal derivative rank over at most ``trials`` random
-    integer base points (entries uniform in [-bound, bound]); an unlucky
+    integer base points (entries uniform in [-1000, 1000]); an unlucky
     rank-deficient sample only lowers a single trial.  ``trials`` is an upper
     limit: the trials stop once one reaches the full rank min(d p, d^k) of
     the (d p) x d^k Jacobian, which no further trial can exceed.  The
@@ -176,7 +175,7 @@ def image_dimension(
     full = min(d * core.dim, d**core.level)
     best = 0
     for _ in range(trials):
-        b = random_integer_matrix(d, core.dim, rng, bound)
+        b = random_integer_matrix(d, core.dim, rng)
         best = max(best, tucker_jacobian_rank(core, b))
         if best == full:
             break
@@ -311,7 +310,6 @@ def relation_checks(
     n: int,
     samples: int = 100,
     rng: random.Random | None = None,
-    bound: int = 1000,
 ) -> RelationReport:
     """Test the built-in relations on random points X = A C A^T of the orbit.
 
@@ -364,7 +362,7 @@ def relation_checks(
             "no built-in relations for this (d, m, n)",
         )
     for _ in range(samples):
-        a = random_integer_matrix(d, m * n, rng, bound)
+        a = random_integer_matrix(d, m * n, rng)
         x = a @ c @ a.transpose()
         ok, why = check(x)
         if not ok:

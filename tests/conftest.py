@@ -54,7 +54,8 @@ def skew_matrices(st_draw, max_half=2):
 
 
 @st.composite
-def grids(st_draw, max_d=2, max_m=3, max_n=3):
+def grid_values(st_draw, max_d=2, max_m=3, max_n=3):
+    """(d, m, n, values): nested lists values[i][a][b] of rationals."""
     d = st_draw(st.integers(1, max_d))
     m = st_draw(st.integers(1, max_m))
     n = st_draw(st.integers(1, max_n))
@@ -69,7 +70,11 @@ def grids(st_draw, max_d=2, max_m=3, max_n=3):
             max_size=d,
         )
     )
-    return GridData(d, m, n, tuple(tuple(tuple(r) for r in comp) for comp in vals))
+    return d, m, n, vals
+
+
+def grids(max_d=2, max_m=3, max_n=3):
+    return grid_values(max_d, max_m, max_n).map(lambda args: GridData(*args))
 
 
 @pytest.fixture

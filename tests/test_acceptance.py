@@ -15,6 +15,7 @@ from itertools import product
 
 from memsig.bench import run_bench
 from memsig.fastsig import sig_tensor_fast
+from memsig.fileio import parse_rational
 from memsig.linalg import Matrix, det, rank, sym_skew_split
 from memsig.membranes import (
     GridData,
@@ -118,7 +119,7 @@ def test_c02_moment_core_level3_reproduction():
         row = MOM22_LEVEL3_ROWS[i1 - 1]
         for i2 in range(1, 5):
             for i3 in range(1, 5):
-                assert t.get((i1, i2, i3)) == rat(row[4 * (i3 - 1) + (i2 - 1)])
+                assert t.get((i1, i2, i3)) == parse_rational(row[4 * (i3 - 1) + (i2 - 1)], "MOM22")
                 checked += 1
     assert checked == 64
     elapsed = time.perf_counter() - start

@@ -53,6 +53,11 @@ class TestFileFormats:
         assert fileio.tensor_from_doc(doc) == t
         assert fileio.dump_json(doc) == text
 
+    @pytest.mark.parametrize("level", [100_000, 10**100])
+    def test_tensor_size_checked_before_the_power(self, level):
+        with pytest.raises(fileio.ContractError, match="more than"):
+            fileio.tensor_from_doc({"level": level, "dim": 3, "entries": []})
+
     def test_rational_strings_canonical(self):
         assert rat_str(rat(-4, 6)) == "-2/3"
         assert rat_str(rat(8, 2)) == "4"

@@ -1,12 +1,15 @@
+from dataclasses import FrozenInstanceError
 from itertools import product
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import matrices
+from conftest import grid_values, matrices
 from memsig import membranes, tensor
 from memsig.fastsig import sig_tensor_fast
+from memsig.fileio import parse_rational
 from memsig.linalg import Matrix, kron
 from memsig.membranes import (
     GridData,
@@ -110,7 +113,7 @@ def eval_terms(terms, a: Matrix):
         env.update({f"y{i + 1}": a.at(1, i) for i in range(a.cols)})
     total = rat(0)
     for monomial, coeff in terms:
-        value = rat(coeff)
+        value = parse_rational(coeff, monomial)
         for var in monomial.split():
             value *= env[var]
         total += value
@@ -148,7 +151,7 @@ class TestProductSigEntry:
 
 class TestCoreTensors:
     def test_moment_22_level2_displayed(self):
-        assert core_matrix("moment", 2, 2).entries == tuple(rat(s) for s in MOM22_STRINGS)
+        assert core_matrix("moment", 2, 2).entries == tuple(parse_rational(s, "MOM22") for s in MOM22_STRINGS)
 
     def test_axis_level2_case_analysis(self):
         for m, n in [(2, 2), (3, 2), (3, 4)]:
@@ -172,7 +175,7 @@ class TestCoreTensors:
             row = MOM22_LEVEL3_ROWS[i1 - 1]
             for i2 in range(1, 5):
                 for i3 in range(1, 5):
-                    expected = rat(row[4 * (i3 - 1) + (i2 - 1)])
+                    expected = parse_rational(row[4 * (i3 - 1) + (i2 - 1)], "MOM22")
                     assert t.get((i1, i2, i3)) == expected, (i1, i2, i3)
 
     def test_level3_spot_value(self):
@@ -278,6 +281,58 @@ class TestCoreOracle:
             for y in range(4):
                 exact = float(t.at(x, y))
                 assert abs(estimate[x, y] - exact) / exact < 5e-3
+
+
+class TestGridData:
+    @given(grid_values())
+    def test_one_cleared_form_round_trips(self, args):
+        d, m, n, vals = args
+        g = GridData(d, m, n, vals)
+        assert g.values == tuple(tuple(tuple(row) for row in comp) for comp in vals)
+        flat = [x for comp in vals for row in comp for x in row]
+        assert g.scale == lcm(*(x.denominator for x in flat))
+        assert g.nodes.shape == (d, m + 1, n + 1)
+        assert all(type(x) is int for x in g.nodes.flat)
+        assert [x * g.scale for x in flat] == list(g.nodes.flat)
+
+    def test_nodes_are_read_only(self):
+        g = axis_grid(2, 2)
+        with pytest.raises(ValueError):
+            g.nodes[0, 1, 1] = 5
+        with pytest.raises(FrozenInstanceError):
+            g.scale = 2
+
+    @pytest.mark.parametrize("node", [0.5, "1/2"])
+    def test_inexact_or_text_node_rejected(self, node):
+        with pytest.raises(TypeError):
+            GridData(1, 1, 1, [[[0, 0], [0, node]]])
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            GridData(1, 1, 1, [[[0, 0], [0]]])
+        with pytest.raises(ValueError):
+            GridData(2, 1, 1, [[[0, 0], [0, 0]]])
+        with pytest.raises(ValueError):
+            GridData(0, 1, 1, [])
+
+    def test_equal_values_compare_and_hash_equal(self):
+        a = GridData(1, 1, 1, [[[rat(2, 4), 1], [0, rat(-3)]]])
+        b = GridData(1, 1, 1, (((rat(1, 2), rat(1)), (rat(0), -3)),))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != GridData(1, 1, 1, [[[rat(1, 2), 1], [0, 3]]])
+        assert a != GridData(1, 1, 1, [[[1, 2], [0, -6]]])  # same nodes, other scale
+
+    def test_cell_derivatives_clears_nothing(self, rng, monkeypatch):
+        g = rational_grid(rng, 2, 3, 2)
+        expected = sig_tensor_fast(g, 2)
+
+        def no_clearing(*args):
+            raise AssertionError("cell_derivatives cleared denominators")
+
+        monkeypatch.setattr(membranes, "cleared_array", no_clearing)
+        delta, scale = membranes.cell_derivatives(g)
+        assert scale == g.scale and delta.shape == (2, 3, 2)
+        assert sig_tensor_fast(g, 2) == expected
 
 
 class TestGridOps:

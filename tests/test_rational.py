@@ -14,6 +14,12 @@ def test_rat_rejects_floats(args):
         rat(*args)
 
 
+@pytest.mark.parametrize("args", [("3",), ("1/2",), ("1.5",), (" 3/4 ",), ("1e3",), (1, "2")])
+def test_rat_rejects_strings(args):
+    with pytest.raises(TypeError):
+        rat(*args)
+
+
 def test_clear_denominators_mixed_signs_and_denominators():
     ints, scale = clear_denominators([rat(-1, 4), rat(5, 6), rat(3), rat(-7, 9), 2])
     assert scale == 36
