@@ -3,7 +3,7 @@
 The fast backend is the per-cell prefix-sum algorithm (time Theta(k^3 m n) per
 word).  The congruence baseline forms the signature matrix as A C A^T with the
 full (mn)^2-entry axis core, so its cost is quadratic in the number of grid
-cells.  The baseline clears the grid's denominators once and streams core
+cells.  The baseline reads the grid's integer nodes and streams core
 blocks through integer matmuls (numpy int64 under an overflow guard, Python
 ints otherwise) instead of materializing the core, which keeps the memory
 footprint linear while leaving the Theta((mn)^2) work intact; it has no
@@ -28,13 +28,12 @@ import numpy as np
 from .fastsig import sig_tensor_fast
 from .linalg import Matrix
 from .membranes import GridData, cell_derivatives
-from .rational import rat
 
 
 def random_integer_grid(d: int, m: int, n: int, rng: random.Random, bound: int = 9) -> GridData:
     """Integer node values uniform in [-bound, bound], drawn in row-major order."""
     draws = [rng.randint(-bound, bound) for _ in range(d * (m + 1) * (n + 1))]
-    return GridData(d, m, n, np.array(draws, dtype=object).reshape(d, m + 1, n + 1))
+    return GridData.of(np.array(draws, dtype=object).reshape(d, m + 1, n + 1), 1)
 
 
 def congruence_matrix_quadratic(grid: GridData) -> Matrix:
@@ -66,9 +65,7 @@ def congruence_matrix_quadratic(grid: GridData) -> Matrix:
         cj = 2 * (j_idx[:, None] < jl[None, :]) + (j_idx[:, None] == jl[None, :])
         block = (ci * cj).astype(dtype)
         w[:, c0:c1] = a @ block
-    s4 = w @ a.T
-    den = 4 * scale**2
-    return Matrix(d, d, tuple(rat(int(s4[i, j]), den) for i in range(d) for j in range(d)))
+    return Matrix.of((w @ a.T).astype(object), 4 * scale**2)
 
 
 @dataclass(frozen=True)
@@ -140,6 +137,8 @@ def run_bench(
     consecutive size pairs where m*n quadruples (i.e. both orders double);
     only the largest such pair is reported.
     """
+    if repeats < 1:
+        raise ValueError(f"need at least one repeat, got {repeats}")
     rng = random.Random(seed)
     grids = [random_integer_grid(d, m, n, rng) for m, n in sizes]
     jobs = []

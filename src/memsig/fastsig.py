@@ -29,9 +29,10 @@ per target cell into four regions:
 Scaling every coefficient by (S!)^2 at the step to word length S turns the
 weights 1/(p+1)! into integers S!/(p+1)!, so the whole recursion runs on Python
 ints in numpy object arrays, vectorized over cells.  One letter costs
-Theta(j^2 m n) and a length-k word costs O(k^3 m n).  The only division is the
-final rat(num, den), with den the product of the step scales, the evaluation
-weights at (1, 1) and L^k.
+Theta(j^2 m n) and a length-k word costs O(k^3 m n).  Every entry of the
+tensor shares one denominator, the product of the step scales, the
+evaluation weights at (1, 1) and L^k, so the integer results become the
+tensor through one ``SigTensor.of``.
 
 The last letter of a word needs only the value at (1, 1), the sum of the
 full-cell integrals, so ``sig_tensor_fast`` builds no last field: the d entries
@@ -141,21 +142,21 @@ def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
     if k == 0:
         return SigTensor.level_zero(d)
     delta, scale = cell_derivatives(grid)
-    entries = [None] * d**k
+    nums = np.empty(d**k, dtype=object)
 
-    def walk(field: CellPolyField, depth: int, offset: int) -> None:
+    def walk(field: CellPolyField, depth: int, offset: int) -> int:
+        """Fill the entries below the prefix; returns their common denominator."""
         if depth + 1 == k:
             s = field.word_len + 1
             w = _weights(s, s, 1)
-            nums = delta.reshape(d, -1) @ (field.coeffs @ w @ w).ravel()
-            den = field.scale * factorial(s) ** 2 * scale**k
-            entries[offset * d : offset * d + d] = [rat(x, den) for x in nums]
-            return
+            nums[offset * d : offset * d + d] = delta.reshape(d, -1) @ (field.coeffs @ w @ w).ravel()
+            return field.scale * factorial(s) ** 2 * scale**k
         for letter in range(d):
-            walk(advance_letter(field, delta[letter]), depth + 1, offset * d + letter)
+            den = walk(advance_letter(field, delta[letter]), depth + 1, offset * d + letter)
+        return den
 
-    walk(CellPolyField.ones(grid.m, grid.n), 0, 0)
-    return SigTensor(k, d, tuple(entries))
+    den = walk(CellPolyField.ones(grid.m, grid.n), 0, 0)
+    return SigTensor.of(nums.reshape((d,) * k), den)
 
 
 def sig_matrix_fast(grid: GridData):

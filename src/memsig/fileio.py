@@ -59,6 +59,8 @@ def load_json_file(path: str) -> dict:
         raise FileFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or an int past the digit limit
+        raise FileFormatError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top-level JSON value must be an object")
     return doc
@@ -149,7 +151,7 @@ def tensor_to_doc(t: SigTensor, include_float: bool = False) -> dict:
         "order": TENSOR_ORDER,
     }
     if include_float:
-        doc["entries_float"] = [float(x) for x in t.entries]
+        doc["entries_float"] = [x / t.den for x in t.ints.flat]  # int / int rounds correctly
     return doc
 
 
@@ -180,7 +182,7 @@ def matrix_to_doc(m: Matrix, include_float: bool = False, note: str | None = Non
     if note:
         doc["note"] = note
     if include_float:
-        doc["entries_float"] = [float(x) for x in m.entries]
+        doc["entries_float"] = [x / m.den for x in m.ints.flat]
     return doc
 
 

@@ -1,7 +1,10 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are small (at most a few hundred rows at desk scale), so everything
-here is plain dense code on denominator-cleared integer rows.
+here is plain dense code on the stored integers of a ``Matrix`` (an
+``ExactArray``: ``ints`` over one denominator ``den``).  Products, sums,
+``kron`` and ``sym_skew_split`` are numpy operations on ``ints`` whose result
+comes back through ``Matrix.of``.
 
 - Rank is first computed modulo the prime 2^31 - 1 by elimination in numpy
   int64.  The rank mod p is never above the rational rank, so a full rank
@@ -11,16 +14,19 @@ here is plain dense code on denominator-cleared integer rows.
   route to determinants and to short ranks.
 - ``solve`` (and ``inverse`` and ``cosquare`` through it) runs the same
   Bareiss routine as a fraction-free Gauss-Jordan elimination of [A | B]:
-  each division is exact by the previous pivot, and one division per entry
-  of the result turns it back into rationals.
+  each division is exact by the previous pivot, and the right block over the
+  last pivot is the solution.
+- Rank, determinant and solve divide each integer row by its gcd first
+  (``_primitive_rows``), so one large common denominator does not inflate
+  the Bareiss entries.
 - The Pfaffian uses Pfaffian-preserving congruence pivots (O(n^3), no
   combinatorial expansion).
 
 ``pm1_jordan_structure`` recovers the Jordan block multiset of a matrix whose
 only eigenvalues are +1 and -1 from the exact rank sequences rank((M -+ I)^j);
 this is all the spectral information the congruence normal forms need.  The
-ranks are taken of integer powers (L M -+ L I)^j, L clearing M, since scaling
-by L^j changes no rank.
+ranks are taken of integer powers (ints -+ den I)^j, since scaling by den^j
+changes no rank.
 """
 
 from __future__ import annotations
@@ -28,29 +34,33 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd, prod
 
 import numpy as np
 
-from .rational import ONE, ZERO, clear_denominators, cleared_array, rat
+from .rational import ONE, ZERO, ExactArray, rat
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable dense matrix with row-major rational entries."""
+@dataclass(frozen=True, init=False, eq=False)
+class Matrix(ExactArray):
+    """Immutable dense rational matrix: ``ints`` of shape (rows, cols) over ``den``.
+
+    ``Matrix(rows, cols, entries)`` takes row-major ints or rationals.
+    """
 
     rows: int
     cols: int
-    entries: tuple
+    ints: np.ndarray
+    den: int
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        ents = tuple(rat(x) for x in self.entries)
-        if len(ents) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(ents)}"
-            )
-        object.__setattr__(self, "entries", ents)
+        self._clear(entries, (rows, cols), rows=rows, cols=cols)
+
+    @staticmethod
+    def _shape_fields(shape: tuple) -> dict:
+        return {"rows": shape[0], "cols": shape[1]}
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -62,86 +72,77 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls.of(np.eye(n, dtype=int), 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return cls.of(np.zeros((rows, cols), dtype=int), 1)
 
     def at(self, i: int, j: int):
         """0-based entry access."""
-        return self.entries[i * self.cols + j]
+        return rat(self.ints[i, j], self.den)
 
     def to_rows(self) -> list:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
+        return [[rat(x, self.den) for x in row] for row in self.ints.tolist()]
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        return Matrix.of(self.ints.T, self.den)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix(self.rows, self.cols, tuple(c * x for x in self.entries))
+        return Matrix.of(self.ints * c.numerator, self.den * c.denominator)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Matrix.of(self.ints * other.den + other.ints * self.den, self.den * other.den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Matrix.of(self.ints * other.den - other.ints * self.den, self.den * other.den)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix.of(-self.ints, self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        a, ascale = cleared_array(self.entries, (self.rows, self.cols))
-        b, bscale = cleared_array(other.entries, (other.rows, other.cols))
-        return _from_cleared(a @ b, ascale * bscale)
+        return Matrix.of(self.ints @ other.ints, self.den * other.den)
 
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
 
-def _from_cleared(arr: np.ndarray, den: int) -> Matrix:
-    """The matrix arr / den, for a 2-D object array of Python ints."""
-    return Matrix(*arr.shape, tuple(rat(x, den) for x in arr.flat))
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: block (i, j) equals a[i, j] * b."""
-    x, ascale = cleared_array(a.entries, (a.rows, a.cols))
-    y, bscale = cleared_array(b.entries, (b.rows, b.cols))
-    return _from_cleared(np.kron(x, y), ascale * bscale)
+    return Matrix.of(np.kron(a.ints, b.ints), a.den * b.den)
 
 
 def sym_skew_split(m: Matrix) -> tuple[Matrix, Matrix]:
     """Split a square matrix into (M + M^T)/2 and (M - M^T)/2."""
     if not m.is_square:
         raise ValueError("sym/skew split needs a square matrix")
-    c, scale = cleared_array(m.entries, (m.rows, m.cols))
-    return _from_cleared(c + c.T, 2 * scale), _from_cleared(c - c.T, 2 * scale)
+    c = m.ints
+    return Matrix.of(c + c.T, 2 * m.den), Matrix.of(c - c.T, 2 * m.den)
 
 
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row; returns (integer rows, row scales)."""
-    out, scales = [], []
-    for row in m.to_rows():
-        ints, scale = clear_denominators(row)
-        out.append(ints)
-        scales.append(scale)
-    return out, scales
+def _primitive_rows(arr: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """(rows, gcds): each row of a 2-D integer array divided by the gcd g of its entries.
+
+    A zero row keeps g = 1.  Scaling rows changes no rank, and it keeps the
+    entries of a Bareiss elimination small when one denominator clears rows
+    of different sizes.
+    """
+    rows, gcds = [], []
+    for row in arr.tolist():
+        g = gcd(*row) or 1
+        rows.append([x // g for x in row])
+        gcds.append(g)
+    return rows, gcds
 
 
 # residues are below 2^31, so each product in the elimination is below 2^62
@@ -218,8 +219,8 @@ def _bareiss(a: list[list[int]], jordan_cols: int | None = None) -> tuple[int, i
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over the rationals: ``rank_int_rows`` of the row-cleared matrix."""
-    return rank_int_rows(_integer_rows(m)[0])
+    """Exact rank over the rationals: ``rank_int_rows`` of the primitive integer rows."""
+    return rank_int_rows(_primitive_rows(m.ints)[0])
 
 
 def rank_int_rows(rows: list[list[int]]) -> int:
@@ -237,30 +238,23 @@ def rank_int_rows(rows: list[list[int]]) -> int:
 
 
 def det(m: Matrix):
-    """Exact determinant via Bareiss elimination on denominator-cleared rows."""
+    """Exact determinant: Bareiss elimination on the primitive integer rows.
+
+    With row i of ``ints`` equal to g_i times primitive row i,
+    det = prod(g_i) det(primitive rows) / den^n.
+    """
     if not m.is_square:
         raise ValueError("determinant needs a square matrix")
     n = m.rows
     if n == 0:
         return ONE
-    a, scales = _integer_rows(m)
+    a, gcds = _primitive_rows(m.ints)
     _, sign = _bareiss(a)
-    scale = 1
-    for s in scales:
-        scale *= s
-    return rat(sign * a[n - 1][n - 1], scale)
+    return rat(sign * a[n - 1][n - 1] * prod(gcds), m.den**n)
 
 
 def is_skew(m: Matrix) -> bool:
-    if not m.is_square:
-        return False
-    for i in range(m.rows):
-        if m.at(i, i):
-            return False
-        for j in range(i + 1, m.cols):
-            if m.at(i, j) != -m.at(j, i):
-                return False
-    return True
+    return m.is_square and bool((m.ints == -m.ints.T).all())
 
 
 def pfaffian(m: Matrix):
@@ -312,20 +306,21 @@ def pfaffian(m: Matrix):
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """The exact X with a @ X == b, for a square nonsingular ``a``.
 
-    Each row of [a | b] is cleared of denominators (which leaves X as it is),
-    and one fraction-free Gauss-Jordan elimination turns the integer matrix
-    into [p I | p X], p the last pivot; X is the right block over p.
+    [a | b] is brought over one denominator and each of its integer rows
+    divided by its gcd (which leaves X as it is); one fraction-free
+    Gauss-Jordan elimination then turns it into [p I | p X], p the last
+    pivot, and X is the right block over p.
     """
     if not a.is_square:
         raise ValueError("solve needs a square matrix")
     if b.rows != a.rows:
         raise ValueError(f"solve needs a right-hand side with {a.rows} rows, got {b.rows}")
     n = a.rows
-    rows = [clear_denominators(ra + rb)[0] for ra, rb in zip(a.to_rows(), b.to_rows())]
+    rows, _ = _primitive_rows(np.concatenate([a.ints * b.den, b.ints * a.den], axis=1))
     if _bareiss(rows, jordan_cols=n)[0] < n:
         raise ValueError("matrix is singular")
     p = rows[n - 1][n - 1] if n else 1
-    return Matrix(n, b.cols, tuple(rat(x, p) for row in rows for x in row[n:]))
+    return Matrix.of(np.array(rows, dtype=object).reshape(n, n + b.cols)[:, n:], p)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -354,7 +349,7 @@ def pm1_jordan_structure(m: Matrix) -> Counter:
     if not m.is_square:
         raise ValueError("Jordan structure needs a square matrix")
     n = m.rows
-    c, scale = cleared_array(m.entries, (n, n))
+    c, scale = m.ints, m.den
     blocks: Counter = Counter()
     total = 0
     for mu in (1, -1):

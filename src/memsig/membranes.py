@@ -7,9 +7,12 @@ action.  The dictionary membranes are products of paths, so a core entry is
 the product of two path-signature entries, and the whole level-k core is the
 outer product of the two level-k path cores with their axes interleaved.
 
-A grid is stored in one exact form, integer nodes over one denominator
-(``GridData.nodes`` and ``GridData.scale``), which is the form the grid
-kernels read: a cell's mixed node difference is an integer difference.
+A grid, like every exact array here, is an ``ExactArray``: integer nodes
+``GridData.ints`` over one denominator ``GridData.den``, the form the grid
+kernels read, so a cell's mixed node difference is an integer difference.
+The core tensors, ``hadamard_sig``, ``reduce_grid`` and
+``bilinear_decompose`` compute on stored integers too and return their
+results through ``of``.
 
 The single flattening convention for pairs (i, j) in [m] x [n] is
 nu(i, j) = n (i - 1) + j (1-based); at level 2 this makes the moment and axis
@@ -29,7 +32,7 @@ import numpy as np
 
 from .linalg import Matrix
 from .paths import AxisPath, MomentPath, axis_path_core, moment_path_core
-from .rational import ONE, Rat, ZERO, cleared_array, rat
+from .rational import ONE, ExactArray, Rat, ZERO, rat
 from .tensor import CORE_CACHE_SIZE, SigTensor, check_budget, check_entry_count, tucker_apply
 
 log = logging.getLogger(__name__)
@@ -52,13 +55,13 @@ def nu_inv(x: int, n: int) -> tuple[int, int]:
 # grid data and membrane specs
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class GridData:
+@dataclass(frozen=True, init=False, eq=False)
+class GridData(ExactArray):
     """Rational node values X_i(a/m, b/n) over one common denominator.
 
-    ``nodes`` is a read-only (d, m+1, n+1) numpy object array of Python ints
-    and ``scale`` the lcm L of the node denominators in lowest terms, so
-    X_i(a/m, b/n) = nodes[i, a, b] / L; ``values`` derives the rationals.
+    ``ints`` is a read-only (d, m+1, n+1) numpy object array of Python ints
+    and ``den`` the lcm L of the node denominators in lowest terms, so
+    X_i(a/m, b/n) = ints[i, a, b] / L; ``values`` derives the rationals.
     ``GridData(d, m, n, values)`` takes nested values[i][a][b] (ints or
     rationals; a float or a string raises TypeError) and clears them once.
     Grids with equal values compare and hash equal.
@@ -67,48 +70,41 @@ class GridData:
     d: int
     m: int
     n: int
-    nodes: np.ndarray
-    scale: int
+    ints: np.ndarray
+    den: int
 
     def __init__(self, d: int, m: int, n: int, values):
         if min(d, m, n) < 1 or len(values) != d or any(
             len(comp) != m + 1 or any(len(row) != n + 1 for row in comp) for comp in values
         ):
             raise ValueError(f"need d, m, n >= 1 and values of shape {d} x {m + 1} x {n + 1}")
-        flat = [x if type(x) is int else rat(x) for comp in values for row in comp for x in row]
-        nodes, scale = cleared_array(flat, (d, m + 1, n + 1))
-        nodes.flags.writeable = False
-        self.__dict__.update(d=d, m=m, n=n, nodes=nodes, scale=scale)
+        flat = (x for comp in values for row in comp for x in row)
+        self._clear(flat, (d, m + 1, n + 1), d=d, m=m, n=n)
+
+    @staticmethod
+    def _shape_fields(shape: tuple) -> dict:
+        return {"d": shape[0], "m": shape[1] - 1, "n": shape[2] - 1}
 
     @property
     def values(self) -> tuple:
         """values[i][a][b] = X_i(a/m, b/n) as nested tuples of rationals."""
         return tuple(
-            tuple(tuple(rat(x, self.scale) for x in row) for row in comp)
-            for comp in self.nodes.tolist()
+            tuple(tuple(rat(x, self.den) for x in row) for row in comp)
+            for comp in self.ints.tolist()
         )
-
-    def _key(self) -> tuple:
-        return self.nodes.shape, self.scale, tuple(self.nodes.flat)
-
-    def __eq__(self, other):
-        return isinstance(other, GridData) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def cell_derivatives(grid: GridData) -> tuple[np.ndarray, int]:
     """(Delta, L): Delta[i, a, b] = L * (mixed node difference of X_i on cell (a, b)).
 
     Delta is the mixed difference of the stored integer nodes and L the
-    grid's scale, so nothing is cleared here: Delta is a (d, m, n) object
+    grid's ``den``, so nothing is cleared here: Delta is a (d, m, n) object
     array of Python ints and d12 X_i du dv = Delta/L dx dy.  Read row-major,
     Delta[i] lists the cells (a, b) in the column order nu(a + 1, b + 1) of
     the axis dictionary.
     """
-    v = grid.nodes
-    return v[:, 1:, 1:] - v[:, :-1, 1:] - v[:, 1:, :-1] + v[:, :-1, :-1], grid.scale
+    v = grid.ints
+    return v[:, 1:, 1:] - v[:, :-1, 1:] - v[:, 1:, :-1] + v[:, :-1, :-1], grid.den
 
 
 @dataclass(frozen=True)
@@ -183,9 +179,8 @@ class TransformedMembrane:
 
 def reduce_grid(grid: GridData) -> GridData:
     """Subtract the axis restrictions: same signature, zero on row 0 / col 0."""
-    v = grid.nodes
-    reduced = (v - v[:, :1] - v[:, :, :1] + v[:, :1, :1]) * rat(1, grid.scale)
-    return GridData(grid.d, grid.m, grid.n, reduced)
+    v = grid.ints
+    return GridData.of(v - v[:, :1] - v[:, :, :1] + v[:, :1, :1], grid.den)
 
 
 def bilinear_decompose(grid: GridData) -> Matrix:
@@ -196,7 +191,7 @@ def bilinear_decompose(grid: GridData) -> Matrix:
     reduced grid node values.
     """
     delta, scale = cell_derivatives(grid)
-    return Matrix(grid.d, grid.m * grid.n, tuple(rat(x, scale) for x in delta.flat))
+    return Matrix.of(delta.reshape(grid.d, grid.m * grid.n), scale)
 
 
 def axis_membrane_eval(m: int, n: int, i: int, j: int, s, t) -> Rat:
@@ -245,9 +240,10 @@ def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
 
     The entry at (nu(i_1, j_1), ..., nu(i_k, j_k)) is Px[i-word] Py[j-word]
     for the level-k path cores Px, Py, so the core is the outer product of the
-    two cleared path cores, axes reordered to (i_1, j_1, ..., i_k, j_k) and
-    each pair merged by nu, over one denominator.  At level 2 this is the
-    Kronecker product of the two path signature matrices.
+    stored integers of the two path cores, axes reordered to
+    (i_1, j_1, ..., i_k, j_k) and each pair merged by nu, over the product of
+    their denominators.  At level 2 this is the Kronecker product of the two
+    path signature matrices.
     """
     if kind == "moment":
         path_core = moment_path_core
@@ -256,11 +252,10 @@ def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
     else:
         raise ValueError(f"unknown core kind {kind!r} (expected 'moment' or 'axis')")
     check_entry_count(m * n, k)
-    x, lx = cleared_array(path_core(m, k).entries, (m,) * k)
-    y, ly = cleared_array(path_core(n, k).entries, (n,) * k)
-    outer = np.asarray(np.multiply.outer(x, y))  # a bare int at k = 0
+    x, y = path_core(m, k), path_core(n, k)
+    outer = np.asarray(np.multiply.outer(x.ints, y.ints), dtype=object)  # a bare int at k = 0
     arr = outer.transpose([a for r in range(k) for a in (r, k + r)]).reshape((m * n,) * k)
-    return SigTensor(k, m * n, tuple(rat(v, lx * ly) for v in arr.flat))
+    return SigTensor.of(arr, x.den * y.den, dim=m * n)
 
 
 def core_matrix(kind: str, m: int, n: int) -> Matrix:
@@ -271,11 +266,7 @@ def hadamard_sig(sig_x: SigTensor, sig_y: SigTensor) -> SigTensor:
     """Entrywise product; the signature of the Hadamard-product membrane."""
     if (sig_x.level, sig_x.dim) != (sig_y.level, sig_y.dim):
         raise ValueError("tensors must share level and dimension")
-    return SigTensor(
-        sig_x.level,
-        sig_x.dim,
-        tuple(a * b for a, b in zip(sig_x.entries, sig_y.entries)),
-    )
+    return SigTensor.of(sig_x.ints * sig_y.ints, sig_x.den * sig_y.den, dim=sig_x.dim)
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Exact rational scalars.
+"""Exact rational scalars and the one exact-array form.
 
 Every signature entry, matrix coefficient and polynomial coefficient in this
 package is an exact rational, a ``fractions.Fraction`` (in lowest terms with
-positive denominator, and interoperable with plain ints).  The integer kernels
-(the grid algorithm, Bareiss elimination, the Tucker action, the Jacobian rank
-and matrix products) clear denominators once with ``clear_denominators`` (or
-``cleared_array``, its numpy object-array form), run on Python ints and divide
-once per result; a grid is cleared once, when its ``GridData`` is built.
+positive denominator, and interoperable with plain ints).
+
+Arrays of them (``Matrix``, ``SigTensor`` and ``GridData``) share one stored
+form, ``ExactArray``: a read-only numpy object array ``ints`` of Python ints
+over one denominator ``den``, the lcm of the reduced denominators of the
+entries.  A constructor clears its rational input once (``cleared_array``);
+a kernel reads ``ints`` and ``den``, computes on Python ints and hands its
+integer result back through ``ExactArray.of``, so no kernel clears an
+operand or divides per entry.
 
 Serialization convention (shared with the CLI file formats): decimal-integer
 strings ``"p"`` or ``"p/q"`` in lowest terms.
@@ -14,8 +18,9 @@ strings ``"p"`` or ``"p/q"`` in lowest terms.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction as Rat
-from math import lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -38,12 +43,24 @@ def rat(value, den=None):
     return Rat(value) if den is None else Rat(value, den)
 
 
+def lcm_all(values) -> int:
+    """lcm of the given ints (1 for none), taken pairwise in a balanced tree.
+
+    A running lcm multiplies the whole accumulated lcm at every step; pairing
+    neighbours keeps the operands of each product of similar size.
+    """
+    xs = list(values) or [1]
+    while len(xs) > 1:
+        xs = [lcm(*xs[i : i + 2]) for i in range(0, len(xs), 2)]
+    return abs(xs[0])
+
+
 def clear_denominators(values) -> tuple[list[int], int]:
     """(ints, L): L is the lcm of the denominators and ints[i] = L * values[i].
 
     ``values`` is a sequence of rationals (or ints); an empty one gives L = 1.
     """
-    scale = lcm(*{x.denominator for x in values})
+    scale = lcm_all({x.denominator for x in values})
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
@@ -51,6 +68,68 @@ def cleared_array(values, shape) -> tuple[np.ndarray, int]:
     """``clear_denominators`` as a numpy object array of Python ints of the given shape."""
     ints, scale = clear_denominators(values)
     return np.array(ints, dtype=object).reshape(shape), scale
+
+
+class ExactArray:
+    """Rational array entries[i] = ints[i] / den, stored in canonical form.
+
+    Subclasses are frozen dataclasses (``init=False, eq=False``) whose fields
+    are their shape fields followed by ``ints``, a read-only numpy object
+    array of Python ints, and ``den``, the lcm of the reduced denominators of
+    the entries (1 when all are integers).  The form is canonical, so arrays
+    with equal entries and shape fields compare and hash equal.  A
+    constructor clears its rational input with ``_clear``; a kernel returns
+    its integer result through ``of``, which reads the shape fields off the
+    shape of ``ints`` with the subclass's static ``_shape_fields(shape)``.
+    """
+
+    @classmethod
+    def of(cls, ints, den: int, **shape_fields):
+        """The array ints / den, for an array of Python ints and a nonzero int ``den``.
+
+        Reduces to the canonical ``den`` with one gcd per entry against
+        ``den`` and one exact division per entry when ``den`` changes.  Shape
+        fields not given are read off ``ints.shape``.  An object array is
+        taken over, not copied: it is made read-only.
+        """
+        ints = np.asarray(ints, dtype=object)
+        size = abs(den)
+        canon = lcm_all({size // gcd(x, size) for x in ints.flat}) if size != 1 else 1
+        if canon != den:
+            ints = np.asarray(ints // (den // canon), dtype=object)
+        obj = cls.__new__(cls)
+        obj._store(ints, canon, {**cls._shape_fields(ints.shape), **shape_fields})
+        return obj
+
+    def _clear(self, values, shape: tuple, **shape_fields) -> None:
+        """Store prod(shape) ints or rationals, cleared once.
+
+        A wrong count raises ValueError, a float or a string TypeError.
+        """
+        values = [x if type(x) is int else rat(x) for x in values]
+        if len(values) != prod(shape):
+            raise ValueError(f"expected {prod(shape)} entries, got {len(values)}")
+        ints, den = cleared_array(values, shape)
+        self._store(ints, den, shape_fields)
+
+    def _store(self, ints: np.ndarray, den: int, shape_fields: dict) -> None:
+        ints.flags.writeable = False
+        self.__dict__.update(shape_fields, ints=ints, den=den)
+
+    @property
+    def entries(self) -> tuple:
+        """The entries in row-major order, as rationals."""
+        return tuple(rat(x, self.den) for x in self.ints.flat)
+
+    def _key(self) -> tuple:
+        shape = tuple(getattr(self, f.name) for f in fields(self)[:-2])
+        return shape, self.ints.shape, self.den, tuple(self.ints.flat)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def rat_str(value) -> str:

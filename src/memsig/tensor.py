@@ -1,14 +1,15 @@
 """Dense level-k signature tensors and the Tucker action.
 
-A level-k tensor over dimension d stores its d^k rational entries row-major,
-indexed by words (i_1, ..., i_k) with 1-based letters (matching the math;
-flat offsets are 0-based internally).  The level-0 tensor is the scalar 1.
+A level-k tensor over dimension d is an ``ExactArray``: its d^k rational
+entries are ``ints`` of shape (d,) * k over one denominator ``den``, indexed
+by words (i_1, ..., i_k) with 1-based letters (matching the math; array
+indices are 0-based internally).  The level-0 tensor is the scalar 1.
 
-The Tucker action is an integer kernel: ``tucker_apply`` clears the
-denominators of the tensor and of the matrix once, applies ``mode_apply`` (one
-``np.tensordot`` on numpy object arrays of Python ints) once per mode, and
-divides once per entry.  The Jacobian of ``variety.tucker_jacobian_rank`` is
-built from the same contraction.
+The Tucker action is an integer kernel: ``tucker_apply`` applies
+``mode_apply`` (one ``np.tensordot`` on numpy object arrays of Python ints)
+to the tensor's ``ints`` once per mode, with the matrix's ``ints``, and the
+result is over den * a.den^k.  The Jacobian of
+``variety.tucker_jacobian_rank`` is built from the same contraction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .linalg import Matrix
-from .rational import ONE, cleared_array, rat
+from .rational import ONE, ExactArray, rat
 
 # Largest tensor built: 10^7 rational entries already take over a gigabyte, and
 # the tests, scripts and benchmark stay below 10^5.
@@ -54,21 +55,28 @@ def words_iter(dim: int, level: int):
     return product(range(1, dim + 1), repeat=level)
 
 
-@dataclass(frozen=True)
-class SigTensor:
+@dataclass(frozen=True, init=False, eq=False)
+class SigTensor(ExactArray):
+    """Level-k tensor over dimension d: ``ints`` of shape (d,) * k over ``den``.
+
+    ``SigTensor(level, dim, entries)`` takes the d^k entries (ints or
+    rationals) in row-major word order.
+    """
+
     level: int
     dim: int
-    entries: tuple
+    ints: np.ndarray
+    den: int
 
-    def __post_init__(self):
-        if self.level < 0 or self.dim < 1:
+    def __init__(self, level: int, dim: int, entries):
+        if level < 0 or dim < 1:
             raise ValueError("need level >= 0 and dim >= 1")
-        ents = tuple(rat(x) for x in self.entries)
-        if len(ents) != self.dim**self.level:
-            raise ValueError(
-                f"expected {self.dim ** self.level} entries, got {len(ents)}"
-            )
-        object.__setattr__(self, "entries", ents)
+        self._clear(entries, (dim,) * level, level=level, dim=dim)
+
+    @staticmethod
+    def _shape_fields(shape: tuple) -> dict:
+        """Level 0 has no axis to read the dimension off: ``of`` needs ``dim=``."""
+        return {"level": len(shape), "dim": shape[0]} if shape else {"level": 0}
 
     @classmethod
     def from_function(cls, level: int, dim: int, entry_fn) -> "SigTensor":
@@ -84,12 +92,10 @@ class SigTensor:
         """Entry at a word of 1-based letters."""
         if len(word) != self.level:
             raise ValueError(f"word length {len(word)} != level {self.level}")
-        off = 0
         for letter in word:
             if not 1 <= letter <= self.dim:
                 raise ValueError(f"letter {letter} out of range [1, {self.dim}]")
-            off = off * self.dim + (letter - 1)
-        return self.entries[off]
+        return rat(self.ints[tuple(letter - 1 for letter in word)], self.den)
 
     def words(self):
         return words_iter(self.dim, self.level)
@@ -97,13 +103,13 @@ class SigTensor:
     def to_matrix(self) -> Matrix:
         if self.level != 2:
             raise ValueError("only level-2 tensors convert to matrices")
-        return Matrix(self.dim, self.dim, self.entries)
+        return Matrix.of(self.ints, self.den)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "SigTensor":
         if not m.is_square:
             raise ValueError("need a square matrix")
-        return cls(2, m.rows, m.entries)
+        return cls.of(m.ints, m.den)
 
 
 def mode_apply(arr: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -124,12 +130,10 @@ def tucker_apply(t: SigTensor, a: Matrix) -> SigTensor:
     if a.cols != t.dim:
         raise ValueError(f"matrix has {a.cols} columns but tensor dimension is {t.dim}")
     check_entry_count(a.rows, t.level)  # bounds every intermediate mode too
-    arr, scale = cleared_array(t.entries, (t.dim,) * t.level)
-    amat, ascale = cleared_array(a.entries, (a.rows, a.cols))
+    arr = t.ints
     for _ in range(t.level):
-        arr = mode_apply(arr, amat)
-    den = scale * ascale**t.level
-    return SigTensor(t.level, a.rows, tuple(rat(x, den) for x in arr.flat))
+        arr = mode_apply(arr, a.ints)
+    return SigTensor.of(arr, t.den * a.den**t.level, dim=a.rows)
 
 
 def all_ones(level: int, dim: int) -> SigTensor:

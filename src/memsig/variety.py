@@ -36,7 +36,7 @@ from .linalg import (
     sym_skew_split,
 )
 from .membranes import core_matrix, core_tensor
-from .rational import ONE, Rat, cleared_array, rat
+from .rational import ONE, Rat, rat
 from .tensor import SigTensor, check_budget, check_entry_count, mode_apply
 
 
@@ -125,11 +125,11 @@ def tucker_jacobian_rank(core: SigTensor, base: Matrix) -> int:
     """Exact rank of the derivative of A -> [[core; A, ..., A]] at ``base``.
 
     The derivative sends E to the sum over slots r of the Tucker product with
-    E in slot r and the base point elsewhere.  With core and base cleared of
-    denominators (which scales the derivative, not its rank), slot r of
-    E = e_alpha e_beta^T contributes P_r[beta, ...] at i_r = alpha, where P_r
-    contracts the base into every mode but r.  The result is a
-    (d * p) x d^k integer matrix.
+    E in slot r and the base point elsewhere.  On the stored integers of core
+    and base (dropping their denominators scales the derivative, not its
+    rank), slot r of E = e_alpha e_beta^T contributes P_r[beta, ...] at
+    i_r = alpha, where P_r contracts the base into every mode but r.  The
+    result is a (d * p) x d^k integer matrix.
     """
     k, p, d = core.level, core.dim, base.rows
     if base.cols != p:
@@ -137,13 +137,11 @@ def tucker_jacobian_rank(core: SigTensor, base: Matrix) -> int:
     if k == 0:
         return 0
     _check_jacobian_size(d, p, k)
-    c, _ = cleared_array(core.entries, (p,) * k)
-    b, _ = cleared_array(base.entries, (d, p))
     jac = np.zeros((d, p) + (d,) * k, dtype=object)
     for r in range(k):
-        part = c
+        part = core.ints
         for mode in range(k):
-            part = np.moveaxis(part, 0, -1) if mode == r else mode_apply(part, b)
+            part = np.moveaxis(part, 0, -1) if mode == r else mode_apply(part, base.ints)
         part = np.moveaxis(part, r, 0)
         for alpha in range(d):
             jac[(alpha, slice(None)) + (slice(None),) * r + (alpha,)] += part

@@ -1,0 +1,147 @@
+"""The one stored form of Matrix, SigTensor and GridData: ints over one denominator."""
+
+import sys
+from dataclasses import FrozenInstanceError
+from math import lcm
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import grid_values, matrices, rationals
+from memsig.bench import congruence_matrix_quadratic
+from memsig.fastsig import sig_tensor_fast
+from memsig.linalg import (
+    Matrix,
+    cosquare,
+    det,
+    kron,
+    pm1_jordan_structure,
+    rank,
+    solve,
+    sym_skew_split,
+)
+from memsig.membranes import (
+    GridData,
+    bilinear_decompose,
+    core_matrix,
+    core_tensor,
+    hadamard_sig,
+    reduce_grid,
+)
+from memsig.rational import rat
+from memsig.tensor import SigTensor, tucker_apply
+from memsig.variety import tucker_jacobian_rank
+
+NONZERO = st.integers(-50, 50).filter(bool)
+
+
+@st.composite
+def tensor_args(st_draw, max_dim=3, max_level=3):
+    """(level, dim, entries) with d^k rational entries."""
+    dim = st_draw(st.integers(1, max_dim))
+    level = st_draw(st.integers(0, max_level))
+    return level, dim, st_draw(st.lists(rationals(), min_size=dim**level, max_size=dim**level))
+
+
+@st.composite
+def matrix_args(st_draw, max_size=4):
+    """(rows, cols, entries), empty shapes included."""
+    rows, cols = st_draw(st.integers(0, max_size)), st_draw(st.integers(0, max_size))
+    return rows, cols, st_draw(st.lists(rationals(), min_size=rows * cols, max_size=rows * cols))
+
+
+def tensors():
+    return tensor_args().map(lambda args: SigTensor(*args))
+
+
+def assert_stored_form(x, values, shape):
+    """entries round-trip, den is the lcm of the reduced denominators, ints = den * values."""
+    assert x.entries == tuple(values)
+    assert x.den == lcm(*(v.denominator for v in values))
+    assert x.ints.shape == shape
+    assert all(type(v) is int for v in x.ints.flat)
+    assert [v * x.den for v in values] == list(x.ints.flat)
+
+
+class TestStoredForm:
+    @given(matrix_args())
+    def test_matrix_round_trips(self, args):
+        rows, cols, values = args
+        assert_stored_form(Matrix(rows, cols, values), values, (rows, cols))
+
+    @given(tensor_args())
+    def test_tensor_round_trips(self, args):
+        level, dim, values = args
+        assert_stored_form(SigTensor(level, dim, values), values, (dim,) * level)
+
+    @given(st.one_of(matrices(), tensors(), grid_values().map(lambda a: GridData(*a))), NONZERO)
+    def test_scaled_form_is_reduced_to_the_constructed_one(self, x, k):
+        fields = {"dim": x.dim} if isinstance(x, SigTensor) else {}
+        y = type(x).of(x.ints * k, x.den * k, **fields)
+        assert y == x and hash(y) == hash(x)
+        assert y.den == x.den and y.ints.tolist() == x.ints.tolist()
+
+    @pytest.mark.parametrize(
+        "x, field",
+        [(Matrix(1, 2, (rat(1, 2), 3)), "rows"), (SigTensor(1, 2, (rat(1, 3), 1)), "den")],
+    )
+    def test_read_only(self, x, field):
+        with pytest.raises(ValueError):
+            x.ints[0] = 7
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, field, 2)
+
+    def test_level_zero_dimension_is_part_of_the_value(self):
+        assert SigTensor(0, 2, (1,)) != SigTensor(0, 3, (1,))
+        assert SigTensor(0, 2, (1,)) == SigTensor.of(np.asarray(5, dtype=object), 5, dim=2)
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2"])
+    def test_inexact_or_text_entry_rejected(self, bad):
+        with pytest.raises(TypeError):
+            Matrix(1, 2, (1, bad))
+        with pytest.raises(TypeError):
+            SigTensor(1, 2, (bad, 1))
+
+
+def test_kernels_clear_nothing(monkeypatch, rng):
+    """Inputs are built first; then no listed kernel may call cleared_array."""
+    a = Matrix(2, 3, (rat(1, 2), -3, rat(2, 7), 0, 5, rat(-4, 9)))
+    sq = Matrix(3, 3, (2, rat(1, 3), 0, rat(-1, 2), 1, 4, 3, 0, rat(5, 6)))
+    values = [rat(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2 * 4 * 3)]
+    grid = GridData(2, 3, 2, np.array(values, dtype=object).reshape(2, 4, 3))
+    core = core_tensor("moment", 3, 1, 3)
+    base = Matrix(2, 3, (1, -2, 3, 4, 0, -1))
+    axis = core_matrix("axis", 2, 2)
+    cosq = cosquare(axis)
+    kernels = [
+        lambda: a @ sq,
+        lambda: a.transpose(),
+        lambda: kron(a, sq),
+        lambda: sym_skew_split(sq),
+        lambda: solve(sq, a.transpose()),
+        lambda: det(sq),
+        lambda: rank(a),
+        lambda: pm1_jordan_structure(cosq),
+        lambda: tucker_apply(core, a),
+        lambda: tucker_jacobian_rank(core, base),
+        lambda: core_tensor.__wrapped__("moment", 3, 1, 3),
+        lambda: core_tensor.__wrapped__("axis", 2, 2, 0),
+        lambda: hadamard_sig(core, core),
+        lambda: reduce_grid(grid),
+        lambda: bilinear_decompose(grid),
+        lambda: sig_tensor_fast(grid, 3),
+        lambda: congruence_matrix_quadratic(grid),
+    ]
+    expected = [kernel() for kernel in kernels]
+
+    def no_clearing(*args):
+        raise AssertionError("a kernel cleared denominators")
+
+    for name, module in list(sys.modules.items()):
+        if name == "memsig" or name.startswith("memsig."):
+            monkeypatch.setattr(module, "cleared_array", no_clearing, raising=False)
+    with pytest.raises(AssertionError, match="cleared"):
+        Matrix(1, 1, (rat(1, 2),))  # constructors still clear
+    assert [kernel() for kernel in kernels] == expected

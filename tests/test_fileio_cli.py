@@ -281,6 +281,24 @@ class TestCliCommands:
         assert err.startswith("error: ") and str(path) in err
 
     @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"d": ' + "9" * 5000 + "}"],
+        ids=["nested-too-deep", "int-past-digit-limit"],
+    )
+    def test_json_the_parser_refuses_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out = run_cli(["sig", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ")
+
+    def test_bench_zero_repeats_named_up_front(self, capsys):
+        code, out = run_cli(["bench", "--sizes", "2x2", "--repeats", "0"])
+        assert code == 3 and out == ""
+        assert "repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["dim", "--d", "0", "--m", "2", "--n", "2"],

@@ -9,7 +9,6 @@ from memsig.linalg import (
     Matrix,
     SpectrumError,
     _bareiss,
-    _integer_rows,
     _rank_mod_p,
     cosquare,
     det,
@@ -140,7 +139,7 @@ def low_rank_matrices(st_draw, max_size=5):
 class TestModularRank:
     @given(st.one_of(matrices(max_size=6), low_rank_matrices()))
     def test_rational_rank_matches_bareiss(self, m):
-        assert rank(m) == bareiss_rank(_integer_rows(m)[0])
+        assert rank(m) == bareiss_rank(m.ints.tolist())
 
     @given(
         st.integers(1, 6).flatmap(

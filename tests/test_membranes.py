@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import grid_values, matrices
-from memsig import membranes, tensor
+from memsig import membranes, rational, tensor
 from memsig.fastsig import sig_tensor_fast
 from memsig.fileio import parse_rational
 from memsig.linalg import Matrix, kron
@@ -290,17 +290,17 @@ class TestGridData:
         g = GridData(d, m, n, vals)
         assert g.values == tuple(tuple(tuple(row) for row in comp) for comp in vals)
         flat = [x for comp in vals for row in comp for x in row]
-        assert g.scale == lcm(*(x.denominator for x in flat))
-        assert g.nodes.shape == (d, m + 1, n + 1)
-        assert all(type(x) is int for x in g.nodes.flat)
-        assert [x * g.scale for x in flat] == list(g.nodes.flat)
+        assert g.den == lcm(*(x.denominator for x in flat))
+        assert g.ints.shape == (d, m + 1, n + 1)
+        assert all(type(x) is int for x in g.ints.flat)
+        assert [x * g.den for x in flat] == list(g.ints.flat)
 
     def test_nodes_are_read_only(self):
         g = axis_grid(2, 2)
         with pytest.raises(ValueError):
-            g.nodes[0, 1, 1] = 5
+            g.ints[0, 1, 1] = 5
         with pytest.raises(FrozenInstanceError):
-            g.scale = 2
+            g.den = 2
 
     @pytest.mark.parametrize("node", [0.5, "1/2"])
     def test_inexact_or_text_node_rejected(self, node):
@@ -329,9 +329,9 @@ class TestGridData:
         def no_clearing(*args):
             raise AssertionError("cell_derivatives cleared denominators")
 
-        monkeypatch.setattr(membranes, "cleared_array", no_clearing)
+        monkeypatch.setattr(rational, "cleared_array", no_clearing)
         delta, scale = membranes.cell_derivatives(g)
-        assert scale == g.scale and delta.shape == (2, 3, 2)
+        assert scale == g.den and delta.shape == (2, 3, 2)
         assert sig_tensor_fast(g, 2) == expected
 
 

@@ -1,6 +1,10 @@
-import pytest
+from math import lcm
 
-from memsig.rational import clear_denominators, rat
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from memsig.rational import clear_denominators, lcm_all, rat
 
 
 def test_rat_returns_a_rational_unchanged():
@@ -29,3 +33,12 @@ def test_clear_denominators_mixed_signs_and_denominators():
 
 def test_clear_denominators_of_nothing():
     assert clear_denominators([]) == ([], 1)
+
+
+@given(st.sets(st.integers(-(10**30), 10**30).filter(bool), max_size=40))
+def test_lcm_all_matches_math_lcm(values):
+    assert lcm_all(values) == lcm(*values)
+
+
+def test_lcm_all_of_nothing():
+    assert lcm_all([]) == lcm() == 1
