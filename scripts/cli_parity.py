@@ -1,0 +1,234 @@
+#!/usr/bin/env python3
+"""Compare the memsig CLI of two source trees on a fixed battery of calls.
+
+Usage: python scripts/cli_parity.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold the ``memsig`` package (the
+``src`` directory of a checkout).  The inputs are written once, from fixed
+seeds, into a temporary directory; then each tree runs the whole battery of
+``memsig.cli.main`` calls in one subprocess.  A case's result is its exit
+code, the SHA-256 of its stdout and, for ``--out`` cases, of the file
+written.  Every case whose result differs is printed, and the exit status is
+1 if any differs, else 0.  A differing first line of stderr is printed as a
+note and does not count as a difference.
+
+The battery: ``sig`` at levels 0-3 with ``--method fast|congruence|auto``,
+with and without ``--float``, on an integer, a small-rational and a
+huge-rational grid and on a dense and a sparse polynomial spec; ``decompose``
+on those grids and on larger ones; ``core`` and ``invariants`` of both kinds
+for m, n <= 3; the ``dim`` kinds of the variety-dims benchmark workload and
+``check-relations`` (2,2,1), (4,2,2), (3,1,1), at MEMSIG_SEED 1-3; and
+malformed grid and polynomial documents with one fault at each nesting level.
+"""
+
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+SEEDS = ("1", "2", "3")
+# the `dim` kinds of perfbench's variety-dims workload: (d, m, n) at level 2, (m, n) at d = 4, level 3
+DIM_L2 = [(6, 2, 3), (6, 3, 3), (6, 4, 4), (7, 3, 3), (7, 2, 6), (7, 5, 5), (8, 2, 4), (8, 3, 5), (8, 4, 5)]
+DIM_L3 = [(2, 2), (2, 4), (3, 3), (3, 4)]
+
+
+def _grid_doc(rng, d, m, n, value):
+    values = [[[str(value(rng)) for _ in range(n + 1)] for _ in range(m + 1)] for _ in range(d)]
+    return {"d": d, "m": m, "n": n, "values": values}
+
+
+def _integer(rng):
+    return rng.randint(-9, 9)
+
+
+def _small_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _huge_rational(rng):
+    return Fraction(rng.randint(-(10**20), 10**20), rng.randint(1, 10**6))
+
+
+def _huge_denominator(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 10**6))
+
+
+def _malformed_docs():
+    """One fault per document: a non-list, a wrong length or a bad leaf, at each level."""
+    good_grid = {"d": 2, "m": 1, "n": 1, "values": [[["0", "1"], ["2", "1/2"]], [["0", "0"], ["0", "3"]]]}
+    good_poly = {"kind": "polynomial", "d": 2, "m": 2, "n": 1, "A": [["1", "0"], ["-1/2", "3"]]}
+    docs = {}
+
+    def fault(name, base, path, new):
+        doc = json.loads(json.dumps(base))
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        if new is None:
+            target.pop(last)
+        else:
+            target[last] = new
+        docs[name] = doc
+
+    for key, path in (("values", ["values"]), ("A", ["A"])):
+        base = good_grid if key == "values" else good_poly
+        fault(f"{key}-missing", base, path, None)
+        fault(f"{key}-not-list", base, path, "1")
+        fault(f"{key}-short", base, path, base[key][:1])
+        fault(f"{key}[0]-not-list", base, path + [0], "1")
+        fault(f"{key}[0]-long", base, path + [0], base[key][0] + base[key][0][:1])
+        if key == "values":
+            fault("values[0][1]-not-list", base, path + [0, 1], "1")
+            fault("values[0][1]-short", base, path + [0, 1], ["1"])
+            leaf = path + [0, 1, 1]
+        else:
+            leaf = path + [1, 1]
+        for i, bad in enumerate(("x", "1.5", "1/0", 3, ["1"])):
+            fault(f"{key}-leaf-{i}", base, leaf, bad)
+    docs["terms-not-list"] = {"kind": "polynomial", "d": 1, "m": 1, "n": 1, "terms": "1"}
+    docs["terms-bad-coeff"] = {"kind": "polynomial", "d": 1, "m": 1, "n": 1, "terms": [[1, 1, 1, "1/0"]]}
+    docs["grid-d-zero"] = {"d": 0, "m": 1, "n": 1, "values": []}
+    return docs
+
+
+def write_battery(work: Path) -> list:
+    """Write the input files into ``work``; return the cases as (name, argv, seed, out)."""
+    rng = random.Random(20240801)
+    grids = {
+        "int": _grid_doc(rng, 3, 8, 7, _integer),
+        "rat": _grid_doc(rng, 3, 6, 5, _small_rational),
+        "hugerat": _grid_doc(rng, 2, 5, 4, _huge_rational),
+    }
+    big_grids = {
+        "int100": _grid_doc(rng, 3, 100, 100, _integer),
+        "rat100": _grid_doc(rng, 3, 100, 100, _small_rational),
+        "hugeden40": _grid_doc(rng, 3, 40, 40, _huge_denominator),
+    }
+    specs = {
+        "dense": {
+            "kind": "polynomial", "d": 3, "m": 2, "n": 3,
+            "A": [[str(_small_rational(rng)) for _ in range(6)] for _ in range(3)],
+        },
+        "sparse": {
+            "kind": "polynomial", "d": 3, "m": 3, "n": 2,
+            "terms": [[i, j, dim, str(_small_rational(rng))] for i, j, dim in
+                      [(1, 1, 1), (2, 1, 2), (3, 2, 3), (1, 2, 1), (0, 1, 2), (2, 2, 2)]],
+        },
+    }
+    malformed = _malformed_docs()
+    for name, doc in {**grids, **big_grids, **specs, **malformed}.items():
+        (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+
+    cases = []
+    for name in [*grids, *specs]:
+        path = str(work / f"{name}.json")
+        for level in range(4):
+            for method in ("fast", "congruence", "auto"):
+                for flt in ([], ["--float"]):
+                    argv = ["sig", path, "--level", str(level), "--method", method, *flt]
+                    cases.append((f"sig {name} L{level} {method}{' float' if flt else ''}", argv, None, None))
+        cases.append((f"sig {name} --out", ["sig", path], None, "out.json"))
+    for name in [*grids, *big_grids]:
+        cases.append((f"decompose {name}", ["decompose", str(work / f"{name}.json")], None, "out.json"))
+    for name in malformed:
+        path = str(work / f"{name}.json")
+        cases.append((f"sig {name}", ["sig", path], None, None))
+        cases.append((f"sig {name} congruence", ["sig", path, "--method", "congruence"], None, None))
+        cases.append((f"decompose {name}", ["decompose", path], None, "out.json"))
+    for kind in ("moment", "axis"):
+        for m in range(1, 4):
+            for n in range(1, 4):
+                size = ["--kind", kind, "--m", str(m), "--n", str(n)]
+                for level in range(4):
+                    cases.append((f"core {kind} {m}x{n} L{level}", ["core", *size, "--level", str(level)], None, None))
+                cases.append((f"core {kind} {m}x{n} float", ["core", *size, "--float"], None, None))
+                cases.append((f"invariants {kind} {m}x{n}", ["invariants", *size], None, None))
+    for seed in SEEDS:
+        for kind in ("axis", "moment"):
+            for d, m, n in DIM_L2:
+                argv = ["dim", "--d", str(d), "--m", str(m), "--n", str(n), "--kind", kind]
+                cases.append((f"dim L2 {kind} {d},{m},{n} seed {seed}", argv, seed, None))
+            for m, n in DIM_L3:
+                argv = ["dim", "--d", "4", "--m", str(m), "--n", str(n), "--level", "3", "--kind", kind]
+                cases.append((f"dim L3 {kind} 4,{m},{n} seed {seed}", argv, seed, "out.json"))
+        for d, m, n in [(2, 2, 1), (4, 2, 2), (3, 1, 1)]:
+            argv = ["check-relations", "--d", str(d), "--m", str(m), "--n", str(n)]
+            cases.append((f"check-relations {d},{m},{n} seed {seed}", argv, seed, None))
+    return cases
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_battery(src: str, work: Path) -> dict:
+    """Run every case of ``work/cases.json`` through the memsig in ``src``, in this process."""
+    sys.path.insert(0, src)
+    from memsig import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        sys.exit(f"memsig was imported from {cli.__file__}, not from {src}")
+
+    results = {}
+    for name, argv, seed, out in json.loads((work / "cases.json").read_text()):
+        if seed is None:
+            os.environ.pop("MEMSIG_SEED", None)
+        else:
+            os.environ["MEMSIG_SEED"] = seed
+        out_path = work / out if out else None
+        if out_path is not None:
+            out_path.unlink(missing_ok=True)
+            argv = [*argv, "--out", str(out_path)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out_hash = _sha(out_path.read_bytes()) if out_path is not None and out_path.exists() else None
+        err = stderr.getvalue().splitlines()
+        results[name] = [code, _sha(stdout.getvalue().encode()), out_hash, err[0] if err else ""]
+    return results
+
+
+def _run_tree(src: str, work: Path) -> dict:
+    done = subprocess.run([sys.executable, __file__, "--run", src, str(work)], capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"the battery did not run on {src}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv: list) -> int:
+    if len(argv) == 3 and argv[0] == "--run":
+        json.dump(run_battery(os.path.abspath(argv[1]), Path(argv[2])), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        cases = write_battery(work)
+        (work / "cases.json").write_text(json.dumps(cases), encoding="utf-8")
+        old, new = (_run_tree(os.path.abspath(src), work) for src in argv)
+    differ = 0
+    for name, *_ in cases:
+        (*a, err_a), (*b, err_b) = old[name], new[name]
+        if a != b:
+            differ += 1
+            print(f"DIFFERS {name}: exit/stdout/out {a} -> {b}")
+        elif err_a != err_b:
+            print(f"note {name}: stderr {err_a!r} -> {err_b!r}")
+    print(f"{len(cases)} cases, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -43,7 +43,6 @@ from .membranes import (
     nu_inv,
     product_sig_entry,
     reduce_grid,
-    sig_matrix_via_congruence,
     sig_via_congruence,
 )
 from .paths import (

@@ -139,6 +139,11 @@ def run_bench(
     """
     if repeats < 1:
         raise ValueError(f"need at least one repeat, got {repeats}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    for m, n in sizes:
+        if min(m, n) < 1:
+            raise ValueError(f"need sizes with m, n >= 1, got {m}x{n}")
     rng = random.Random(seed)
     grids = [random_integer_grid(d, m, n, rng) for m, n in sizes]
     jobs = []

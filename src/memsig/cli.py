@@ -21,7 +21,6 @@ from .fastsig import sig_tensor_fast
 from .linalg import det
 from .membranes import (
     GridData,
-    PiecewiseBilinearMembrane,
     SpecResolutionError,
     bilinear_decompose,
     core_matrix,
@@ -69,8 +68,7 @@ def _cmd_sig(args) -> int:
             raise fileio.ContractError("--method fast needs a grid input")
         tensor = sig_tensor_fast(spec, args.level)
     else:
-        membrane = PiecewiseBilinearMembrane(spec) if isinstance(spec, GridData) else spec
-        tensor = sig_via_congruence(membrane, args.level)
+        tensor = sig_via_congruence(spec, args.level)
     _emit(fileio.dump_json(fileio.tensor_to_doc(tensor, args.float)), args.out)
     return EXIT_OK
 
@@ -118,7 +116,7 @@ def _cmd_check_relations(args) -> int:
         "relations": list(report.relations),
     }
     if report.status == "fail":
-        doc["counterexample"] = [rat_str(x) for x in report.counterexample.entries]
+        doc["counterexample"] = fileio.rational_texts(report.counterexample)
         doc["detail"] = report.detail
     if report.status == "no-relations":
         doc["detail"] = report.detail

@@ -135,8 +135,6 @@ def sig_word_fast(grid: GridData, word) -> Rat:
 
 def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
     """All d^k entries, sharing fields across words with a common prefix."""
-    if k < 0:
-        raise ValueError("level must be >= 0")
     d = grid.d
     check_entry_count(d, k)
     if k == 0:

@@ -6,6 +6,14 @@ Optional float fields are additive.  Indices are 0-based inside files and the
 "order" field makes the flattening self-describing; the math convention in
 documentation stays 1-based.
 
+Every rational array goes through one reader and one writer.  ``_parsed``
+checks the nesting of a grid's ``values``, a dense ``A`` or a tensor's
+``entries`` and parses each leaf with ``parse_rational``, which reads
+``"p"`` as an int and ``"p/q"`` as one ``Rat``; the public constructors
+(``GridData``, ``Matrix.from_rows``, ``SigTensor``) then clear the parsed
+values once.  ``rational_texts`` formats an array's entries straight from its
+``ints`` and ``den``, so no entry is rebuilt as a ``Rat`` to be printed.
+
 Errors: FileFormatError for malformed input (CLI exit 2), ContractError for
 shape or contract violations (CLI exit 3).
 """
@@ -14,10 +22,11 @@ from __future__ import annotations
 
 import json
 import re
+from math import gcd
 
 from .linalg import Matrix
 from .membranes import GridData, PolynomialMembrane
-from .rational import rat, rat_str
+from .rational import ExactArray, rat
 from .tensor import SigTensor, check_entry_count
 
 TENSOR_ORDER = "row-major-1-based-words"
@@ -36,17 +45,50 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text, where: str):
-    """Exactly the ASCII grammar [+-]?[0-9]+(/[0-9]+)? with a nonzero denominator."""
+    """Exactly the ASCII grammar [+-]?[0-9]+(/[0-9]+)? with a nonzero denominator.
+
+    ``"p"`` gives an int and ``"p/q"`` a ``Rat`` in lowest terms.
+    """
     if not isinstance(text, str):
         raise FileFormatError(f"{where}: expected a rational string, got {type(text).__name__}")
     match = _RATIONAL.fullmatch(text)
     if match is not None:
         num, den = match.groups()
         try:
-            return rat(int(num), int(den)) if den else rat(int(num))
+            return rat(int(num), int(den)) if den else int(num)
         except (ValueError, ZeroDivisionError):  # past int's digit limit, or q = 0
             pass
     raise FileFormatError(f"{where}: {text!r} is not a rational 'p' or 'p/q'")
+
+
+def _parsed(value, shape: tuple, where: str):
+    """``value`` with each leaf parsed, after checking that it nests as ``shape``.
+
+    A non-list or a list of the wrong length raises ContractError, and a leaf
+    outside the grammar FileFormatError; both name the location, ``where``
+    followed by the indices.
+    """
+    if not shape:
+        return parse_rational(value, where)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ContractError(f"{where} must be a list of length {shape[0]}")
+    return [_parsed(x, shape[1:], f"{where}[{i}]") for i, x in enumerate(value)]
+
+
+def rational_texts(a: ExactArray) -> list[str]:
+    """The entries of ``a`` in row-major order as ``"p"`` or ``"p/q"`` in lowest terms.
+
+    Formatted straight from ``a.ints`` and ``a.den``: ``str(x)`` when ``den``
+    is 1, else one gcd per entry.
+    """
+    den = a.den
+    if den == 1:
+        return [str(x) for x in a.ints.flat]
+    texts = []
+    for x in a.ints.flat:
+        g = gcd(x, den)
+        texts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return texts
 
 
 def load_json_file(path: str) -> dict:
@@ -80,20 +122,7 @@ def grid_from_doc(doc: dict) -> GridData:
     d = _require_int(doc, "d", 1)
     m = _require_int(doc, "m", 1)
     n = _require_int(doc, "n", 1)
-    values = doc.get("values")
-    if not isinstance(values, list) or len(values) != d:
-        raise ContractError(f"'values' must be a list of length d={d}")
-    comps = []
-    for i, comp in enumerate(values):
-        if not isinstance(comp, list) or len(comp) != m + 1:
-            raise ContractError(f"values[{i}] must have m+1={m + 1} rows")
-        rows = []
-        for a, row in enumerate(comp):
-            if not isinstance(row, list) or len(row) != n + 1:
-                raise ContractError(f"values[{i}][{a}] must have n+1={n + 1} entries")
-            rows.append([parse_rational(x, f"values[{i}][{a}][{b}]") for b, x in enumerate(row)])
-        comps.append(rows)
-    return GridData(d, m, n, comps)
+    return GridData(d, m, n, _parsed(doc.get("values"), (d, m + 1, n + 1), "values"))
 
 
 def polynomial_from_doc(doc: dict) -> PolynomialMembrane:
@@ -102,15 +131,7 @@ def polynomial_from_doc(doc: dict) -> PolynomialMembrane:
     m = _require_int(doc, "m", 1)
     n = _require_int(doc, "n", 1)
     if "A" in doc:
-        a = doc["A"]
-        if not isinstance(a, list) or len(a) != d:
-            raise ContractError(f"'A' must be a list of d={d} rows")
-        rows = []
-        for i, row in enumerate(a):
-            if not isinstance(row, list) or len(row) != m * n:
-                raise ContractError(f"A[{i}] must have m*n={m * n} entries (nu order)")
-            rows.append([parse_rational(x, f"A[{i}][{j}]") for j, x in enumerate(row)])
-        return PolynomialMembrane(Matrix.from_rows(rows), m, n)
+        return PolynomialMembrane(Matrix.from_rows(_parsed(doc["A"], (d, m * n), "A")), m, n)
     if "terms" in doc:
         terms = doc["terms"]
         if not isinstance(terms, list):
@@ -147,7 +168,7 @@ def tensor_to_doc(t: SigTensor, include_float: bool = False) -> dict:
     doc = {
         "level": t.level,
         "dim": t.dim,
-        "entries": [rat_str(x) for x in t.entries],
+        "entries": rational_texts(t),
         "order": TENSOR_ORDER,
     }
     if include_float:
@@ -167,16 +188,14 @@ def tensor_from_doc(doc: dict) -> SigTensor:
         check_entry_count(dim, level)
     except ValueError as exc:
         raise ContractError(str(exc)) from None
-    if len(entries) != dim**level:
-        raise ContractError(f"'entries' must have dim^level = {dim ** level} items, got {len(entries)}")
-    return SigTensor(level, dim, tuple(parse_rational(x, f"entries[{i}]") for i, x in enumerate(entries)))
+    return SigTensor(level, dim, _parsed(entries, (dim**level,), "entries"))
 
 
 def matrix_to_doc(m: Matrix, include_float: bool = False, note: str | None = None) -> dict:
     doc = {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [rat_str(x) for x in m.entries],
+        "entries": rational_texts(m),
         "order": MATRIX_ORDER,
     }
     if note:

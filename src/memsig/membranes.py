@@ -308,7 +308,3 @@ def sig_via_congruence(spec, k: int) -> SigTensor:
     """Level-k signature tensor through the dictionary + Tucker action."""
     a, kind, m, n = resolve_spec(spec)
     return tucker_apply(core_tensor(kind, m, n, k), a)
-
-
-def sig_matrix_via_congruence(spec) -> Matrix:
-    return sig_via_congruence(spec, 2).to_matrix()

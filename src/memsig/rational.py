@@ -13,7 +13,10 @@ integer result back through ``ExactArray.of``, so no kernel clears an
 operand or divides per entry.
 
 Serialization convention (shared with the CLI file formats): decimal-integer
-strings ``"p"`` or ``"p/q"`` in lowest terms.
+strings ``"p"`` or ``"p/q"`` in lowest terms.  ``fileio.parse_rational``
+reads ``"p"`` as an int and ``"p/q"`` as one ``Rat``, which a constructor
+clears with the rest; ``fileio.rational_texts`` writes an array's entries
+from ``ints`` and ``den`` directly, and ``rat_str`` formats one scalar.
 """
 
 from __future__ import annotations

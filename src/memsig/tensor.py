@@ -32,11 +32,13 @@ CORE_CACHE_SIZE = 64
 
 
 def check_entry_count(dim: int, level: int) -> None:
-    """Raise ValueError if dim**level, the entry count, exceeds MAX_ENTRIES.
+    """Raise ValueError if level < 0 or dim**level, the entry count, exceeds MAX_ENTRIES.
 
     Never forms dim**level for a huge level: with dim >= 2, a level of at
     least MAX_ENTRIES.bit_length() already gives 2**level > MAX_ENTRIES.
     """
+    if level < 0:
+        raise ValueError("level must be >= 0")
     if (dim > 1 and level >= MAX_ENTRIES.bit_length()) or dim**level > MAX_ENTRIES:
         raise ValueError(
             f"a level-{level} tensor over dimension {dim} has more than "

@@ -6,14 +6,17 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memsig import cli, fileio, tensor
 from memsig.bench import random_integer_grid
+from memsig.linalg import Matrix
 from memsig.membranes import GridData, PolynomialMembrane
 from memsig.rational import rat, rat_str
 from memsig.tensor import SigTensor
+
+from conftest import rationals
 
 
 def run_cli(args, env=None, monkeypatch=None):
@@ -92,6 +95,91 @@ class TestFileFormats:
         doc = fileio.tensor_to_doc(t, include_float=True)
         assert doc["entries"] == ["1/2", "3"]
         assert doc["entries_float"] == [0.5, 3.0]
+
+
+def _fail(*args):
+    raise AssertionError("an integer string was read through rat")
+
+
+_INTEGERS = st.one_of(st.integers(-12, 12), st.integers(-(10**30), 10**30))
+
+
+def _arrays(entries):
+    """A Matrix, a SigTensor and a GridData whose entries are drawn from ``entries``."""
+
+    @st.composite
+    def draw_array(draw):
+        kind = draw(st.sampled_from(["matrix", "tensor", "grid"]))
+        if kind == "matrix":
+            rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            xs = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+            return Matrix(rows, cols, xs)
+        if kind == "tensor":
+            level, dim = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+            xs = draw(st.lists(entries, min_size=dim**level, max_size=dim**level))
+            return SigTensor(level, dim, xs)
+        d, m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        xs = iter(draw(st.lists(entries, min_size=d * (m + 1) * (n + 1), max_size=d * (m + 1) * (n + 1))))
+        return GridData(d, m, n, [[[next(xs) for _ in range(n + 1)] for _ in range(m + 1)] for _ in range(d)])
+
+    return draw_array()
+
+
+class TestReaderAndWriter:
+    def test_integer_documents_parse_without_rat(self, monkeypatch):
+        grid_doc_ = {"d": 2, "m": 1, "n": 1, "values": [[["0", "-3"], ["+7", "12"]], [["5", "0"], ["-0", "9"]]]}
+        tensor_doc = {"level": 2, "dim": 2, "entries": ["1", "-2", "0", "10000000000000000000000"]}
+        poly_doc = {"kind": "polynomial", "d": 2, "m": 2, "n": 1, "A": [["1", "0"], ["-4", "3"]]}
+        monkeypatch.setattr(fileio, "rat", _fail)
+        assert fileio.grid_from_doc(grid_doc_) == GridData(2, 1, 1, [[[0, -3], [7, 12]], [[5, 0], [0, 9]]])
+        assert fileio.tensor_from_doc(tensor_doc) == SigTensor(2, 2, [1, -2, 0, 10**22])
+        spec = fileio.membrane_from_doc(poly_doc)
+        assert spec.coeffs == Matrix.from_rows([[1, 0], [-4, 3]])
+        with pytest.raises(AssertionError, match="through rat"):
+            fileio.parse_rational("1/2", "x")
+
+    @pytest.mark.parametrize("den", ["1", "above 1"])
+    @given(data=st.data())
+    def test_rational_texts_match_rat_str(self, den, data):
+        a = data.draw(_arrays(_INTEGERS if den == "1" else rationals()))
+        assume((a.den == 1) == (den == "1"))
+        assert fileio.rational_texts(a) == [rat_str(x) for x in a.entries]
+
+    @pytest.mark.parametrize(
+        "doc, error, where",
+        [
+            ({"values": "1"}, fileio.ContractError, "values"),
+            ({"values": [[["0", "1"], ["2", "3"]]]}, fileio.ContractError, "values"),
+            ({"values": ["1", [["0", "0"], ["0", "0"]]]}, fileio.ContractError, r"values\[0\]"),
+            ({"values": [[["0", "1"]], [["0", "0"], ["0", "0"]]]}, fileio.ContractError, r"values\[0\]"),
+            ({"values": [[["0", "1"], "2"], [["0", "0"], ["0", "0"]]]}, fileio.ContractError, r"values\[0\]\[1\]"),
+            ({"values": [[["0", "1"], ["2", "3", "4"]], [["0", "0"], ["0", "0"]]]}, fileio.ContractError, r"values\[0\]\[1\]"),
+            ({"values": [[["0", "1"], ["2", "3"]], [["0", "0"], ["0", "x"]]]}, fileio.FileFormatError, r"values\[1\]\[1\]\[1\]"),
+            ({"values": [[["0", "1"], ["2", 3]], [["0", "0"], ["0", "0"]]]}, fileio.FileFormatError, r"values\[0\]\[1\]\[1\]"),
+            ({"values": [[["0", "1"], ["2", ["3"]]], [["0", "0"], ["0", "0"]]]}, fileio.FileFormatError, r"values\[0\]\[1\]\[1\]"),
+            ({"A": {"0": "1"}}, fileio.ContractError, "A"),
+            ({"A": [["1", "0"]]}, fileio.ContractError, "A"),
+            ({"A": [["1", "0"], "3"]}, fileio.ContractError, r"A\[1\]"),
+            ({"A": [["1", "0"], ["3"]]}, fileio.ContractError, r"A\[1\]"),
+            ({"A": [["1", "0"], ["3", "1.5"]]}, fileio.FileFormatError, r"A\[1\]\[1\]"),
+            ({"A": [["1", None], ["3", "4"]]}, fileio.FileFormatError, r"A\[0\]\[1\]"),
+            ({"entries": "1"}, fileio.FileFormatError, "entries"),
+            ({"entries": ["1", "2", "3"]}, fileio.ContractError, "entries"),
+            ({"entries": ["1", "2", "3", "4", "5"]}, fileio.ContractError, "entries"),
+            ({"entries": ["1", "2", "1/0", "4"]}, fileio.FileFormatError, r"entries\[2\]"),
+            ({"entries": ["1", "2", "3", ["4"]]}, fileio.FileFormatError, r"entries\[3\]"),
+        ],
+    )
+    def test_each_nesting_level_raises_its_error(self, doc, error, where):
+        if "values" in doc:
+            read, doc = fileio.grid_from_doc, {"d": 2, "m": 1, "n": 1, **doc}
+        elif "A" in doc:
+            read, doc = fileio.polynomial_from_doc, {"kind": "polynomial", "d": 2, "m": 2, "n": 1, **doc}
+        else:
+            read, doc = fileio.tensor_from_doc, {"level": 2, "dim": 2, **doc}
+        with pytest.raises(error, match=f"^'?{where}'?[ :]") as info:
+            read(doc)
+        assert type(info.value) is error
 
 
 class TestCliCommands:
@@ -205,6 +293,19 @@ class TestCliCommands:
         assert code == 4
         assert json.loads(out)["detail"] == "boom"
 
+    def test_check_relations_counterexample_printed_in_lowest_terms(self, monkeypatch):
+        from memsig.variety import RelationReport
+
+        counterexample = Matrix.from_rows([[rat(1, 2), 0], [rat(-4, 6), 3]])
+
+        def fake_checks(d, m, n, samples, rng):
+            return RelationReport(d, m, n, samples, "fail", ("r",), counterexample, "boom")
+
+        monkeypatch.setattr(cli, "relation_checks", fake_checks)
+        code, out = run_cli(["check-relations", "--d", "2", "--m", "2", "--n", "1"])
+        assert code == 4
+        assert json.loads(out)["counterexample"] == ["1/2", "0", "-2/3", "3"]
+
     def test_decompose_command(self, single_cell_grid_file):
         code, out = run_cli(["decompose", single_cell_grid_file])
         doc = json.loads(out)
@@ -308,6 +409,11 @@ class TestCliCommands:
             ["check-relations", "--d", "2", "--m", "0", "--n", "1"],
             ["check-relations", "--d", "2", "--m", "2", "--n", "0"],
             ["core", "--kind", "moment", "--m", "-1", "--n", "-1"],
+            ["core", "--kind", "axis", "--m", "2", "--n", "2", "--level", "-1"],
+            ["bench", "--sizes", "2x2", "--d", "0"],
+            ["bench", "--sizes", "2x2", "--d", "-1"],
+            ["bench", "--sizes", "0x0"],
+            ["bench", "--sizes", "2x2,4x0"],
         ],
     )
     def test_arguments_that_measure_nothing_exit_3(self, capsys, args):

@@ -105,6 +105,11 @@ def test_entry_count_check():
             check_entry_count(dim, level)
 
 
+def test_negative_level_refused():
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        check_entry_count(2, -1)
+
+
 def test_oversized_tensors_are_refused_before_any_entry(monkeypatch):
     monkeypatch.setattr(tensor, "MAX_ENTRIES", 8)
 
