@@ -2,8 +2,9 @@
 """Recompute the signature-variety dimension tables via generic Jacobian rank.
 
 Prints a d x d table of measured dimensions of M_{d,m,n} (level --level) and,
-where available, flags disagreements with the closed formulas.  d = 7 and 8
-take noticeably longer than the desk-scale d <= 6.
+where available, flags disagreements with the closed formulas.  At level 2
+with 3 trials, d = 6, 7 and 8 take about 0.1, 0.2 and 0.6 s (one CPU of a
+2-core x86-64 VM, Python 3.11).
 
 Usage: python scripts/dimension_tables.py --d 6 [--level 2] [--trials 3] [--seed 1]
 """

@@ -122,7 +122,10 @@ def grid_from_doc(doc: dict) -> GridData:
     d = _require_int(doc, "d", 1)
     m = _require_int(doc, "m", 1)
     n = _require_int(doc, "n", 1)
-    return GridData(d, m, n, _parsed(doc.get("values"), (d, m + 1, n + 1), "values"))
+    values = doc.get("values")
+    if not isinstance(values, list):
+        raise FileFormatError("'values' must be a nested list of rational strings")
+    return GridData(d, m, n, _parsed(values, (d, m + 1, n + 1), "values"))
 
 
 def polynomial_from_doc(doc: dict) -> PolynomialMembrane:

@@ -157,6 +157,8 @@ def _rank_mod_p(rows: list[list[int]]) -> int:
     handled.  A minor that is nonzero mod p is nonzero over the integers, so
     this rank is never above the rank over the rationals.
     """
+    if not rows or not rows[0]:
+        return 0
     a = (np.array(rows, dtype=object) % _PRIME).astype(np.int64)
     nrows, ncols = a.shape
     r = 0
@@ -229,10 +231,8 @@ def rank_int_rows(rows: list[list[int]]) -> int:
     The rank mod 2^31 - 1 is returned when it is full, min(rows, cols), since
     it is never above the exact rank; otherwise Bareiss elimination decides.
     """
-    if not rows or not rows[0]:
-        return 0
     r = _rank_mod_p(rows)
-    if r == min(len(rows), len(rows[0])):
+    if not rows or r == min(len(rows), len(rows[0])):
         return r
     return _bareiss(rows)[0]
 

@@ -109,7 +109,7 @@ class ExactArray:
 
         A wrong count raises ValueError, a float or a string TypeError.
         """
-        values = [x if type(x) is int else rat(x) for x in values]
+        values = [x if type(x) in (int, Rat) else rat(x) for x in values]
         if len(values) != prod(shape):
             raise ValueError(f"expected {prod(shape)} entries, got {len(values)}")
         ints, den = cleared_array(values, shape)

@@ -2,10 +2,12 @@
 
 The congruence orbit {A C A^T : A in C^(d x mn)} of a core matrix C has a
 Zariski closure whose dimension equals the generic rank of the derivative of
-the orbit map; sampling the base point with random integers keeps the rank
-computation exact, and the rank-deficient locus is a proper subvariety, so a
-handful of trials suffices (max rank over trials is reported).  The same
-derivative-rank computation runs at level 3 with the Tucker cube map.
+the orbit map.  The derivative is built exactly on integers at a random base
+point and ranked over GF(2^31 - 1).  That rank is never above the generic
+rank over Q, and it falls short of it only on the zero set of a nonzero
+minor mod p, so a handful of trials suffices (max rank over trials is
+reported).  The same derivative-rank computation runs at level 3 with the
+Tucker cube map.
 
 Congruence invariants of the core matrices come from the Jordan structure of
 the cosquare M^{-T} M: blocks J_k((-1)^{k+1}) correspond to single blocks
@@ -27,12 +29,13 @@ from .linalg import (
     GammaBlock,
     HBlock,
     Matrix,
+    _PRIME,
+    _rank_mod_p,
     cosquare,
     det,
     pfaffian,
     pm1_jordan_structure,
     rank,
-    rank_int_rows,
     sym_skew_split,
 )
 from .membranes import core_matrix, core_tensor
@@ -121,21 +124,19 @@ def _check_jacobian_size(d: int, p: int, k: int) -> None:
     check_budget(d * p * d**k, f"the level-{k} Jacobian for d = {d} and a dimension-{p} core")
 
 
-def tucker_jacobian_rank(core: SigTensor, base: Matrix) -> int:
-    """Exact rank of the derivative of A -> [[core; A, ..., A]] at ``base``.
+def tucker_jacobian(core: SigTensor, base: Matrix) -> list[list[int]]:
+    """Integer rows of the derivative of A -> [[core; A, ..., A]] at ``base``.
 
     The derivative sends E to the sum over slots r of the Tucker product with
     E in slot r and the base point elsewhere.  On the stored integers of core
     and base (dropping their denominators scales the derivative, not its
     rank), slot r of E = e_alpha e_beta^T contributes P_r[beta, ...] at
     i_r = alpha, where P_r contracts the base into every mode but r.  The
-    result is a (d * p) x d^k integer matrix.
+    result is an exact (d * p) x d^k integer matrix.
     """
     k, p, d = core.level, core.dim, base.rows
     if base.cols != p:
         raise ValueError("base point shape must be d x core.dim")
-    if k == 0:
-        return 0
     _check_jacobian_size(d, p, k)
     jac = np.zeros((d, p) + (d,) * k, dtype=object)
     for r in range(k):
@@ -145,7 +146,18 @@ def tucker_jacobian_rank(core: SigTensor, base: Matrix) -> int:
         part = np.moveaxis(part, r, 0)
         for alpha in range(d):
             jac[(alpha, slice(None)) + (slice(None),) * r + (alpha,)] += part
-    return rank_int_rows(jac.reshape(d * p, d**k).tolist())
+    return jac.reshape(d * p, d**k).tolist()
+
+
+def tucker_jacobian_rank(core: SigTensor, base: Matrix) -> int:
+    """Rank over GF(2^31 - 1) of ``tucker_jacobian(core, base)``.
+
+    This is the rank of the derivative at ``base`` reduced mod p, which is at
+    most its exact rank there: a minor that is nonzero mod p is nonzero.  It
+    is short of the exact rank only where every maximal nonzero minor
+    vanishes mod p, e.g. at a base divisible by p.
+    """
+    return _rank_mod_p(tucker_jacobian(core, base))
 
 
 def image_dimension(
@@ -156,11 +168,16 @@ def image_dimension(
 ) -> int:
     """Dimension of the Zariski closure of A -> [[core; A..A]] over d x p matrices.
 
-    Measured as the maximal derivative rank over at most ``trials`` random
-    integer base points (entries uniform in [-1000, 1000]); an unlucky
-    rank-deficient sample only lowers a single trial.  ``trials`` is an upper
-    limit: the trials stop once one reaches the full rank min(d p, d^k) of
-    the (d p) x d^k Jacobian, which no further trial can exceed.  The
+    Measured as the maximal derivative rank mod p = 2^31 - 1
+    (``tucker_jacobian_rank``) over at most ``trials`` base points with
+    entries uniform in [-(p-1)/2, (p-1)/2], i.e. uniform over GF(p).  The
+    error is one-sided: if the generic rank over Q is r, every (r+1)-minor
+    of the Jacobian is the zero polynomial over Z, so no trial exceeds r.  A
+    trial falls short only on the zero set mod p of a nonzero r-minor of
+    degree r (k - 1), which a uniform base point hits with probability at
+    most r (k - 1) / p (Schwartz-Zippel).  ``trials`` is an upper limit: the
+    trials stop once one reaches the full rank min(d p, d^k) of the
+    (d p) x d^k Jacobian, which no further trial can exceed.  The
     closure-dimension = generic-rank identification is an assumption of the
     method, not proven here.
     """
@@ -173,7 +190,7 @@ def image_dimension(
     full = min(d * core.dim, d**core.level)
     best = 0
     for _ in range(trials):
-        b = random_integer_matrix(d, core.dim, rng)
+        b = random_integer_matrix(d, core.dim, rng, (_PRIME - 1) // 2)
         best = max(best, tucker_jacobian_rank(core, b))
         if best == full:
             break

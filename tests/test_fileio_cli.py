@@ -148,7 +148,7 @@ class TestReaderAndWriter:
     @pytest.mark.parametrize(
         "doc, error, where",
         [
-            ({"values": "1"}, fileio.ContractError, "values"),
+            ({"values": "1"}, fileio.FileFormatError, "values"),
             ({"values": [[["0", "1"], ["2", "3"]]]}, fileio.ContractError, "values"),
             ({"values": ["1", [["0", "0"], ["0", "0"]]]}, fileio.ContractError, r"values\[0\]"),
             ({"values": [[["0", "1"]], [["0", "0"], ["0", "0"]]]}, fileio.ContractError, r"values\[0\]"),
@@ -348,6 +348,21 @@ class TestCliCommands:
         path.write_text(json.dumps(doc))
         code, _ = run_cli(["sig", str(path)])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "polynomial", "d": 1, "m": 1, "n": 1, "terms": []},
+            {"d": 1, "m": 1, "n": 1, "values": "x"},
+        ],
+        ids=["polynomial-spec", "values-not-a-list"],
+    )
+    def test_decompose_without_values_list_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["decompose", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: 'values' must be")
 
     def test_exit_code_over_entry_budget(self, monkeypatch, capsys, tmp_path, rng):
         path = tmp_path / "grid.json"

@@ -3,13 +3,15 @@ from itertools import product
 
 import pytest
 
-from memsig import tensor
+from memsig import linalg, tensor
 from memsig.linalg import (
     CongruenceInvariants,
     GammaBlock,
     HBlock,
     Matrix,
+    _PRIME,
     det,
+    rank_int_rows,
 )
 from memsig.membranes import core_matrix, core_tensor
 from memsig.rational import rat
@@ -24,6 +26,7 @@ from memsig.variety import (
     image_dimension,
     random_integer_matrix,
     relation_checks,
+    tucker_jacobian,
     tucker_jacobian_rank,
 )
 
@@ -175,6 +178,61 @@ class TestImageDimension:
         rep3 = dimension_report(3, 2, 2, 3, 2, rng)
         assert rep3.formula_dim is None and rep3.agree is None
         assert rep3.ambient == 27
+
+
+class TestModularJacobianRank:
+    """The dimension trials rank the exact Jacobian over GF(p), p = 2^31 - 1."""
+
+    @pytest.mark.parametrize("kind", ["axis", "moment"])
+    @pytest.mark.parametrize(
+        "level, m, n, d", [(2, 1, 2, 2), (2, 2, 2, 3), (2, 2, 3, 4), (3, 1, 2, 2), (3, 2, 2, 3)]
+    )
+    def test_never_above_the_exact_rank(self, rng, kind, level, m, n, d):
+        core = core_tensor(kind, m, n, level)
+        for bound in (9, 1000, (_PRIME - 1) // 2):
+            b = random_integer_matrix(d, m * n, rng, bound)
+            assert tucker_jacobian_rank(core, b) <= rank_int_rows(tucker_jacobian(core, b))
+
+    @pytest.mark.parametrize(
+        "kind, m, n, level, d, rank",
+        [("axis", 2, 2, 2, 4, 14), ("axis", 3, 3, 2, 6, 34), ("axis", 2, 2, 2, 2, 4),
+         ("axis", 2, 2, 3, 3, 12), ("moment", 2, 2, 2, 4, 14)],
+    )
+    def test_equals_the_exact_rank_on_the_paper_examples(self, rng, kind, m, n, level, d, rank):
+        core = core_tensor(kind, m, n, level)
+        b = random_integer_matrix(d, m * n, rng, (_PRIME - 1) // 2)
+        assert tucker_jacobian_rank(core, b) == rank_int_rows(tucker_jacobian(core, b)) == rank
+
+    def test_base_divisible_by_p_ranks_zero_mod_p(self, rng):
+        core = core_tensor("axis", 2, 2, 2)
+        b = random_integer_matrix(4, 4, rng).scale(_PRIME)
+        assert tucker_jacobian_rank(core, b) == 0
+        assert rank_int_rows(tucker_jacobian(core, b)) == 14
+
+    def test_dimension_trials_run_no_bareiss(self, monkeypatch, rng):
+        def no_bareiss(*args, **kwargs):
+            raise AssertionError("a dimension trial ran Bareiss elimination")
+
+        monkeypatch.setattr(linalg, "_bareiss", no_bareiss)
+        assert image_dimension(core_tensor("axis", 3, 3, 2), 6, 3, rng) == 34  # short of 36
+
+    def test_base_with_no_rows_ranks_zero(self):
+        assert tucker_jacobian_rank(core_tensor("axis", 2, 2, 2), Matrix(0, 4, ())) == 0
+
+    def test_base_points_are_uniform_over_gf_p(self, rng):
+        class RecordingRandom(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.ranges = []
+
+            def randint(self, a, b):
+                self.ranges.append((a, b))
+                return super().randint(a, b)
+
+        rng = RecordingRandom(5)
+        assert image_dimension(core_tensor("axis", 2, 2, 2), 4, 3, rng) == 14
+        half = (_PRIME - 1) // 2
+        assert rng.ranges == [(-half, half)] * (3 * 4 * 4)
 
 
 class TestDimensionFormula:
