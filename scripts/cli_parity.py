@@ -7,18 +7,21 @@ OLD_SRC and NEW_SRC are directories that hold the ``memsig`` package (the
 ``src`` directory of a checkout).  The inputs are written once, from fixed
 seeds, into a temporary directory; then each tree runs the whole battery of
 ``memsig.cli.main`` calls in one subprocess.  A case's result is its exit
-code, the SHA-256 of its stdout and, for ``--out`` cases, of the file
-written.  Every case whose result differs is printed, and the exit status is
-1 if any differs, else 0.  A differing first line of stderr is printed as a
-note and does not count as a difference.
+code (1 for an uncaught exception, as in a process), the SHA-256 of its
+stdout and, for ``--out`` cases, of the file written.  Every case whose
+result differs is printed, and the exit status is 1 if any differs, else 0.
+A differing first line of stderr is printed as a note and does not count as
+a difference.
 
 The battery: ``sig`` at levels 0-3 with ``--method fast|congruence|auto``,
 with and without ``--float``, on an integer, a small-rational and a
 huge-rational grid and on a dense and a sparse polynomial spec; ``decompose``
-on those grids and on larger ones; ``core`` and ``invariants`` of both kinds
-for m, n <= 3; the ``dim`` kinds of the variety-dims benchmark workload and
-``check-relations`` (2,2,1), (4,2,2), (3,1,1), at MEMSIG_SEED 1-3; and
-malformed grid and polynomial documents with one fault at each nesting level.
+on those grids and on larger ones; ``sig`` with and without ``--float`` on a
+grid whose level-2 entries are beyond the float range; ``core`` and
+``invariants`` of both kinds for m, n <= 3; the ``dim`` kinds of the
+variety-dims benchmark workload and ``check-relations`` (2,2,1), (4,2,2),
+(3,1,1), at MEMSIG_SEED 1-3; and malformed grid and polynomial documents
+with one fault at each nesting level.
 """
 
 import hashlib
@@ -123,8 +126,10 @@ def write_battery(work: Path) -> list:
                       [(1, 1, 1), (2, 1, 2), (3, 2, 3), (1, 2, 1), (0, 1, 2), (2, 2, 2)]],
         },
     }
+    # nodes up to 10^300: level-2 entries near 10^600 have no float
+    huge_float = {"hugefloat": _grid_doc(rng, 2, 2, 2, lambda r: r.randint(-(10**300), 10**300))}
     malformed = _malformed_docs()
-    for name, doc in {**grids, **big_grids, **specs, **malformed}.items():
+    for name, doc in {**grids, **big_grids, **specs, **huge_float, **malformed}.items():
         (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
 
     cases = []
@@ -138,6 +143,9 @@ def write_battery(work: Path) -> list:
         cases.append((f"sig {name} --out", ["sig", path], None, "out.json"))
     for name in [*grids, *big_grids]:
         cases.append((f"decompose {name}", ["decompose", str(work / f"{name}.json")], None, "out.json"))
+    path = str(work / "hugefloat.json")
+    cases.append(("sig hugefloat", ["sig", path], None, None))
+    cases.append(("sig hugefloat float", ["sig", path, "--float"], None, None))
     for name in malformed:
         path = str(work / f"{name}.json")
         cases.append((f"sig {name}", ["sig", path], None, None))
@@ -193,6 +201,9 @@ def run_battery(src: str, work: Path) -> dict:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:  # a process would print a traceback and exit 1
+                code = 1
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         out_hash = _sha(out_path.read_bytes()) if out_path is not None and out_path.exists() else None
         err = stderr.getvalue().splitlines()
         results[name] = [code, _sha(stdout.getvalue().encode()), out_hash, err[0] if err else ""]

@@ -3,8 +3,9 @@
 The fast backend is the per-cell prefix-sum algorithm (time Theta(k^3 m n) per
 word).  The congruence baseline forms the signature matrix as A C A^T with the
 full (mn)^2-entry axis core, so its cost is quadratic in the number of grid
-cells.  The baseline reads the grid's integer nodes and streams core
-blocks through integer matmuls (numpy int64 under an overflow guard, Python
+cells.  The baseline reads the grid's integer nodes and streams column blocks
+of the core, each built from the two level-2 axis path cores of ``paths``,
+through matrix products (float64 BLAS under a proved exactness bound, Python
 ints otherwise) instead of materializing the core, which keeps the memory
 footprint linear while leaving the Theta((mn)^2) work intact; it has no
 rational fallback.
@@ -28,6 +29,7 @@ import numpy as np
 from .fastsig import sig_tensor_fast
 from .linalg import Matrix
 from .membranes import GridData, cell_derivatives
+from .paths import axis_path_core
 
 
 def random_integer_grid(d: int, m: int, n: int, rng: random.Random, bound: int = 9) -> GridData:
@@ -40,32 +42,35 @@ def congruence_matrix_quadratic(grid: GridData) -> Matrix:
     """Exact signature matrix via the explicit (mn)^2 core congruence.
 
     With (Delta, L) from ``cell_derivatives``, A = Delta / L is the d x mn
-    transform onto the axis dictionary.  Streams column blocks of 4 * C_axis
-    (integer entries in {0, 1, 2, 4}) generated from the index comparisons,
-    multiplies them into Delta, and divides by 4 L^2 at the end.  The products
-    run in numpy int64 when a bound on their entries fits, else on Python ints.
+    transform onto the axis dictionary.  The level-2 axis path cores, ci of
+    order m and cj of order n, store entries in {0, 1, 2} over den 2, and
+    4 * C_axis is their Kronecker product: entry ((i, j), (k, l)) is
+    ci[i, k] * cj[j, l].  Each column block of 4 * C_axis (about 2e6
+    entries) is one broadcast product of columns of ci and cj; it is
+    multiplied into Delta, and the result is divided by 4 L^2 at the end.
+
+    Every product and partial sum of W = Delta 4C and S = W Delta^T is an
+    integer of magnitude at most mn * 4 * amax * mn * amax = 4 (mn amax)^2,
+    amax = max |Delta|.  Below 2^53 every such integer is a float64, so the
+    float64 (BLAS) products are exact in any summation order; otherwise the
+    products run on Python ints.
     """
     delta, scale = cell_derivatives(grid)
     d, m, n = grid.d, grid.m, grid.n
     big = m * n
-    a = delta.reshape(d, big)
-    amax = int(np.max(np.abs(a))) if big else 0
-    # |W| <= mn * 4 * amax, |S4| <= mn * |W| * amax; keep both inside int64
-    safe = amax == 0 or big * 4 * amax * big * amax < 2**62
-    dtype = np.int64 if safe else object
-    a = a.astype(dtype)
-    i_idx = (np.arange(big) // n).astype(np.int64)
-    j_idx = (np.arange(big) % n).astype(np.int64)
-    w = np.zeros((d, big), dtype=dtype)
-    width = max(1, min(big, 2_000_000 // max(big, 1)))  # about 2e6 entries per block
+    amax = int(np.max(np.abs(delta)))
+    dtype = np.float64 if 4 * (big * amax) ** 2 < 2**53 else object
+    a = delta.reshape(d, big).astype(dtype)
+    ci = axis_path_core(m, 2).ints.astype(dtype)
+    cj = axis_path_core(n, 2).ints.astype(dtype)
+    w = np.empty((d, big), dtype=dtype)
+    width = max(1, 2_000_000 // big)  # about 2e6 core entries per block
     for c0 in range(0, big, width):
-        c1 = min(c0 + width, big)
-        ik, jl = i_idx[c0:c1], j_idx[c0:c1]
-        ci = 2 * (i_idx[:, None] < ik[None, :]) + (i_idx[:, None] == ik[None, :])
-        cj = 2 * (j_idx[:, None] < jl[None, :]) + (j_idx[:, None] == jl[None, :])
-        block = (ci * cj).astype(dtype)
-        w[:, c0:c1] = a @ block
-    return Matrix.of((w @ a.T).astype(object), 4 * scale**2)
+        cols = np.arange(c0, min(c0 + width, big))
+        block = ci[:, cols // n][:, None, :] * cj[:, cols % n][None, :, :]
+        w[:, cols] = a @ block.reshape(big, -1)
+    s = w @ a.T
+    return Matrix.of(s.astype(np.int64) if dtype is np.float64 else s, 4 * scale**2)
 
 
 @dataclass(frozen=True)

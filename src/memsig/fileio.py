@@ -175,7 +175,10 @@ def tensor_to_doc(t: SigTensor, include_float: bool = False) -> dict:
         "order": TENSOR_ORDER,
     }
     if include_float:
-        doc["entries_float"] = [x / t.den for x in t.ints.flat]  # int / int rounds correctly
+        try:
+            doc["entries_float"] = [x / t.den for x in t.ints.flat]  # int / int rounds correctly
+        except OverflowError:
+            raise ContractError("an entry is beyond the float range; drop --float") from None
     return doc
 
 
@@ -194,7 +197,7 @@ def tensor_from_doc(doc: dict) -> SigTensor:
     return SigTensor(level, dim, _parsed(entries, (dim**level,), "entries"))
 
 
-def matrix_to_doc(m: Matrix, include_float: bool = False, note: str | None = None) -> dict:
+def matrix_to_doc(m: Matrix, note: str | None = None) -> dict:
     doc = {
         "rows": m.rows,
         "cols": m.cols,
@@ -203,8 +206,6 @@ def matrix_to_doc(m: Matrix, include_float: bool = False, note: str | None = Non
     }
     if note:
         doc["note"] = note
-    if include_float:
-        doc["entries_float"] = [x / m.den for x in m.ints.flat]
     return doc
 
 

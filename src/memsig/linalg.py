@@ -19,8 +19,9 @@ comes back through ``Matrix.of``.
 - Rank, determinant and solve divide each integer row by its gcd first
   (``_primitive_rows``), so one large common denominator does not inflate
   the Bareiss entries.
-- The Pfaffian uses Pfaffian-preserving congruence pivots (O(n^3), no
-  combinatorial expansion).
+- The Pfaffian uses fraction-free Pfaffian-preserving congruence pivots on
+  the stored integers (O(n^3), each division exact by the previous pivot),
+  so no elimination here builds a ``Fraction``.
 
 ``pm1_jordan_structure`` recovers the Jordan block multiset of a matrix whose
 only eigenvalues are +1 and -1 from the exact rank sequences rank((M -+ I)^j);
@@ -81,9 +82,6 @@ class Matrix(ExactArray):
     def at(self, i: int, j: int):
         """0-based entry access."""
         return rat(self.ints[i, j], self.den)
-
-    def to_rows(self) -> list:
-        return [[rat(x, self.den) for x in row] for row in self.ints.tolist()]
 
     @property
     def is_square(self) -> bool:
@@ -260,9 +258,14 @@ def is_skew(m: Matrix) -> bool:
 def pfaffian(m: Matrix):
     """Exact Pfaffian of an even-dimensional skew-symmetric matrix.
 
-    Uses Pfaffian-preserving congruence pivots: pf(M) = M[0][1] * pf(M') with
-    M'[i][j] = M[i][j] - (M[0][i] M[1][j] - M[0][j] M[1][i]) / M[0][1].
-    Satisfies pfaffian(M)^2 == det(M).
+    Fraction-free Pfaffian-preserving congruence pivots on ``ints``: with
+    p = a[k][k+1] and prev the pivot of the step before (1 at the start),
+    a[i][j] <- (p a[i][j] - a[k][i] a[k+1][j] + a[k][j] a[k+1][i]) / prev
+    for k + 2 <= i < j.  Each updated entry is the Pfaffian of a principal
+    submatrix (Knuth's overlapping-Pfaffian identity), so every division is
+    exact and the last pivot, negated once per row/column swap, is the
+    Pfaffian of ``ints``; pf(M) = that / den^(n/2).  Satisfies
+    pfaffian(M)^2 == det(M).
     """
     if not m.is_square:
         raise ValueError("Pfaffian needs a square matrix")
@@ -271,8 +274,8 @@ def pfaffian(m: Matrix):
     if not is_skew(m):
         raise ValueError("Pfaffian needs a skew-symmetric matrix")
     n = m.rows
-    a = m.to_rows()
-    pf = ONE
+    a = m.ints.tolist()
+    sign, prev = 1, 1
     for k in range(0, n - 1, 2):
         piv = None
         for j in range(k + 1, n):
@@ -286,21 +289,16 @@ def pfaffian(m: Matrix):
             a[k + 1], a[piv] = a[piv], a[k + 1]
             for row in a:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
-            pf = -pf
+            sign = -sign
         p = a[k][k + 1]
-        pf *= p
         rk, rk1 = a[k], a[k + 1]
         for i in range(k + 2, n):
-            fi, gi = rk[i], rk1[i]
-            if not fi and not gi:
-                continue
             ai = a[i]
             for j in range(i + 1, n):
-                upd = (fi * rk1[j] - rk[j] * gi) / p
-                if upd:
-                    ai[j] -= upd
-                    a[j][i] += upd
-    return pf
+                ai[j] = (p * ai[j] - rk[i] * rk1[j] + rk[j] * rk1[i]) // prev
+                a[j][i] = -ai[j]
+        prev = p
+    return rat(sign * prev, m.den ** (n // 2))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:

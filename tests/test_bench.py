@@ -1,5 +1,6 @@
 import random
 import statistics
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -16,7 +17,34 @@ from memsig.membranes import GridData, cell_derivatives
 from memsig.rational import rat
 
 
+def _grid_with_deltas(delta: np.ndarray) -> GridData:
+    """The integer grid whose cell mixed differences are ``delta`` (d, m, n)."""
+    d, m, n = delta.shape
+    nodes = np.zeros((d, m + 1, n + 1), dtype=object)
+    nodes[:, 1:, 1:] = delta.cumsum(axis=1).cumsum(axis=2)
+    return GridData.of(nodes, 1)
+
+
 class TestQuadraticBaseline:
+    @pytest.mark.parametrize(
+        "target, float64_route",
+        [(2**53, True), (2**61, False)],
+        ids=["just-under-2^53", "between-2^53-and-2^62"],
+    )
+    def test_exact_on_both_sides_of_the_float64_bound(self, rng, target, float64_route):
+        # |Delta| near amax, the largest value with 4 (mn amax)^2 < target: below
+        # 2^53 the float64 products must be exact; above, where float64 would
+        # round (int64 would not), the object route must run
+        d, m, n = 2, 3, 4
+        amax = isqrt((target - 1) // 4) // (m * n)
+        vals = [rng.choice((-1, 1)) * rng.randint(amax - 10**4, amax) for _ in range(d * m * n)]
+        vals[0] = amax
+        g = _grid_with_deltas(np.array(vals, dtype=object).reshape(d, m, n))
+        assert int(np.max(np.abs(cell_derivatives(g)[0]))) == amax
+        bound = 4 * (m * n * amax) ** 2
+        assert (bound < 2**53) == float64_route and target // 2 < bound < 2**62
+        assert congruence_matrix_quadratic(g) == sig_matrix_fast(g)
+
     def test_agrees_with_fast_on_random_grids(self, rng):
         for _ in range(8):
             g = random_integer_grid(rng.randint(1, 3), rng.randint(1, 5), rng.randint(1, 5), rng)
@@ -35,7 +63,7 @@ class TestQuadraticBaseline:
 
     def test_rational_grid_with_huge_cleared_delta_stays_exact(self, rng):
         # denominators near 10^6 give an lcm L, and so a cleared Delta, far
-        # beyond the int64 guard: the object-dtype branch must run
+        # beyond the float64 bound: the object-dtype branch must run
         vals = tuple(
             tuple(
                 tuple(rat(rng.randint(-9, 9), rng.randint(10**6 - 50, 10**6)) for _ in range(4))
@@ -48,7 +76,7 @@ class TestQuadraticBaseline:
         assert congruence_matrix_quadratic(g) == sig_matrix_fast(g)
 
     def test_huge_values_take_object_dtype_branch(self, rng):
-        big = 10**12  # forces the int64 overflow guard
+        big = 10**12  # far beyond the float64 bound
         vals = tuple(
             tuple(tuple(rat(rng.randint(-big, big)) for _ in range(3)) for _ in range(3))
             for _ in range(2)

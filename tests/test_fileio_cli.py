@@ -380,6 +380,20 @@ class TestCliCommands:
         assert code == 3 and out == ""
         assert "more than 124 entries" in capsys.readouterr().err
 
+    def test_sig_float_beyond_the_float_range_exits_3(self, tmp_path, capsys, rng):
+        big = 10**300  # level-2 entries near 10^600 have no float
+        values = [[[str(rng.randint(-big, big)) for _ in range(3)] for _ in range(3)] for _ in range(2)]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"d": 2, "m": 2, "n": 2, "values": values}))
+        code, out = run_cli(["sig", str(path), "--float"])
+        err = capsys.readouterr().err
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        code, out = run_cli(["sig", str(path)])
+        _, cong = run_cli(["sig", str(path), "--method", "congruence"])
+        assert code == 0 and out == cong
+        assert "entries_float" not in json.loads(out)
+
     @pytest.mark.parametrize("target", ["missing/x.json", "."])
     def test_unwritable_out_exits_2(self, tmp_path, single_cell_grid_file, capsys, target):
         path = tmp_path / target

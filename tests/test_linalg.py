@@ -230,6 +230,27 @@ class TestPfaffian:
     def test_square_is_determinant(self, m):
         assert pfaffian(m) ** 2 == det(m)
 
+    @given(skew_matrices(max_half=3), st.data())
+    def test_congruence_scales_by_the_determinant(self, m, data):
+        # pf(B^T M B) = det(B) pf(M) sees the sign, which pf^2 == det does not
+        b = data.draw(matrices(rows=m.rows, cols=m.rows))
+        assert pfaffian(b.transpose() @ m @ b) == det(b) * pfaffian(m)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_zero_first_pivot_keeps_the_sign(self, rng, n):
+        # M[0][1] = 0 forces a row/column swap before the first pivot
+        for _ in range(20):
+            rows = [[rat(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    x = 0 if (i, j) == (0, 1) else rat(rng.randint(-9, 9), rng.randint(1, 4))
+                    rows[i][j], rows[j][i] = x, -x
+            m = Matrix.from_rows(rows)
+            if n == 4:
+                assert pfaffian(m) == rows[0][3] * rows[1][2] - rows[0][2] * rows[1][3]
+            b = random_integer_matrix(n, n, rng, 5)
+            assert pfaffian(b.transpose() @ m @ b) == det(b) * pfaffian(m)
+
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             pfaffian(Matrix.zeros(3, 3))
