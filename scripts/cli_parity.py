@@ -21,7 +21,7 @@ grid whose level-2 entries are beyond the float range; ``core`` and
 ``invariants`` of both kinds for m, n <= 3; the ``dim`` kinds of the
 variety-dims benchmark workload and ``check-relations`` (2,2,1), (4,2,2),
 (3,1,1), at MEMSIG_SEED 1-3; and malformed grid and polynomial documents
-with one fault at each nesting level.
+with one fault at each nesting level, and one bad leaf of each kind.
 """
 
 import hashlib
@@ -94,7 +94,8 @@ def _malformed_docs():
             leaf = path + [0, 1, 1]
         else:
             leaf = path + [1, 1]
-        for i, bad in enumerate(("x", "1.5", "1/0", 3, ["1"])):
+        # after the first five, leaves that a check of the comma-joined leaves could wrongly accept
+        for i, bad in enumerate(("x", "1.5", "1/0", 3, ["1"], "1,2", "1_0", " 1", "١", "+-1", "", True)):
             fault(f"{key}-leaf-{i}", base, leaf, bad)
     docs["terms-not-list"] = {"kind": "polynomial", "d": 1, "m": 1, "n": 1, "terms": "1"}
     docs["terms-bad-coeff"] = {"kind": "polynomial", "d": 1, "m": 1, "n": 1, "terms": [[1, 1, 1, "1/0"]]}

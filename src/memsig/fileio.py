@@ -7,12 +7,17 @@ Optional float fields are additive.  Indices are 0-based inside files and the
 documentation stays 1-based.
 
 Every rational array goes through one reader and one writer.  ``_parsed``
-checks the nesting of a grid's ``values``, a dense ``A`` or a tensor's
-``entries`` and parses each leaf with ``parse_rational``, which reads
-``"p"`` as an int and ``"p/q"`` as one ``Rat``; the public constructors
-(``GridData``, ``Matrix.from_rows``, ``SigTensor``) then clear the parsed
-values once.  ``rational_texts`` formats an array's entries straight from its
-``ints`` and ``den``, so no entry is rebuilt as a ``Rat`` to be printed.
+reads a grid's ``values``, a dense ``A`` or a tensor's ``entries`` in bulk:
+it checks the nesting level by level, matches the comma-joined leaves
+against the grammar once, calls ``int`` on each ``"p"`` and reads each
+``"p/q"`` as an integer pair, with no ``Fraction``: one gcd per pair gives
+its reduced denominator, ``den`` is their lcm and the entry ``p * den // q``,
+so ``of`` receives the canonical form.  A location is computed only on
+failure: ``_locate`` walks the array again and raises the error of its first
+fault, so messages do not depend on the bulk path.  ``rational_texts``
+formats an array's entries straight from its ``ints`` and ``den``, so no
+entry is rebuilt as a ``Rat`` to be printed, and ``dump_json`` encodes each
+top-level value with json's C encoder.
 
 Errors: FileFormatError for malformed input (CLI exit 2), ContractError for
 shape or contract violations (CLI exit 3).
@@ -24,9 +29,11 @@ import json
 import re
 from math import gcd
 
+import numpy as np
+
 from .linalg import Matrix
 from .membranes import GridData, PolynomialMembrane
-from .rational import ExactArray, rat
+from .rational import ExactArray, lcm_all, rat
 from .tensor import SigTensor, check_entry_count
 
 TENSOR_ORDER = "row-major-1-based-words"
@@ -50,7 +57,7 @@ def parse_rational(text, where: str):
     ``"p"`` gives an int and ``"p/q"`` a ``Rat`` in lowest terms.
     """
     if not isinstance(text, str):
-        raise FileFormatError(f"{where}: expected a rational string, got {type(text).__name__}")
+        raise FileFormatError(f"{where}: expected a rational string, got {type(text).__name__}") from None
     match = _RATIONAL.fullmatch(text)
     if match is not None:
         num, den = match.groups()
@@ -58,21 +65,56 @@ def parse_rational(text, where: str):
             return rat(int(num), int(den)) if den else int(num)
         except (ValueError, ZeroDivisionError):  # past int's digit limit, or q = 0
             pass
-    raise FileFormatError(f"{where}: {text!r} is not a rational 'p' or 'p/q'")
+    raise FileFormatError(f"{where}: {text!r} is not a rational 'p' or 'p/q'") from None
 
 
-def _parsed(value, shape: tuple, where: str):
-    """``value`` with each leaf parsed, after checking that it nests as ``shape``.
+# the leaves joined by "," with a trailing ","; possessive, so the match keeps no backtracking stack
+_LEAVES = re.compile(f"(?:{_RATIONAL.pattern},)*+")
+
+
+def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
+    """(ints, den), canonical, for ``value`` nesting as ``shape`` with rational leaves.
+
+    The nesting is checked level by level and the leaves, joined with
+    commas, by one match of the grammar.  On any fault (a wrong nesting, a
+    non-string leaf, no match, an int past the digit limit or q = 0)
+    ``_locate`` raises the located error.
+    """
+    try:
+        leaves = [value]
+        for size in shape:
+            if not all(isinstance(x, list) and len(x) == size for x in leaves):
+                raise ValueError
+            leaves = [x for xs in leaves for x in xs]
+        # a non-str leaf makes join raise TypeError, and a leaf holding a comma the count too high
+        text = ",".join(leaves) + ","
+        if text.count(",") != len(leaves) or _LEAVES.fullmatch(text) is None:
+            raise ValueError
+        if "/" not in text:
+            return np.array(list(map(int, leaves)), dtype=object).reshape(shape), 1
+        nums = [int(leaf.partition("/")[0]) for leaf in leaves]
+        dens = [int(leaf.partition("/")[2] or 1) for leaf in leaves]
+        den = lcm_all({q // gcd(p, q) for p, q in zip(nums, dens)})  # lcm of the reduced q
+        return np.array([p * den // q for p, q in zip(nums, dens)], dtype=object).reshape(shape), den
+    except (TypeError, ValueError, ZeroDivisionError):
+        _locate(value, shape, where)
+        raise
+
+
+def _locate(value, shape: tuple, where: str) -> None:
+    """Raise the error of the first fault of ``value`` in row-major order.
 
     A non-list or a list of the wrong length raises ContractError, and a leaf
     outside the grammar FileFormatError; both name the location, ``where``
-    followed by the indices.
+    followed by the indices.  It runs while ``_parsed`` handles the bulk
+    path's exception, so its errors are raised ``from None``.
     """
     if not shape:
         return parse_rational(value, where)
     if not isinstance(value, list) or len(value) != shape[0]:
-        raise ContractError(f"{where} must be a list of length {shape[0]}")
-    return [_parsed(x, shape[1:], f"{where}[{i}]") for i, x in enumerate(value)]
+        raise ContractError(f"{where} must be a list of length {shape[0]}") from None
+    for i, x in enumerate(value):
+        _locate(x, shape[1:], f"{where}[{i}]")
 
 
 def rational_texts(a: ExactArray) -> list[str]:
@@ -119,22 +161,18 @@ def _require_int(doc: dict, key: str, minimum: int) -> int:
 
 def grid_from_doc(doc: dict) -> GridData:
     """{"d", "m", "n", "values"}: values[i][a][b], i < d, a <= m, b <= n."""
-    d = _require_int(doc, "d", 1)
-    m = _require_int(doc, "m", 1)
-    n = _require_int(doc, "n", 1)
+    d, m, n = (_require_int(doc, key, 1) for key in ("d", "m", "n"))
     values = doc.get("values")
     if not isinstance(values, list):
         raise FileFormatError("'values' must be a nested list of rational strings")
-    return GridData(d, m, n, _parsed(values, (d, m + 1, n + 1), "values"))
+    return GridData.of(*_parsed(values, (d, m + 1, n + 1), "values"))
 
 
 def polynomial_from_doc(doc: dict) -> PolynomialMembrane:
     """Polynomial membrane: dense "A" (d x mn, nu-ordered) or sparse "terms"."""
-    d = _require_int(doc, "d", 1)
-    m = _require_int(doc, "m", 1)
-    n = _require_int(doc, "n", 1)
+    d, m, n = (_require_int(doc, key, 1) for key in ("d", "m", "n"))
     if "A" in doc:
-        return PolynomialMembrane(Matrix.from_rows(_parsed(doc["A"], (d, m * n), "A")), m, n)
+        return PolynomialMembrane(Matrix.of(*_parsed(doc["A"], (d, m * n), "A")), m, n)
     if "terms" in doc:
         terms = doc["terms"]
         if not isinstance(terms, list):
@@ -194,7 +232,8 @@ def tensor_from_doc(doc: dict) -> SigTensor:
         check_entry_count(dim, level)
     except ValueError as exc:
         raise ContractError(str(exc)) from None
-    return SigTensor(level, dim, _parsed(entries, (dim**level,), "entries"))
+    ints, den = _parsed(entries, (dim**level,), "entries")
+    return SigTensor.of(ints.reshape((dim,) * level), den, dim=dim)
 
 
 def matrix_to_doc(m: Matrix, note: str | None = None) -> dict:
@@ -209,6 +248,29 @@ def matrix_to_doc(m: Matrix, note: str | None = None) -> dict:
     return doc
 
 
+_ENCODE = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": ")).encode
+
+
+def _encoded(value) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes a value of a top-level object.
+
+    A non-empty list is encoded in slices of 1024 items, with the item
+    separator of the second indent level, and then bracketed: json's encoder
+    keeps one string per item until it returns, so slices keep that memory
+    small.
+    """
+    if not isinstance(value, list) or not value:
+        return _ENCODE(value)
+    slices = (_ENCODE(value[i : i + 1024])[1:-1] for i in range(0, len(value), 1024))
+    return "[\n    " + ",\n    ".join(slices) + "\n  ]"
+
+
 def dump_json(doc: dict) -> str:
-    """Canonical serialization: re-parsing and re-dumping is byte-identical."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Canonical serialization: re-parsing and re-dumping is byte-identical.
+
+    The bytes of ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"`` for
+    an object of scalars and flat lists of scalars, made by json's C encoder
+    (an ``indent`` selects its pure-Python one).
+    """
+    items = ",\n".join(f"  {_ENCODE(key)}: {_encoded(value)}" for key, value in doc.items())
+    return "{\n" + items + "\n}\n" if doc else "{}\n"

@@ -13,10 +13,12 @@ integer result back through ``ExactArray.of``, so no kernel clears an
 operand or divides per entry.
 
 Serialization convention (shared with the CLI file formats): decimal-integer
-strings ``"p"`` or ``"p/q"`` in lowest terms.  ``fileio.parse_rational``
-reads ``"p"`` as an int and ``"p/q"`` as one ``Rat``, which a constructor
-clears with the rest; ``fileio.rational_texts`` writes an array's entries
-from ``ints`` and ``den`` directly, and ``rat_str`` formats one scalar.
+strings ``"p"`` or ``"p/q"`` in lowest terms.  The file reader reads
+``"p"`` as an int and ``"p/q"`` as an integer pair, so no ``Fraction`` is
+built, and hands the array to ``ExactArray.of`` over the lcm of the
+denominators reduced by one gcd each; ``fileio.rational_texts`` writes an
+array's entries from ``ints`` and ``den`` directly, and ``rat_str`` formats
+one scalar.
 """
 
 from __future__ import annotations

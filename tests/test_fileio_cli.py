@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import random
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from math import prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -125,6 +129,57 @@ def _arrays(entries):
     return draw_array()
 
 
+# "p" or "p/q" with an optional sign, q possibly sharing a factor with p (as in "4/6")
+_LEAF_TEXTS = st.builds(
+    lambda sign, p, q, k: f"{sign}{p * k}" + (f"/{q * k}" if q else ""),
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(st.just(0), st.integers(0, 12), st.integers(0, 10**30)),
+    st.one_of(st.just(0), st.integers(0, 12), st.integers(0, 10**12)),
+    st.integers(1, 4),
+)
+_INTEGER_TEXTS = st.builds(lambda sign, p: f"{sign}{p}", st.sampled_from(["", "+", "-"]), st.integers(0, 10**30))
+
+_JSON_SCALARS = st.one_of(
+    st.integers(-(10**40), 10**40),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([5e-324, -0.0, 1e300]),
+    st.floats(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é→\u2028", "😀"]),
+)
+
+# long lists cross the writer's slices of 1024 items
+_JSON_VALUES = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=40) | st.integers(1000, 3100).map(
+    lambda n: [f"{i}/7" for i in range(n)]
+)
+
+
+def _nest(leaves, shape):
+    """The flat ``leaves`` as nested lists of the given shape, row-major."""
+    if len(shape) == 1:
+        return list(leaves)
+    step = len(leaves) // shape[0]
+    return [_nest(leaves[i * step : (i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+@st.composite
+def _documents(draw):
+    """(field, shape fields, leaf texts): a grid's values, a dense A or a tensor's entries."""
+    reader = draw(st.sampled_from(["values", "A", "entries"]))
+    if reader == "values":
+        shape = (draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+        size = prod(shape)
+    elif reader == "A":
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)))
+        size = prod(shape)
+    else:
+        shape = (draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+        size = shape[1] ** shape[0]
+    texts = draw(st.sampled_from([_LEAF_TEXTS, _INTEGER_TEXTS]))
+    return reader, shape, draw(st.lists(texts, min_size=size, max_size=size))
+
+
 class TestReaderAndWriter:
     def test_integer_documents_parse_without_rat(self, monkeypatch):
         grid_doc_ = {"d": 2, "m": 1, "n": 1, "values": [[["0", "-3"], ["+7", "12"]], [["5", "0"], ["-0", "9"]]]}
@@ -180,6 +235,72 @@ class TestReaderAndWriter:
         with pytest.raises(error, match=f"^'?{where}'?[ :]") as info:
             read(doc)
         assert type(info.value) is error
+
+    @given(data=st.data())
+    def test_bulk_reader_equals_the_per_leaf_oracle(self, data):
+        reader, shape, leaves = data.draw(_documents())
+        xs = [fileio.parse_rational(t, "x") for t in leaves]
+        if reader == "values":
+            d, m1, n1 = shape
+            got = fileio.grid_from_doc({"d": d, "m": m1 - 1, "n": n1 - 1, "values": _nest(leaves, shape)})
+            want = GridData(d, m1 - 1, n1 - 1, _nest(xs, shape))
+        elif reader == "A":
+            rows, cols = shape
+            got = fileio.polynomial_from_doc({"d": rows, "m": cols, "n": 1, "A": _nest(leaves, shape)}).coeffs
+            want = Matrix(rows, cols, xs)
+        else:
+            level, dim = shape
+            got = fileio.tensor_from_doc({"level": level, "dim": dim, "entries": leaves})
+            want = SigTensor(level, dim, xs)
+        assert got == want and got.den == want.den
+
+    def test_rational_documents_parse_without_rat(self, monkeypatch):
+        doc = {"d": 1, "m": 1, "n": 1, "values": [[["1/2", "-4/6"], ["0/5", "+3"]]]}
+        monkeypatch.setattr(fileio, "rat", _fail)
+        assert fileio.grid_from_doc(doc) == GridData(1, 1, 1, [[[rat(1, 2), rat(-2, 3)], [0, 3]]])
+
+    @pytest.mark.parametrize("reader", ["values", "A", "entries"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["1,2", "1_0", " 1", "1 ", "١", "+-1", "1/", "/2", "", "1.5", "1/0", "1" * 4301, 3, True, None, ["1"]],
+        ids=lambda bad: repr(bad)[:12],
+    )
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_a_bad_leaf_raises_the_per_leaf_error_at_its_place(self, reader, bad, data):
+        shape, read, doc = {
+            "values": ((2, 3, 4), fileio.grid_from_doc, {"d": 2, "m": 2, "n": 3}),
+            "A": ((2, 6), fileio.polynomial_from_doc, {"d": 2, "m": 3, "n": 2}),
+            "entries": ((9,), fileio.tensor_from_doc, {"level": 2, "dim": 3}),
+        }[reader]
+        leaves = data.draw(st.lists(_LEAF_TEXTS, min_size=prod(shape), max_size=prod(shape)))
+        at = data.draw(st.integers(0, prod(shape) - 1))
+        later = data.draw(st.integers(at, prod(shape) - 1))
+        leaves[later] = "x"  # a second fault after the first: only the first is reported
+        leaves[at] = bad
+        index = [int(i) for i in np.unravel_index(at, shape)]
+        where = reader + "".join(f"[{i}]" for i in index)
+        with pytest.raises(fileio.FileFormatError) as expected:
+            fileio.parse_rational(bad, where)
+        with pytest.raises(fileio.FileFormatError) as info:
+            read({**doc, reader: _nest(leaves, shape)})
+        assert type(info.value) is fileio.FileFormatError and str(info.value) == str(expected.value)
+
+    def test_rational_grid_parse_peak_memory(self):
+        rng = random.Random(20240801)
+        texts = [rat_str(rat(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(3 * 101 * 101)]
+        doc = {"d": 3, "m": 100, "n": 100, "values": _nest(texts, (3, 101, 101))}
+        tracemalloc.start()
+        try:
+            fileio.grid_from_doc(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @given(doc=st.dictionaries(st.text(), _JSON_VALUES, max_size=6))
+    def test_dump_json_is_json_dumps_with_indent_2(self, doc):
+        assert fileio.dump_json(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 class TestCliCommands:
