@@ -20,8 +20,11 @@ on those grids and on larger ones; ``sig`` with and without ``--float`` on a
 grid whose level-2 entries are beyond the float range; ``core`` and
 ``invariants`` of both kinds for m, n <= 3; the ``dim`` kinds of the
 variety-dims benchmark workload and ``check-relations`` (2,2,1), (4,2,2),
-(3,1,1), at MEMSIG_SEED 1-3; and malformed grid and polynomial documents
-with one fault at each nesting level, and one bad leaf of each kind.
+(3,1,1), at MEMSIG_SEED 1-3; malformed grid and polynomial documents
+with one fault at each nesting level, and one bad leaf of each kind; and,
+with and without ``--out``, calls that argparse refuses (no or an unknown
+subcommand, and for each subcommand a missing required flag or input, a
+choice outside ``--kind``/``--method``/``--level`` or a non-integer value).
 """
 
 import hashlib
@@ -103,6 +106,40 @@ def _malformed_docs():
     return docs
 
 
+def _argparse_failures(grid: str) -> list:
+    """(name, argv) of calls that argparse refuses: exit 2, usage on stderr, nothing written."""
+    size = ["--m", "2", "--n", "2"]
+    calls = {
+        "no command": [],
+        "unknown command": ["signature", grid],
+        "sig no input": ["sig"],
+        "sig bad method": ["sig", grid, "--method", "slow"],
+        "sig level not int": ["sig", grid, "--level", "two"],
+        "core no kind": ["core", *size],
+        "core no m": ["core", "--kind", "axis", "--n", "2"],
+        "core bad kind": ["core", "--kind", "cubic", *size],
+        "core m not int": ["core", "--kind", "axis", "--m", "x", "--n", "2"],
+        "dim no d": ["dim", *size],
+        "dim no n": ["dim", "--d", "4", "--m", "2"],
+        "dim bad kind": ["dim", "--d", "4", *size, "--kind", "cubic"],
+        "dim bad level": ["dim", "--d", "4", *size, "--level", "4"],
+        "dim m not int": ["dim", "--d", "4", "--m", "2.5", "--n", "2"],
+        "invariants no kind": ["invariants", *size],
+        "invariants no m": ["invariants", "--kind", "axis", "--n", "2"],
+        "invariants bad kind": ["invariants", "--kind", "cubic", *size],
+        "invariants m not int": ["invariants", "--kind", "axis", "--m", "x", "--n", "2"],
+        "check-relations no d": ["check-relations", *size],
+        "check-relations no m": ["check-relations", "--d", "2", "--n", "1"],
+        "check-relations m not int": ["check-relations", "--d", "2", "--m", "x", "--n", "1"],
+        "check-relations samples not int": ["check-relations", "--d", "2", *size, "--samples", "x"],
+        "bench no sizes": ["bench"],
+        "bench d not int": ["bench", "--sizes", "2x2", "--d", "x"],
+        "decompose no input": ["decompose"],
+        "decompose unknown flag": ["decompose", grid, "--level", "2"],
+    }
+    return list(calls.items())
+
+
 def write_battery(work: Path) -> list:
     """Write the input files into ``work``; return the cases as (name, argv, seed, out)."""
     rng = random.Random(20240801)
@@ -160,6 +197,10 @@ def write_battery(work: Path) -> list:
                     cases.append((f"core {kind} {m}x{n} L{level}", ["core", *size, "--level", str(level)], None, None))
                 cases.append((f"core {kind} {m}x{n} float", ["core", *size, "--float"], None, None))
                 cases.append((f"invariants {kind} {m}x{n}", ["invariants", *size], None, None))
+    grid = str(work / "int.json")
+    for name, argv in _argparse_failures(grid):
+        cases.append((f"argparse {name}", argv, None, None))
+        cases.append((f"argparse {name} --out", argv, None, "out.json"))
     for seed in SEEDS:
         for kind in ("axis", "moment"):
             for d, m, n in DIM_L2:

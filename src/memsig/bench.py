@@ -30,6 +30,7 @@ from .fastsig import sig_tensor_fast
 from .linalg import Matrix
 from .membranes import GridData, cell_derivatives
 from .paths import axis_path_core
+from .tensor import check_budget
 
 
 def random_integer_grid(d: int, m: int, n: int, rng: random.Random, bound: int = 9) -> GridData:
@@ -136,11 +137,12 @@ def run_bench(
 ) -> BenchResult:
     """Median-of-repeats timings per size and method, plus the fast-method fit.
 
-    All grids are drawn first, in size order; then each repeat times every
-    (size, method) pair once, in that order.  ``doubling_ratios`` maps each
-    method to median(t at size) / median(t at the previous size) for
-    consecutive size pairs where m*n quadruples (i.e. both orders double);
-    only the largest such pair is reported.
+    Every grid size is checked against ``tensor.MAX_ENTRIES`` before any
+    grid is drawn.  All grids are drawn first, in size order; then each
+    repeat times every (size, method) pair once, in that order.
+    ``doubling_ratios`` maps each method to median(t at size) / median(t at
+    the previous size) for consecutive size pairs where m*n quadruples (i.e.
+    both orders double); only the largest such pair is reported.
     """
     if repeats < 1:
         raise ValueError(f"need at least one repeat, got {repeats}")
@@ -149,6 +151,7 @@ def run_bench(
     for m, n in sizes:
         if min(m, n) < 1:
             raise ValueError(f"need sizes with m, n >= 1, got {m}x{n}")
+        check_budget(d * (m + 1) * (n + 1), f"a {d} x {m + 1} x {n + 1} grid")
     rng = random.Random(seed)
     grids = [random_integer_grid(d, m, n, rng) for m, n in sizes]
     jobs = []

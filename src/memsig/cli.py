@@ -1,10 +1,13 @@
 """Command-line surface.
 
 Subcommands: sig, core, dim, invariants, check-relations, bench, decompose.
-All output is UTF-8 JSON or CSV on stdout or --out.  MEMSIG_SEED fixes the
-RNG seed for generic-point sampling.  Exit codes: 0 success, 2 parse error
-or unreadable/unwritable file, 3 shape/contract error (also arguments that
-measure nothing, such as d = 0 or zero samples), 4 relation-check failure.
+Each command returns its output, a JSON document (CSV text for bench), and
+``main`` is the only code that serializes it, writes it to stdout or --out
+and maps exceptions to exit codes.  MEMSIG_SEED fixes the RNG seed for
+generic-point sampling.  Exit codes: 0 success, 2 parse error or
+unreadable/unwritable file, 3 shape/contract error (also arguments that
+measure nothing, such as d = 0 or zero samples), 4 relation-check failure
+(the report is still written).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .fastsig import sig_tensor_fast
 from .linalg import det
 from .membranes import (
     GridData,
-    SpecResolutionError,
     bilinear_decompose,
     core_matrix,
     core_tensor,
@@ -41,25 +43,14 @@ EXIT_CONTRACT = 3
 EXIT_RELATION = 4
 
 
-def _seeded_rng() -> random.Random:
+def _seed() -> int | None:
+    """MEMSIG_SEED as an int, or None when it is unset."""
     seed = os.environ.get("MEMSIG_SEED")
-    return random.Random(int(seed)) if seed is not None else random.Random()
+    return int(seed) if seed is not None else None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise fileio.FileFormatError(f"{out}: {exc}") from None
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_sig(args) -> int:
-    doc = fileio.load_json_file(args.input)
-    spec = fileio.membrane_from_doc(doc)
+def _cmd_sig(args) -> dict:
+    spec = fileio.membrane_from_doc(fileio.load_json_file(args.input))
     method = args.method
     if method == "auto":
         method = "fast" if isinstance(spec, GridData) else "congruence"
@@ -69,30 +60,25 @@ def _cmd_sig(args) -> int:
         tensor = sig_tensor_fast(spec, args.level)
     else:
         tensor = sig_via_congruence(spec, args.level)
-    _emit(fileio.dump_json(fileio.tensor_to_doc(tensor, args.float)), args.out)
-    return EXIT_OK
+    return fileio.tensor_to_doc(tensor, args.float)
 
 
-def _cmd_core(args) -> int:
-    tensor = core_tensor(args.kind, args.m, args.n, args.level)
-    _emit(fileio.dump_json(fileio.tensor_to_doc(tensor, args.float)), args.out)
-    return EXIT_OK
+def _cmd_core(args) -> dict:
+    return fileio.tensor_to_doc(core_tensor(args.kind, args.m, args.n, args.level), args.float)
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args) -> dict:
     report = dimension_report(
-        args.d, args.m, args.n, args.level, args.trials, _seeded_rng(), args.kind
+        args.d, args.m, args.n, args.level, args.trials, random.Random(_seed()), args.kind
     )
-    doc = {**dataclasses.asdict(report), "agree": report.agree}
-    _emit(fileio.dump_json(doc), args.out)
-    return EXIT_OK
+    return {**dataclasses.asdict(report), "agree": report.agree}
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> dict:
     core = core_matrix(args.kind, args.m, args.n)
     rank_sym, rank_skew = core_rank_profile(core)
     blocks = congruence_invariants(core)
-    doc = {
+    return {
         "kind": args.kind,
         "m": args.m,
         "n": args.n,
@@ -101,12 +87,10 @@ def _cmd_invariants(args) -> int:
         "det": rat_str(det(core)),
         "blocks": [str(b) for b in blocks.blocks],
     }
-    _emit(fileio.dump_json(doc), args.out)
-    return EXIT_OK
 
 
-def _cmd_check_relations(args) -> int:
-    report = relation_checks(args.d, args.m, args.n, args.samples, _seeded_rng())
+def _cmd_check_relations(args) -> dict:
+    report = relation_checks(args.d, args.m, args.n, args.samples, random.Random(_seed()))
     doc = {
         "d": report.d,
         "m": report.m,
@@ -117,11 +101,9 @@ def _cmd_check_relations(args) -> int:
     }
     if report.status == "fail":
         doc["counterexample"] = fileio.rational_texts(report.counterexample)
+    if report.status in ("fail", "no-relations"):
         doc["detail"] = report.detail
-    if report.status == "no-relations":
-        doc["detail"] = report.detail
-    _emit(fileio.dump_json(doc), args.out)
-    return EXIT_RELATION if report.status == "fail" else EXIT_OK
+    return doc
 
 
 def _parse_sizes(text: str) -> list[tuple[int, int]]:
@@ -136,31 +118,23 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
     return sizes
 
 
-def _cmd_bench(args) -> int:
-    seed = os.environ.get("MEMSIG_SEED")
+def _cmd_bench(args) -> str:
     result = bench_mod.run_bench(
         _parse_sizes(args.sizes),
         d=args.d,
         level=args.level,
         repeats=args.repeats,
         methods=tuple(args.methods.split(",")),
-        seed=int(seed) if seed is not None else None,
+        seed=_seed(),
     )
-    _emit("\n".join(result.csv_lines()) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(result.csv_lines()) + "\n"
 
 
-def _cmd_decompose(args) -> int:
-    doc = fileio.load_json_file(args.input)
-    grid = fileio.grid_from_doc(doc)
-    a = bilinear_decompose(grid)
-    _emit(
-        fileio.dump_json(
-            fileio.matrix_to_doc(a, note="columns are nu(i,j) = n*(i-1)+j ordered")
-        ),
-        args.out,
+def _cmd_decompose(args) -> dict:
+    grid = fileio.grid_from_doc(fileio.load_json_file(args.input))
+    return fileio.matrix_to_doc(
+        bilinear_decompose(grid), note="columns are nu(i,j) = n*(i-1)+j ordered"
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,79 +144,73 @@ def build_parser() -> argparse.ArgumentParser:
         "variety diagnostics and benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--m", type=int, required=True)
+    size.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("sig", help="signature tensor of a grid or polynomial membrane")
+    def command(name, fn, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.add_argument("--out")
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("sig", _cmd_sig, "signature tensor of a grid or polynomial membrane")
     p.add_argument("input", help="JSON grid file or polynomial spec file")
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--method", choices=["fast", "congruence", "auto"], default="auto")
     p.add_argument("--float", action="store_true", help="append float approximations")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_sig)
 
-    p = sub.add_parser("core", help="dictionary core tensor (dim m*n)")
+    p = command("core", _cmd_core, "dictionary core tensor (dim m*n)", size)
     p.add_argument("--kind", choices=["moment", "axis"], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--float", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_core)
 
-    p = sub.add_parser("dim", help="variety dimension via generic Jacobian rank")
+    p = command("dim", _cmd_dim, "variety dimension via generic Jacobian rank", size)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--level", type=int, choices=[2, 3], default=2)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--kind", choices=["axis", "moment"], default="axis")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_dim)
 
-    p = sub.add_parser("invariants", help="rank profile, det and congruence blocks of a core")
+    p = command("invariants", _cmd_invariants, "rank profile, det and congruence blocks of a core", size)
     p.add_argument("--kind", choices=["moment", "axis"], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_invariants)
 
-    p = sub.add_parser("check-relations", help="test the built-in orbit relations")
+    p = command("check-relations", _cmd_check_relations, "test the built-in orbit relations", size)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_check_relations)
 
-    p = sub.add_parser("bench", help="wall-clock scaling of the two backends")
+    p = command("bench", _cmd_bench, "wall-clock scaling of the two backends")
     p.add_argument("--sizes", required=True, help="comma list of MxN, e.g. 100x100,200x200")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--methods", default="fast,congruence")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_bench)
 
-    p = sub.add_parser("decompose", help="grid -> axis-dictionary transform matrix")
+    p = command("decompose", _cmd_decompose, "grid -> axis-dictionary transform matrix")
     p.add_argument("input")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_decompose)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        result = args.fn(args)
+        text = result if isinstance(result, str) else fileio.dump_json(result)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise fileio.FileFormatError(f"{args.out}: {exc}") from None
+        else:
+            sys.stdout.write(text)
     except fileio.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (fileio.ContractError, SpecResolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    failed = isinstance(result, dict) and result.get("status") == "fail"  # a failed relation check
+    return EXIT_RELATION if failed else EXIT_OK
 
 
 if __name__ == "__main__":

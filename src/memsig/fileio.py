@@ -10,14 +10,15 @@ Every rational array goes through one reader and one writer.  ``_parsed``
 reads a grid's ``values``, a dense ``A`` or a tensor's ``entries`` in bulk:
 it checks the nesting level by level, matches the comma-joined leaves
 against the grammar once, calls ``int`` on each ``"p"`` and reads each
-``"p/q"`` as an integer pair, with no ``Fraction``: one gcd per pair gives
-its reduced denominator, ``den`` is their lcm and the entry ``p * den // q``,
-so ``of`` receives the canonical form.  A location is computed only on
-failure: ``_locate`` walks the array again and raises the error of its first
-fault, so messages do not depend on the bulk path.  ``rational_texts``
-formats an array's entries straight from its ``ints`` and ``den``, so no
-entry is rebuilt as a ``Rat`` to be printed, and ``dump_json`` encodes each
-top-level value with json's C encoder.
+``"p/q"`` as an integer pair, with no ``Fraction``: ``den`` is the lcm of
+the denominators as written and the entry ``p * den // q``.  The reader does
+not reduce; ``ExactArray.of``, the one reducer, brings the array to its
+canonical form.  A location is computed only on failure: ``_locate`` walks
+the array again and raises the error of its first fault, so messages do not
+depend on the bulk path.  ``rational_texts`` formats an array's entries
+straight from its ``ints`` and ``den``, so no entry is rebuilt as a ``Rat``
+to be printed, and ``dump_json`` encodes each top-level value with json's C
+encoder.
 
 Errors: FileFormatError for malformed input (CLI exit 2), ContractError for
 shape or contract violations (CLI exit 3).
@@ -73,7 +74,10 @@ _LEAVES = re.compile(f"(?:{_RATIONAL.pattern},)*+")
 
 
 def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
-    """(ints, den), canonical, for ``value`` nesting as ``shape`` with rational leaves.
+    """(ints, den) for ``value`` nesting as ``shape`` with rational leaves.
+
+    ``den`` is the lcm of the denominators as written, so the pair is not
+    reduced; the caller builds the array through ``of``, which reduces it.
 
     The nesting is checked level by level and the leaves, joined with
     commas, by one match of the grammar.  On any fault (a wrong nesting, a
@@ -94,7 +98,7 @@ def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
             return np.array(list(map(int, leaves)), dtype=object).reshape(shape), 1
         nums = [int(leaf.partition("/")[0]) for leaf in leaves]
         dens = [int(leaf.partition("/")[2] or 1) for leaf in leaves]
-        den = lcm_all({q // gcd(p, q) for p, q in zip(nums, dens)})  # lcm of the reduced q
+        den = lcm_all(set(dens))
         return np.array([p * den // q for p, q in zip(nums, dens)], dtype=object).reshape(shape), den
     except (TypeError, ValueError, ZeroDivisionError):
         _locate(value, shape, where)

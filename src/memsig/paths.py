@@ -201,21 +201,14 @@ def pw_linear_path_sig(vertices, k: int) -> SigTensor:
 
 
 def poly_path_sig_oracle(path: PolynomialPath, word) -> Rat:
-    """Iterated integral of a polynomial path by exact antiderivatives.
+    """Iterated integral of a polynomial path: the one-piece case of the piecewise oracle.
 
     F_empty = 1 and F_{w.i}(t) = integral_0^t F_w(s) X_i'(s) ds; the signature
     entry is F_word(1).
     """
-    derivs = []
-    for row in path.coeffs:
-        # d/dt sum_j c_j t^j = sum_j j c_j t^{j-1}
-        derivs.append([rat(j + 1) * c for j, c in enumerate(row)])
-    f = [ONE]
-    for letter in word:
-        if not 1 <= letter <= path.dim:
-            raise ValueError(f"letter {letter} out of range [1, {path.dim}]")
-        f = pint(pmul(f, derivs[letter - 1]))
-    return peval(f, ONE)
+    # d/dt sum_j c_j t^j = sum_j j c_j t^{j-1}
+    derivs = [[[rat(j + 1) * c for j, c in enumerate(row)]] for row in path.coeffs]
+    return pw_poly_path_sig_oracle([ZERO, ONE], derivs, word)
 
 
 def pw_poly_path_sig_oracle(breaks, derivs, word) -> Rat:
@@ -225,12 +218,14 @@ def pw_poly_path_sig_oracle(breaks, derivs, word) -> Rat:
     each coordinate to a list of per-segment coefficient lists of X_i' in the
     global variable.  The running integrand stays a piecewise polynomial; each
     integration step accumulates segment antiderivatives left to right so the
-    result is continuous.
+    result is continuous.  A letter outside [1, len(derivs)] raises ValueError.
     """
     breaks = [rat(x) for x in breaks]
     nseg = len(breaks) - 1
     f = [[ONE] for _ in range(nseg)]
     for letter in word:
+        if not 1 <= letter <= len(derivs):
+            raise ValueError(f"letter {letter} out of range [1, {len(derivs)}]")
         dcoord = derivs[letter - 1]
         g = []
         acc = ZERO
@@ -245,12 +240,8 @@ def pw_poly_path_sig_oracle(breaks, derivs, word) -> Rat:
 
 def axis_path_pieces(m: int) -> tuple[list, list]:
     """(breaks, derivative pieces) of the canonical axis path of order m."""
-    breaks = [rat(i, m) for i in range(m + 1)]
-    derivs = [
-        [([rat(m)] if seg == coord else [ZERO]) for seg in range(m)]
-        for coord in range(m)
-    ]
-    return breaks, derivs
+    vertices = tuple(tuple(int(c < s) for c in range(m)) for s in range(m + 1))
+    return pw_linear_path_pieces(PiecewiseLinearPath(vertices))
 
 
 def pw_linear_path_pieces(path: PiecewiseLinearPath) -> tuple[list, list]:

@@ -16,9 +16,9 @@ Serialization convention (shared with the CLI file formats): decimal-integer
 strings ``"p"`` or ``"p/q"`` in lowest terms.  The file reader reads
 ``"p"`` as an int and ``"p/q"`` as an integer pair, so no ``Fraction`` is
 built, and hands the array to ``ExactArray.of`` over the lcm of the
-denominators reduced by one gcd each; ``fileio.rational_texts`` writes an
-array's entries from ``ints`` and ``den`` directly, and ``rat_str`` formats
-one scalar.
+denominators as written, unreduced: ``of`` is the one reducer.
+``fileio.rational_texts`` writes an array's entries from ``ints`` and
+``den`` directly, and ``rat_str`` formats one scalar.
 """
 
 from __future__ import annotations

@@ -523,6 +523,41 @@ class TestCliCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(path) in err
 
+    @pytest.mark.parametrize(
+        "argv, fail, code",
+        [
+            (["sig", "GRID", "--level", "3"], False, 0),
+            (["core", "--kind", "moment", "--m", "2", "--n", "3", "--level", "2", "--float"], False, 0),
+            (["dim", "--d", "4", "--m", "2", "--n", "2", "--trials", "1"], False, 0),
+            (["invariants", "--kind", "axis", "--m", "2", "--n", "3"], False, 0),
+            (["check-relations", "--d", "2", "--m", "2", "--n", "1", "--samples", "5"], False, 0),
+            (["check-relations", "--d", "2", "--m", "2", "--n", "1"], True, 4),
+            (["decompose", "GRID"], False, 0),
+        ],
+        ids=["sig", "core", "dim", "invariants", "check-relations", "check-relations-fail", "decompose"],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, monkeypatch, tmp_path, capsys, rng, argv, fail, code):
+        from memsig.variety import RelationReport
+
+        if fail:
+            counterexample = Matrix.from_rows([[rat(1, 2), 0], [rat(-4, 6), 3]])
+            report = RelationReport(2, 2, 1, 100, "fail", ("r",), counterexample, "boom")
+            monkeypatch.setattr(cli, "relation_checks", lambda *args: report)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(grid_doc(random_integer_grid(2, 3, 2, rng))))
+        argv = [str(grid) if a == "GRID" else a for a in argv]
+        monkeypatch.setenv("MEMSIG_SEED", "5")
+        stdout_code, stdout = run_cli(argv)
+        target = tmp_path / "out.json"
+        out_code, out = run_cli([*argv, "--out", str(target)])
+        assert stdout_code == out_code == code and stdout and out == ""
+        assert target.read_bytes() == stdout.encode("utf-8")
+        capsys.readouterr()
+        missing_code, out = run_cli([*argv, "--out", str(tmp_path / "missing" / "x.json")])
+        err = capsys.readouterr().err
+        assert missing_code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_input_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", "\xff"]]]}')
@@ -543,6 +578,18 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: ")
+
+    def test_bench_grid_over_the_entry_budget_is_refused_before_any_draw(self, monkeypatch, capsys):
+        from memsig import bench
+
+        drawn = []
+        monkeypatch.setattr(bench, "random_integer_grid", lambda *a, **k: drawn.append(a))
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", 2 * 3 * 3 - 1)  # the 2 x 3 x 3 nodes of a 2x2 grid
+        code, out = run_cli(["bench", "--sizes", "1x1,2x2", "--methods", "fast"])
+        err = capsys.readouterr().err
+        assert code == 3 and out == "" and drawn == []
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "more than 17 entries" in err
 
     def test_bench_zero_repeats_named_up_front(self, capsys):
         code, out = run_cli(["bench", "--sizes", "2x2", "--repeats", "0"])

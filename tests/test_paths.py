@@ -92,6 +92,11 @@ class TestAxisEntries:
         with pytest.raises(ValueError):
             axis_path_sig_entry((3,), 2)
 
+    @pytest.mark.parametrize("word", [(0,), (4,), (1, 4)])
+    def test_piecewise_oracle_letter_out_of_range(self, word):
+        with pytest.raises(ValueError, match="out of range"):
+            pw_poly_path_sig_oracle(*axis_path_pieces(3), word)
+
 
 class TestPwLinearPathSig:
     def test_single_segment_is_linear_path(self):
