@@ -106,10 +106,10 @@ def _malformed_docs():
     return docs
 
 
-def _argparse_failures(grid: str) -> list:
-    """(name, argv) of calls that argparse refuses: exit 2, usage on stderr, nothing written."""
+def _argparse_failures(grid: str) -> dict:
+    """name -> argv of calls that argparse refuses: exit 2, usage on stderr, nothing written."""
     size = ["--m", "2", "--n", "2"]
-    calls = {
+    return {
         "no command": [],
         "unknown command": ["signature", grid],
         "sig no input": ["sig"],
@@ -137,7 +137,6 @@ def _argparse_failures(grid: str) -> list:
         "decompose no input": ["decompose"],
         "decompose unknown flag": ["decompose", grid, "--level", "2"],
     }
-    return list(calls.items())
 
 
 def write_battery(work: Path) -> list:
@@ -198,7 +197,7 @@ def write_battery(work: Path) -> list:
                 cases.append((f"core {kind} {m}x{n} float", ["core", *size, "--float"], None, None))
                 cases.append((f"invariants {kind} {m}x{n}", ["invariants", *size], None, None))
     grid = str(work / "int.json")
-    for name, argv in _argparse_failures(grid):
+    for name, argv in _argparse_failures(grid).items():
         cases.append((f"argparse {name}", argv, None, None))
         cases.append((f"argparse {name} --out", argv, None, "out.json"))
     for seed in SEEDS:
