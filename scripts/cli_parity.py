@@ -16,7 +16,11 @@ a difference.
 The battery: ``sig`` at levels 0-3 with ``--method fast|congruence|auto``,
 with and without ``--float``, on an integer, a small-rational and a
 huge-rational grid and on a dense and a sparse polynomial spec; ``decompose``
-on those grids and on larger ones; ``sig`` with and without ``--float`` on a
+on those grids and on larger ones; ``decompose`` and level-2 ``sig`` on grids
+whose literals have up to 18 or 19 digits (the reader's int64 bound) and on
+two whose cell differences over den 2 stay below 2^62 or reach past it (the
+int64 bound of ``ExactArray.of`` and ``rational_texts``); ``sig`` with and
+without ``--float`` on a
 grid whose level-2 entries are beyond the float range; ``core`` and
 ``invariants`` of both kinds for m, n <= 3; the ``dim`` kinds of the
 variety-dims benchmark workload and ``check-relations`` (2,2,1), (4,2,2),
@@ -64,6 +68,23 @@ def _huge_rational(rng):
 
 def _huge_denominator(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 10**6))
+
+
+def _digits(most, dens=None):
+    """A leaf text p or p/q (not reduced) whose numbers have up to ``most`` digits, often exactly that many.
+
+    With ``dens`` the denominators are drawn from it instead.
+    """
+
+    def number(rng):
+        return rng.choice([rng.randint(1, 9), rng.randint(10 ** (most - 1), 10**most - 1)])
+
+    def value(rng):
+        p = rng.choice([-1, 1]) * number(rng)
+        q = rng.choice(dens) if dens else rng.choice([1, 2, number(rng)])
+        return f"{p}/{q}" if q != 1 else str(p)
+
+    return value
 
 
 def _malformed_docs():
@@ -163,10 +184,19 @@ def write_battery(work: Path) -> list:
                       [(1, 1, 1), (2, 1, 2), (3, 2, 3), (1, 2, 1), (0, 1, 2), (2, 2, 2)]],
         },
     }
+    # literals on both sides of the reader's 18-digit bound (its int64 and object products too),
+    # and node values over den 2 whose cell differences lie below 2^62 or reach past it
+    bound_grids = {
+        "digits18-smallden": _grid_doc(rng, 2, 3, 3, _digits(18, dens=[1, 2, 4])),
+        "digits18": _grid_doc(rng, 2, 3, 3, _digits(18)),
+        "digits19": _grid_doc(rng, 2, 3, 3, _digits(19)),
+        "delta-below": _grid_doc(rng, 3, 4, 4, lambda r: Fraction(r.randint(-(2**59), 2**59), 2)),
+        "delta-above": _grid_doc(rng, 3, 4, 4, lambda r: Fraction(r.randint(-(2**61), 2**61), 2)),
+    }
     # nodes up to 10^300: level-2 entries near 10^600 have no float
     huge_float = {"hugefloat": _grid_doc(rng, 2, 2, 2, lambda r: r.randint(-(10**300), 10**300))}
     malformed = _malformed_docs()
-    for name, doc in {**grids, **big_grids, **specs, **huge_float, **malformed}.items():
+    for name, doc in {**grids, **big_grids, **bound_grids, **specs, **huge_float, **malformed}.items():
         (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
 
     cases = []
@@ -180,6 +210,10 @@ def write_battery(work: Path) -> list:
         cases.append((f"sig {name} --out", ["sig", path], None, "out.json"))
     for name in [*grids, *big_grids]:
         cases.append((f"decompose {name}", ["decompose", str(work / f"{name}.json")], None, "out.json"))
+    for name in bound_grids:
+        path = str(work / f"{name}.json")
+        cases.append((f"decompose {name}", ["decompose", path], None, "out.json"))
+        cases.append((f"sig {name} L2", ["sig", path], None, None))
     path = str(work / "hugefloat.json")
     cases.append(("sig hugefloat", ["sig", path], None, None))
     cases.append(("sig hugefloat float", ["sig", path, "--float"], None, None))

@@ -137,9 +137,10 @@ def run_bench(
 ) -> BenchResult:
     """Median-of-repeats timings per size and method, plus the fast-method fit.
 
-    Every grid size is checked against ``tensor.MAX_ENTRIES`` before any
-    grid is drawn.  All grids are drawn first, in size order; then each
-    repeat times every (size, method) pair once, in that order.
+    Every grid size is checked against ``tensor.MAX_ENTRIES``, and every
+    method name and the level of ``congruence``, before any grid is drawn.
+    All grids are drawn first, in size order; then each repeat times every
+    (size, method) pair once, in that order.
     ``doubling_ratios`` maps each method to median(t at size) / median(t at
     the previous size) for consecutive size pairs where m*n quadruples (i.e.
     both orders double); only the largest such pair is reported.
@@ -152,24 +153,19 @@ def run_bench(
         if min(m, n) < 1:
             raise ValueError(f"need sizes with m, n >= 1, got {m}x{n}")
         check_budget(d * (m + 1) * (n + 1), f"a {d} x {m + 1} x {n + 1} grid")
+    kernels = {"fast": lambda grid: sig_tensor_fast(grid, level), "congruence": congruence_matrix_quadratic}
+    for method in methods:
+        if method not in kernels:
+            raise ValueError(f"unknown method {method!r}")
+        if method == "congruence" and level != 2:
+            raise ValueError("the congruence baseline benchmarks level 2 only")
     rng = random.Random(seed)
     grids = [random_integer_grid(d, m, n, rng) for m, n in sizes]
-    jobs = []
-    for (m, n), grid in zip(sizes, grids):
-        for method in methods:
-            if method == "fast":
-                fn = lambda grid=grid: sig_tensor_fast(grid, level)
-            elif method == "congruence":
-                if level != 2:
-                    raise ValueError("the congruence baseline benchmarks level 2 only")
-                fn = lambda grid=grid: congruence_matrix_quadratic(grid)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            jobs.append((method, m, n, fn))
+    jobs = [(method, m, n, grid) for (m, n), grid in zip(sizes, grids) for method in methods]
     times = [[] for _ in jobs]
     for _ in range(repeats):
-        for job_times, (_, _, _, fn) in zip(times, jobs):
-            job_times.append(_time_ns(fn))
+        for job_times, (method, _, _, grid) in zip(times, jobs):
+            job_times.append(_time_ns(lambda: kernels[method](grid)))
     rows = [BenchRow(method, m, n, tuple(t)) for (method, m, n, _), t in zip(jobs, times)]
     medians = {(r.method, (r.m, r.n)): r.nanos for r in rows}
     fast_points = [

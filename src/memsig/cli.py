@@ -21,7 +21,6 @@ import sys
 from . import bench as bench_mod
 from . import fileio
 from .fastsig import sig_tensor_fast
-from .linalg import det
 from .membranes import (
     GridData,
     bilinear_decompose,
@@ -84,7 +83,7 @@ def _cmd_invariants(args) -> dict:
         "n": args.n,
         "rank_sym": rank_sym,
         "rank_skew": rank_skew,
-        "det": rat_str(det(core)),
+        "det": rat_str(blocks.det),
         "blocks": [str(b) for b in blocks.blocks],
     }
 

@@ -8,17 +8,30 @@ documentation stays 1-based.
 
 Every rational array goes through one reader and one writer.  ``_parsed``
 reads a grid's ``values``, a dense ``A`` or a tensor's ``entries`` in bulk:
-it checks the nesting level by level, matches the comma-joined leaves
-against the grammar once, calls ``int`` on each ``"p"`` and reads each
-``"p/q"`` as an integer pair, with no ``Fraction``: ``den`` is the lcm of
-the denominators as written and the entry ``p * den // q``.  The reader does
-not reduce; ``ExactArray.of``, the one reducer, brings the array to its
-canonical form.  A location is computed only on failure: ``_locate`` walks
-the array again and raises the error of its first fault, so messages do not
-depend on the bulk path.  ``rational_texts`` formats an array's entries
-straight from its ``ints`` and ``den``, so no entry is rebuilt as a ``Rat``
-to be printed, and ``dump_json`` encodes each top-level value with json's C
-encoder.
+it checks the nesting level by level and matches the comma-joined leaves
+against the grammar once, with no ``Fraction`` and no per-leaf loop.  Two
+bounds pick fixed-width arithmetic, each with an exact fallback:
+
+- When every number has at most 18 digits (|x| < 10^18 < 2^63; the bound
+  is in the grammar, since ``np.fromstring`` saturates silently past int64)
+  all numbers are read in one ``np.fromstring`` call as int64; otherwise
+  ``int`` reads them into an object array of Python ints.
+- ``den`` is the lcm of the denominators as written, on Python ints, and
+  the entry of ``"p/q"`` is ``p * (den // q)``, multiplied in int64 when
+  ``den * max|p| < 2^63`` and on object dtype otherwise.
+
+The reader does not reduce; ``ExactArray.of``, the one reducer, brings the
+array to its canonical form.  A location is computed only on failure:
+``_locate`` walks the array again and raises the error of its first fault,
+so messages do not depend on the bulk path.  ``rational_texts`` formats an
+array's entries straight from its ``ints`` and ``den`` after one ``np.gcd``
+against ``den`` (int64 when ``den`` and every entry are below 2^62, see
+``rational.int_view``), so no entry is rebuilt as a ``Rat`` to be printed,
+and ``dump_json`` encodes each top-level value with json's C encoder.  In a
+forked CLI job, each numpy loop used for the first time pages about 1-1.5
+MB into the job's RSS, and the first call of the default (hash-based)
+``np.unique`` costs 11-26 ms, so distinct denominators are taken with
+``set(....tolist())``.
 
 Errors: FileFormatError for malformed input (CLI exit 2), ContractError for
 shape or contract violations (CLI exit 3).
@@ -28,13 +41,12 @@ from __future__ import annotations
 
 import json
 import re
-from math import gcd
 
 import numpy as np
 
 from .linalg import Matrix
 from .membranes import GridData, PolynomialMembrane
-from .rational import ExactArray, lcm_all, rat
+from .rational import ExactArray, int_view, lcm_all, rat
 from .tensor import SigTensor, check_entry_count
 
 TENSOR_ORDER = "row-major-1-based-words"
@@ -71,6 +83,8 @@ def parse_rational(text, where: str):
 
 # the leaves joined by "," with a trailing ","; possessive, so the match keeps no backtracking stack
 _LEAVES = re.compile(f"(?:{_RATIONAL.pattern},)*+")
+# the same with at most 18 digits per number, so every number is below 10^18 < 2^63
+_BOUNDED = re.compile(r"(?:[+-]?[0-9]{1,18}(?:/[0-9]{1,18})?,)*+")
 
 
 def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
@@ -80,9 +94,18 @@ def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
     reduced; the caller builds the array through ``of``, which reduces it.
 
     The nesting is checked level by level and the leaves, joined with
-    commas, by one match of the grammar.  On any fault (a wrong nesting, a
-    non-string leaf, no match, an int past the digit limit or q = 0)
-    ``_locate`` raises the located error.
+    commas, by one match of the grammar.  Under ``_BOUNDED`` the numbers
+    are read by ``np.fromstring`` in int64, which saturates silently past
+    its range, so the bound is in the grammar; otherwise by ``int`` into an
+    object array.  With no ``"/"`` they are the entries over 1.  Otherwise
+    the comma and slash positions of the (then ASCII) text tell each
+    ``"p/q"`` leaf, and each entry is ``p * den // q``, in int64 when
+    ``den * max|p| < 2^63``.  The index work calls numpy's C methods and
+    ufuncs, not its Python-level helpers (``flatnonzero``, ``delete``,
+    ``searchsorted``, ``full``), whose first call in a forked job costs
+    0.1-0.3 ms each.  On any fault (a wrong nesting, a non-string leaf, no
+    match, an int past the digit limit or q = 0) ``_locate`` raises the
+    located error.
     """
     try:
         leaves = [value]
@@ -92,14 +115,26 @@ def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
             leaves = [x for xs in leaves for x in xs]
         # a non-str leaf makes join raise TypeError, and a leaf holding a comma the count too high
         text = ",".join(leaves) + ","
-        if text.count(",") != len(leaves) or _LEAVES.fullmatch(text) is None:
+        bounded = _BOUNDED.fullmatch(text) is not None
+        if text.count(",") != len(leaves) or not (bounded or _LEAVES.fullmatch(text)):
             raise ValueError
-        if "/" not in text:
-            return np.array(list(map(int, leaves)), dtype=object).reshape(shape), 1
-        nums = [int(leaf.partition("/")[0]) for leaf in leaves]
-        dens = [int(leaf.partition("/")[2] or 1) for leaf in leaves]
-        den = lcm_all(set(dens))
-        return np.array([p * den // q for p, q in zip(nums, dens)], dtype=object).reshape(shape), den
+        if bounded:
+            flat = np.fromstring(text[:-1].replace("/", ","), dtype=np.int64, sep=",")
+        else:
+            flat = np.array(list(map(int, re.split("[,/]", text[:-1]))), dtype=object)
+        if "/" not in text:  # skip the index work: each numpy call costs tens of us cold, as in a forked job
+            return flat.reshape(shape), 1
+        # the leaf of each "/" is the number of commas before it (the text is ASCII once matched),
+        # and the k-th "/" of leaf i is followed by its q at position i + k + 1 of flat
+        at = np.ndarray.searchsorted(*((np.frombuffer(text.encode(), "u1") == c).nonzero()[0] for c in b",/"))
+        q_at = at + np.arange(1, len(at) + 1)
+        qs, nums = flat[q_at], flat[np.bincount(q_at, minlength=len(flat)) == 0]
+        den = lcm_all(set(qs.tolist()))
+        # a q = 0 leaf makes den 0 and, on object dtype, p * den // q raise ZeroDivisionError
+        dtype = np.int64 if 0 < den * max(-int(nums.min()), int(nums.max()), 1) < 2**63 else object
+        ints = nums.astype(dtype) * den
+        ints[at] //= qs.astype(dtype)  # exact: q divides den
+        return ints.reshape(shape), den
     except (TypeError, ValueError, ZeroDivisionError):
         _locate(value, shape, where)
         raise
@@ -125,16 +160,18 @@ def rational_texts(a: ExactArray) -> list[str]:
     """The entries of ``a`` in row-major order as ``"p"`` or ``"p/q"`` in lowest terms.
 
     Formatted straight from ``a.ints`` and ``a.den``: ``str(x)`` when ``den``
-    is 1, else one gcd per entry.
+    is 1, else through one ``np.gcd`` of all entries against ``den``, on the
+    int64 view of ``rational.int_view`` when the bound holds, and ``str(p)``
+    plus the ``"/q"`` text of the entry's reduced denominator.
     """
     den = a.den
     if den == 1:
         return [str(x) for x in a.ints.flat]
-    texts = []
-    for x in a.ints.flat:
-        g = gcd(x, den)
-        texts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
-    return texts
+    view = int_view(a.ints, den).ravel()
+    g = np.gcd(view, den)
+    nums, dens = (view // g).tolist(), (den // g).tolist()
+    tails = {q: f"/{q}" for q in set(dens)} | {1: ""}  # one "/q" per distinct q, not one f-string per entry
+    return [str(p) + tails[q] for p, q in zip(nums, dens)]
 
 
 def load_json_file(path: str) -> dict:

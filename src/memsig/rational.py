@@ -16,16 +16,24 @@ Serialization convention (shared with the CLI file formats): decimal-integer
 strings ``"p"`` or ``"p/q"`` in lowest terms.  The file reader reads
 ``"p"`` as an int and ``"p/q"`` as an integer pair, so no ``Fraction`` is
 built, and hands the array to ``ExactArray.of`` over the lcm of the
-denominators as written, unreduced: ``of`` is the one reducer.
-``fileio.rational_texts`` writes an array's entries from ``ints`` and
-``den`` directly, and ``rat_str`` formats one scalar.
+denominators as written, unreduced: ``of`` is the one reducer.  Its array
+is int64 when every literal has at most 18 digits and ``den * max|p| <
+2^63``, else object (see ``fileio``).  ``fileio.rational_texts`` writes an
+array's entries from ``ints`` and ``den`` directly, and ``rat_str`` formats
+one scalar.
+
+``of`` and ``rational_texts`` take the gcd of every entry with ``den`` in
+one ``np.gcd`` call.  ``int_view`` runs it on an int64 view when ``den``
+and every entry are below 2^62 in magnitude, where it and the quotients by
+divisors of ``den`` are exact, and on object dtype (Python ints, the same
+call) otherwise.  The stored form stays object ints over ``den``.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 from fractions import Fraction as Rat
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -60,6 +68,21 @@ def lcm_all(values) -> int:
     return abs(xs[0])
 
 
+def int_view(ints: np.ndarray, den: int) -> np.ndarray:
+    """The integer array ``ints`` as int64 if |den| and every |entry| are below 2^62, else as object.
+
+    Under that bound ``np.gcd(view, den)``, which takes absolute values, and
+    every quotient by a divisor of ``den`` are exact in int64; above it the
+    same numpy calls run on Python ints.
+    """
+    try:
+        view = ints.astype(np.int64, copy=False)
+    except OverflowError:  # an entry past the int64 range
+        return ints.astype(object, copy=False)
+    fits = abs(den) < 2**62 and -(2**62) < view.min(initial=0) and view.max(initial=0) < 2**62
+    return view if fits else ints.astype(object, copy=False)
+
+
 def clear_denominators(values) -> tuple[list[int], int]:
     """(ints, L): L is the lcm of the denominators and ints[i] = L * values[i].
 
@@ -90,20 +113,21 @@ class ExactArray:
 
     @classmethod
     def of(cls, ints, den: int, **shape_fields):
-        """The array ints / den, for an array of Python ints and a nonzero int ``den``.
+        """The array ints / den, for an integer numpy array (object or int64) and a nonzero int ``den``.
 
-        Reduces to the canonical ``den`` with one gcd per entry against
-        ``den`` and one exact division per entry when ``den`` changes.  Shape
-        fields not given are read off ``ints.shape``.  An object array is
-        taken over, not copied: it is made read-only.
+        Reduces to the canonical ``den`` with one ``np.gcd`` of all entries
+        against ``den``, on ``int_view``'s int64 view when its bound holds,
+        and one exact division per entry when ``den`` changes.  Shape fields
+        not given are read off ``ints.shape``.  An object array is taken
+        over, not copied: it is made read-only.
         """
+        if den != 1:
+            view = int_view(np.asarray(ints), den)  # a kernel's 0-d result may come as a scalar
+            canon = lcm_all(set((abs(den) // np.gcd(view, den)).ravel().tolist()))
+            ints, den = (view // (den // canon), canon) if canon != den else (ints, den)
         ints = np.asarray(ints, dtype=object)
-        size = abs(den)
-        canon = lcm_all({size // gcd(x, size) for x in ints.flat}) if size != 1 else 1
-        if canon != den:
-            ints = np.asarray(ints // (den // canon), dtype=object)
         obj = cls.__new__(cls)
-        obj._store(ints, canon, {**cls._shape_fields(ints.shape), **shape_fields})
+        obj._store(ints, den, {**cls._shape_fields(ints.shape), **shape_fields})
         return obj
 
     def _clear(self, values, shape: tuple, **shape_fields) -> None:

@@ -31,11 +31,11 @@ from .linalg import (
     Matrix,
     _PRIME,
     _rank_mod_p,
-    cosquare,
     det,
     pfaffian,
     pm1_jordan_structure,
     rank,
+    solve_det,
     sym_skew_split,
 )
 from .membranes import core_matrix, core_tensor
@@ -59,14 +59,15 @@ def congruence_invariants(m: Matrix) -> CongruenceInvariants:
     Requires the cosquare spectrum to be contained in {+1, -1}.  Jordan blocks
     J_k(+1) with k odd and J_k(-1) with k even become Gamma_k; the remaining
     blocks (J_k(-1) with k odd, J_k(+1) with k even) must pair up and become
-    H_{2k}(-1) resp. H_{2k}(+1).  A singular matrix raises ValueError from
-    ``solve`` inside ``cosquare``.
+    H_{2k}(-1) resp. H_{2k}(+1).  The cosquare comes from
+    ``solve_det(M^T, M)``, and so does the result's ``det``, det M^T = det M.
+    A singular matrix raises ValueError from ``solve_det``.
     """
     if not m.is_square:
         raise ValueError("congruence invariants need a square matrix")
-    jordan = pm1_jordan_structure(cosquare(m))
+    cosq, det_m = solve_det(m.transpose(), m)
     blocks: list = []
-    for (mu, k), cnt in sorted(jordan.items()):
+    for (mu, k), cnt in sorted(pm1_jordan_structure(cosq).items()):
         if (mu == 1) == (k % 2 == 1):
             blocks.extend([GammaBlock(k)] * cnt)
         else:
@@ -75,7 +76,7 @@ def congruence_invariants(m: Matrix) -> CongruenceInvariants:
                     f"J_{k}({mu:+d}) occurs {cnt} times but must pair into H-blocks"
                 )
             blocks.extend([HBlock(k, mu)] * (cnt // 2))
-    return CongruenceInvariants(tuple(blocks))
+    return CongruenceInvariants(tuple(blocks), det_m)
 
 
 def congruent_check(m: Matrix, n: Matrix) -> bool:

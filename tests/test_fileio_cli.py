@@ -13,10 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from memsig import cli, fileio, tensor
+from memsig import cli, fileio, rational, tensor
 from memsig.bench import random_integer_grid
-from memsig.linalg import Matrix
-from memsig.membranes import GridData, PolynomialMembrane
+from memsig.linalg import Matrix, det
+from memsig.membranes import GridData, PolynomialMembrane, core_matrix
 from memsig.rational import rat, rat_str
 from memsig.tensor import SigTensor
 
@@ -286,6 +286,51 @@ class TestReaderAndWriter:
             read({**doc, reader: _nest(leaves, shape)})
         assert type(info.value) is fileio.FileFormatError and str(info.value) == str(expected.value)
 
+    @pytest.mark.parametrize(
+        "leaves",
+        [
+            ["999999999999999999", "-999999999999999999/7", "+5", "007", "-0", "0/9"],
+            ["9223372036854775808", "-999999999999999999/7", "+5", "007", "-0", "0/9"],
+            ["0000000000000000005", "1/1000000000000000000", "+5", "007", "-0", "0/9"],
+            ["12345678901234567890123/999999999999999999", "3/10000000000000000000", "-0/1"],
+        ],
+    )
+    def test_literals_at_the_digit_bound_read_as_per_leaf(self, leaves):
+        xs = [fileio.parse_rational(t, "x") for t in leaves]
+        got = fileio.tensor_from_doc({"level": 1, "dim": len(leaves), "entries": leaves})
+        want = SigTensor(1, len(leaves), xs)
+        assert got == want and got.den == want.den
+        assert fileio.rational_texts(got) == [rat_str(x) for x in xs]
+
+    @pytest.mark.parametrize("big", ["", "12345678901234567890"])
+    @pytest.mark.parametrize("zero", ["5/0", "0/0", "-7/000"])
+    def test_a_zero_denominator_keeps_its_located_error(self, big, zero):
+        leaves = ["1/2", big or "3", zero, "4/0"]
+        with pytest.raises(fileio.FileFormatError) as info:
+            fileio.tensor_from_doc({"level": 2, "dim": 2, "entries": leaves})
+        assert str(info.value) == f"entries[2]: {zero!r} is not a rational 'p' or 'p/q'"
+
+    @pytest.mark.parametrize("p", [2**32 - 1, 2**32, -(2**32 - 1), -(2**32), 0])
+    def test_the_int64_product_bound_is_den_times_max_p(self, p):
+        leaves = [str(p), f"1/{2**31}", f"{p}/2", f"-3/{2**30}"]  # den = 2^31, so den * max|p| is 2^63 at |p| = 2^32
+        ints, den = fileio._parsed(leaves, (4,), "entries")
+        assert ints.dtype == (np.int64 if abs(p) < 2**32 else object)
+        assert den == 2**31 and [int(x) for x in ints] == [fileio.parse_rational(t, "x") * den for t in leaves]
+
+    @pytest.mark.parametrize("x", [2**62 - 1, -(2**62 - 1), 2**62, -(2**62), -(2**63)])
+    @pytest.mark.parametrize("den", [1, 6, 2**62 - 1, 2**62, -(2**62)])
+    @pytest.mark.parametrize("dtype", [object, np.int64])
+    def test_the_reducer_and_writer_at_the_int64_bound(self, x, den, dtype):
+        xs = np.array([x, -3, 0, 6 * x], dtype=object)
+        if dtype is np.int64:
+            xs = xs[: 3 if abs(6 * x) >= 2**63 else 4].astype(np.int64)
+        fixed = abs(den) < 2**62 and all(abs(y) < 2**62 for y in xs.tolist())
+        assert rational.int_view(xs, den).dtype == (np.int64 if fixed else object)
+        a = Matrix.of(xs.reshape(1, -1), den)
+        want = Matrix(1, len(xs), [rat(y, den) for y in xs.tolist()])
+        assert a == want and a.den == want.den and a.ints.dtype == object
+        assert fileio.rational_texts(a) == [rat_str(rat(y, den)) for y in xs.tolist()]
+
     def test_rational_grid_parse_peak_memory(self):
         rng = random.Random(20240801)
         texts = [rat_str(rat(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(3 * 101 * 101)]
@@ -390,6 +435,17 @@ class TestCliCommands:
         assert doc["blocks"] == ["Gamma1", "Gamma3"]
         assert doc["det"] == "1/256"
         assert (doc["rank_sym"], doc["rank_skew"]) == (4, 2)
+
+    @pytest.mark.parametrize("m, n", [(4, 4), (5, 5), (4, 7), (6, 6), (7, 7)])
+    def test_invariants_det_equals_linalg_det(self, m, n):
+        code, out = run_cli(["invariants", "--kind", "axis", "--m", str(m), "--n", str(n)])
+        assert code == 0 and json.loads(out)["det"] == rat_str(det(core_matrix("axis", m, n)))
+
+    def test_invariants_of_a_singular_core_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "core_matrix", lambda kind, m, n: Matrix.from_rows([[1, 2], [2, 4]]))
+        code, out = run_cli(["invariants", "--kind", "axis", "--m", "1", "--n", "1"])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == "error: matrix is singular\n"
 
     def test_check_relations_command(self, monkeypatch):
         code, out = run_cli(
@@ -590,6 +646,23 @@ class TestCliCommands:
         assert code == 3 and out == "" and drawn == []
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "more than 17 entries" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--methods", "fast,fsat"], "unknown method 'fsat'"),
+            (["--level", "3", "--methods", "congruence"], "level 2 only"),
+        ],
+    )
+    def test_bench_bad_method_or_level_is_refused_before_any_draw(self, monkeypatch, capsys, argv, message):
+        from memsig import bench
+
+        drawn = []
+        monkeypatch.setattr(bench, "random_integer_grid", lambda *a, **k: drawn.append(a))
+        code, out = run_cli(["bench", "--sizes", "1x1,2x2", *argv])
+        err = capsys.readouterr().err
+        assert code == 3 and out == "" and drawn == []
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and message in err
 
     def test_bench_zero_repeats_named_up_front(self, capsys):
         code, out = run_cli(["bench", "--sizes", "2x2", "--repeats", "0"])
