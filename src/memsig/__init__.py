@@ -21,6 +21,7 @@ from .linalg import (
     det,
     inverse,
     kron,
+    kron_jordan_structure,
     pfaffian,
     pm1_jordan_structure,
     rank,
@@ -36,6 +37,7 @@ from .membranes import (
     axis_membrane_eval,
     bilinear_decompose,
     cell_derivatives,
+    core_factors,
     core_matrix,
     core_tensor,
     hadamard_sig,
@@ -69,6 +71,7 @@ from .variety import (
     dimension_formula,
     dimension_report,
     image_dimension,
+    kron_congruence_invariants,
     relation_checks,
 )
 

@@ -24,17 +24,12 @@ from .fastsig import sig_tensor_fast
 from .membranes import (
     GridData,
     bilinear_decompose,
-    core_matrix,
+    core_factors,
     core_tensor,
     sig_via_congruence,
 )
 from .rational import rat_str
-from .variety import (
-    congruence_invariants,
-    core_rank_profile,
-    dimension_report,
-    relation_checks,
-)
+from .variety import dimension_report, kron_congruence_invariants, relation_checks
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -74,9 +69,8 @@ def _cmd_dim(args) -> dict:
 
 
 def _cmd_invariants(args) -> dict:
-    core = core_matrix(args.kind, args.m, args.n)
-    rank_sym, rank_skew = core_rank_profile(core)
-    blocks = congruence_invariants(core)
+    blocks = kron_congruence_invariants(*core_factors(args.kind, args.m, args.n))
+    rank_sym, rank_skew = blocks.rank_profile
     return {
         "kind": args.kind,
         "m": args.m,

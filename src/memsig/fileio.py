@@ -295,13 +295,22 @@ _ENCODE = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": ")).enc
 def _encoded(value) -> str:
     """``value`` as ``json.dumps(..., indent=2)`` writes a value of a top-level object.
 
-    A non-empty list is encoded in slices of 1024 items, with the item
-    separator of the second indent level, and then bracketed: json's encoder
-    keeps one string per item until it returns, so slices keep that memory
-    small.
+    A non-empty list of strings whose concatenation is printable and holds
+    no ``"`` or ``\\`` needs no escape, so its items are joined between
+    quotes with one ``str.join``.  Any other non-empty list is encoded in
+    slices of 1024 items, with the item separator of the second indent
+    level, and then bracketed: json's encoder keeps one string per item
+    until it returns, so slices keep that memory small.
     """
     if not isinstance(value, list) or not value:
         return _ENCODE(value)
+    try:
+        text = "".join(value)
+    except TypeError:  # an item that is not a string
+        pass
+    else:
+        if text.isprintable() and '"' not in text and "\\" not in text:
+            return '[\n    "' + '",\n    "'.join(value) + '"\n  ]'
     slices = (_ENCODE(value[i : i + 1024])[1:-1] for i in range(0, len(value), 1024))
     return "[\n    " + ",\n    ".join(slices) + "\n  ]"
 

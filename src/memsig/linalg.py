@@ -28,7 +28,12 @@ comes back through ``Matrix.of``.
 only eigenvalues are +1 and -1 from the exact rank sequences rank((M -+ I)^j);
 this is all the spectral information the congruence normal forms need.  The
 ranks are taken of integer powers (ints -+ den I)^j, since scaling by den^j
-changes no rank.
+changes no rank.  For a Kronecker product M = A (x) B (A of size m, B of
+size n) nothing of size mn needs eliminating: the cosquare is
+C_A (x) C_B, det M = det(A)^n det(B)^m, and ``kron_jordan_structure``
+combines the factors' Jordan structures by
+J_a(l) (x) J_b(u) ~ sum over i = 1..min(a, b) of J_(a+b+1-2i)(l u).
+``pm1_jordan_structure`` of the mn x mn cosquare is the oracle of that rule.
 """
 
 from __future__ import annotations
@@ -385,6 +390,21 @@ def pm1_jordan_structure(m: Matrix) -> Counter:
     return blocks
 
 
+def kron_jordan_structure(sa: Counter, sb: Counter) -> Counter:
+    """Jordan block multiset of X (x) Y from those of X and Y (``pm1_jordan_structure`` form).
+
+    Over a field of characteristic 0, J_a(l) (x) J_b(u) is similar to the
+    direct sum of J_(a+b+1-2i)(l u) over i = 1..min(a, b) for nonzero l, u,
+    and the Kronecker product distributes over direct sums.
+    """
+    out: Counter = Counter()
+    for (la, a), ca in sa.items():
+        for (lb, b), cb in sb.items():
+            for i in range(1, min(a, b) + 1):
+                out[(la * lb, a + b + 1 - 2 * i)] += ca * cb
+    return out
+
+
 @dataclass(frozen=True, order=True)
 class GammaBlock:
     """Canonical congruence block Gamma_k (size k)."""
@@ -429,6 +449,31 @@ class CongruenceInvariants:
     @property
     def total_size(self) -> int:
         return sum(b.size for b in self.blocks)
+
+    def cosquare_structure(self) -> Counter:
+        """Jordan block multiset of the cosquare, as ``pm1_jordan_structure`` gives it.
+
+        Gamma_k stands for one J_k((-1)^(k+1)) and H_2k(mu) for two J_k(mu).
+        """
+        out: Counter = Counter()
+        for b in self.blocks:
+            if isinstance(b, GammaBlock):
+                out[(1 if b.size % 2 else -1, b.size)] += 1
+            else:
+                out[(b.mu, b.halfsize)] += 2
+        return out
+
+    @property
+    def rank_profile(self) -> tuple[int, int]:
+        """(rank of M + M^T, rank of M - M^T) for the nonsingular M of these blocks.
+
+        M +- M^T = M^T (C +- I) for the cosquare C, so each rank is the size
+        less the number of Jordan blocks of C at -+1.
+        """
+        at = Counter()
+        for (mu, _), cnt in self.cosquare_structure().items():
+            at[mu] += cnt
+        return self.total_size - at[-1], self.total_size - at[1]
 
     def counts(self) -> Counter:
         return Counter(self.blocks)

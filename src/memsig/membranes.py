@@ -97,14 +97,16 @@ class GridData(ExactArray):
 def cell_derivatives(grid: GridData) -> tuple[np.ndarray, int]:
     """(Delta, L): Delta[i, a, b] = L * (mixed node difference of X_i on cell (a, b)).
 
-    Delta is the mixed difference of the stored integer nodes and L the
-    grid's ``den``, so nothing is cleared here: Delta is a (d, m, n) object
-    array of Python ints and d12 X_i du dv = Delta/L dx dy.  Read row-major,
-    Delta[i] lists the cells (a, b) in the column order nu(a + 1, b + 1) of
-    the axis dictionary.
+    Delta is the mixed difference of the stored integer nodes, taken as a
+    difference in a followed by one in b, and L the grid's ``den``, so
+    nothing is cleared here: Delta is a (d, m, n) object array of Python
+    ints and d12 X_i du dv = Delta/L dx dy.  Read row-major, Delta[i] lists
+    the cells (a, b) in the column order nu(a + 1, b + 1) of the axis
+    dictionary.
     """
     v = grid.ints
-    return v[:, 1:, 1:] - v[:, :-1, 1:] - v[:, 1:, :-1] + v[:, :-1, :-1], grid.den
+    da = v[:, 1:] - v[:, :-1]
+    return da[:, :, 1:] - da[:, :, :-1], grid.den
 
 
 @dataclass(frozen=True)
@@ -178,9 +180,13 @@ class TransformedMembrane:
 
 
 def reduce_grid(grid: GridData) -> GridData:
-    """Subtract the axis restrictions: same signature, zero on row 0 / col 0."""
-    v = grid.ints
-    return GridData.of(v - v[:, :1] - v[:, :, :1] + v[:, :1, :1], grid.den)
+    """Subtract the axis restrictions: same signature, zero on row 0 / col 0.
+
+    Row 0 is subtracted first and then column 0 of the result, which is
+    X - X(0, .) - X(., 0) + X(0, 0).
+    """
+    v = grid.ints - grid.ints[:, :1]
+    return GridData.of(v - v[:, :, :1], grid.den)
 
 
 def bilinear_decompose(grid: GridData) -> Matrix:
@@ -234,6 +240,18 @@ def product_sig_entry(sig_x_entry, sig_y_entry, tupleword) -> Rat:
     return rat(sig_x_entry(iword)) * rat(sig_y_entry(jword))
 
 
+def _path_cores(kind: str, m: int, n: int, k: int) -> tuple[SigTensor, SigTensor]:
+    """The level-k path cores of orders m and n, once the kind and the core's size are checked."""
+    if kind == "moment":
+        path_core = moment_path_core
+    elif kind == "axis":
+        path_core = axis_path_core
+    else:
+        raise ValueError(f"unknown core kind {kind!r} (expected 'moment' or 'axis')")
+    check_entry_count(m * n, k)
+    return path_core(m, k), path_core(n, k)
+
+
 @lru_cache(maxsize=CORE_CACHE_SIZE)
 def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
     """Level-k core tensor (dim mn) of the moment or axis membrane.
@@ -245,14 +263,7 @@ def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
     their denominators.  At level 2 this is the Kronecker product of the two
     path signature matrices.
     """
-    if kind == "moment":
-        path_core = moment_path_core
-    elif kind == "axis":
-        path_core = axis_path_core
-    else:
-        raise ValueError(f"unknown core kind {kind!r} (expected 'moment' or 'axis')")
-    check_entry_count(m * n, k)
-    x, y = path_core(m, k), path_core(n, k)
+    x, y = _path_cores(kind, m, n, k)
     outer = np.asarray(np.multiply.outer(x.ints, y.ints), dtype=object)  # a bare int at k = 0
     arr = outer.transpose([a for r in range(k) for a in (r, k + r)]).reshape((m * n,) * k)
     return SigTensor.of(arr, x.den * y.den, dim=m * n)
@@ -260,6 +271,16 @@ def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
 
 def core_matrix(kind: str, m: int, n: int) -> Matrix:
     return core_tensor(kind, m, n, 2).to_matrix()
+
+
+def core_factors(kind: str, m: int, n: int) -> tuple[Matrix, Matrix]:
+    """(A, B), the m x m and n x n path core matrices with core_matrix = kron(A, B).
+
+    Refuses an unknown kind and an mn x mn core over the entry budget, as
+    ``core_matrix`` does, without building the core.
+    """
+    x, y = _path_cores(kind, m, n, 2)
+    return x.to_matrix(), y.to_matrix()
 
 
 def hadamard_sig(sig_x: SigTensor, sig_y: SigTensor) -> SigTensor:

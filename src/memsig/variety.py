@@ -13,7 +13,19 @@ Congruence invariants of the core matrices come from the Jordan structure of
 the cosquare M^{-T} M: blocks J_k((-1)^{k+1}) correspond to single blocks
 Gamma_k, and the remaining blocks at +-1 pair up into H_{2k}(mu).  Only the
 +-1-cosquare case is implemented; that is the case the dictionary cores live
-in.
+in.  A dictionary core is M = A (x) B for the two path cores A (m x m) and
+B (n x n), and four identities over Q let ``kron_congruence_invariants``
+work on the factors alone:
+
+- the cosquare is C = C_A (x) C_B;
+- det M = det(A)^n det(B)^m;
+- J_a(l) (x) J_b(u) is similar to the sum of J_(a+b+1-2i)(l u) over
+  i = 1..min(a, b) (characteristic 0), which gives C's Jordan structure;
+- M +- M^T = M^T (C +- I), so rank_sym = mn - #blocks of C at -1 and
+  rank_skew = mn - #blocks at +1 (``CongruenceInvariants.rank_profile``).
+
+``congruence_invariants`` and ``core_rank_profile`` on the mn x mn core stay
+the generic route and the oracle the factor route is tested against.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from .linalg import (
     _PRIME,
     _rank_mod_p,
     det,
+    kron_jordan_structure,
     pfaffian,
     pm1_jordan_structure,
     rank,
@@ -48,26 +61,24 @@ from .tensor import SigTensor, check_budget, check_entry_count, mode_apply
 
 
 def core_rank_profile(core: Matrix) -> tuple[int, int]:
-    """(rank of symmetric part, rank of skew part) of a square matrix."""
+    """(rank of symmetric part, rank of skew part) of a square matrix.
+
+    The test oracle of ``CongruenceInvariants.rank_profile``, which reads
+    the same ranks off the blocks of a nonsingular matrix.
+    """
     sym, skew = sym_skew_split(core)
     return rank(sym), rank(skew)
 
 
-def congruence_invariants(m: Matrix) -> CongruenceInvariants:
-    """Canonical congruence block multiset of a nonsingular matrix.
+def _invariants(structure, det_m) -> CongruenceInvariants:
+    """Congruence blocks of a cosquare's Jordan structure (``pm1_jordan_structure`` form).
 
-    Requires the cosquare spectrum to be contained in {+1, -1}.  Jordan blocks
-    J_k(+1) with k odd and J_k(-1) with k even become Gamma_k; the remaining
-    blocks (J_k(-1) with k odd, J_k(+1) with k even) must pair up and become
-    H_{2k}(-1) resp. H_{2k}(+1).  The cosquare comes from
-    ``solve_det(M^T, M)``, and so does the result's ``det``, det M^T = det M.
-    A singular matrix raises ValueError from ``solve_det``.
+    Jordan blocks J_k(+1) with k odd and J_k(-1) with k even become Gamma_k;
+    the remaining blocks (J_k(-1) with k odd, J_k(+1) with k even) must pair
+    up and become H_{2k}(-1) resp. H_{2k}(+1).
     """
-    if not m.is_square:
-        raise ValueError("congruence invariants need a square matrix")
-    cosq, det_m = solve_det(m.transpose(), m)
     blocks: list = []
-    for (mu, k), cnt in sorted(pm1_jordan_structure(cosq).items()):
+    for (mu, k), cnt in sorted(structure.items()):
         if (mu == 1) == (k % 2 == 1):
             blocks.extend([GammaBlock(k)] * cnt)
         else:
@@ -77,6 +88,38 @@ def congruence_invariants(m: Matrix) -> CongruenceInvariants:
                 )
             blocks.extend([HBlock(k, mu)] * (cnt // 2))
     return CongruenceInvariants(tuple(blocks), det_m)
+
+
+def congruence_invariants(m: Matrix) -> CongruenceInvariants:
+    """Canonical congruence block multiset of a nonsingular matrix.
+
+    Requires the cosquare spectrum to be contained in {+1, -1}; the blocks
+    come from its Jordan structure (``_invariants``).  The cosquare comes
+    from ``solve_det(M^T, M)``, and so does the result's ``det``,
+    det M^T = det M.  A singular matrix raises ValueError from ``solve_det``.
+    This is the generic route and the test oracle of
+    ``kron_congruence_invariants``.
+    """
+    if not m.is_square:
+        raise ValueError("congruence invariants need a square matrix")
+    cosq, det_m = solve_det(m.transpose(), m)
+    return _invariants(pm1_jordan_structure(cosq), det_m)
+
+
+def kron_congruence_invariants(a: Matrix, b: Matrix) -> CongruenceInvariants:
+    """``congruence_invariants(kron(a, b))`` from the two factors alone.
+
+    For M = A (x) B with A of size m and B of size n, the cosquare is
+    C_A (x) C_B, so its Jordan structure is ``kron_jordan_structure`` of the
+    factors' structures, and det M = det(A)^n det(B)^m.  Each factor goes
+    through ``congruence_invariants`` once (one ``solve_det`` and one
+    ``pm1_jordan_structure``), so no matrix larger than max(m, n) is
+    eliminated.  Requires both factor cosquares to have spectrum in
+    {+1, -1}; a singular factor raises ValueError as a singular M does.
+    """
+    fa, fb = congruence_invariants(a), congruence_invariants(b)
+    structure = kron_jordan_structure(fa.cosquare_structure(), fb.cosquare_structure())
+    return _invariants(structure, fa.det**b.rows * fb.det**a.rows)
 
 
 def congruent_check(m: Matrix, n: Matrix) -> bool:

@@ -80,3 +80,17 @@ def grids(max_d=2, max_m=3, max_n=3):
 @pytest.fixture
 def rng():
     return random.Random(20240801)
+
+
+def jordan_rows(blocks) -> list[list[int]]:
+    """Rows of the direct sum of J_size(mu) over the (mu, size) pairs, ones above the diagonal."""
+    n = sum(size for _, size in blocks)
+    j = [[0] * n for _ in range(n)]
+    start = 0
+    for mu, size in blocks:
+        for r in range(start, start + size):
+            j[r][r] = mu
+            if r + 1 < start + size:
+                j[r][r + 1] = 1
+        start += size
+    return j

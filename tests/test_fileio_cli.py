@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from memsig import cli, fileio, rational, tensor
+from memsig import cli, fileio, linalg, rational, tensor
 from memsig.bench import random_integer_grid
 from memsig.linalg import Matrix, det
 from memsig.membranes import GridData, PolynomialMembrane, core_matrix
@@ -149,9 +149,18 @@ _JSON_SCALARS = st.one_of(
     st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é→\u2028", "😀"]),
 )
 
+# lists of strings take the writer's join unless an item needs an escape or is not printable
+_STRINGS = st.text(st.sampled_from('09/-x "\\\x00\n\x1f\x7f\xa0é√\u2028\ud800😀'), max_size=4) | st.text(
+    max_size=4
+)
+
 # long lists cross the writer's slices of 1024 items
-_JSON_VALUES = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=40) | st.integers(1000, 3100).map(
-    lambda n: [f"{i}/7" for i in range(n)]
+_JSON_VALUES = (
+    _JSON_SCALARS
+    | st.lists(_JSON_SCALARS, max_size=40)
+    | st.lists(_STRINGS, min_size=1, max_size=8)
+    | st.integers(1000, 3100).map(lambda n: [f"{i}/7" for i in range(n)])
+    | st.integers(1000, 3100).map(lambda n: [f"{i}/7" for i in range(n)] + [1])
 )
 
 
@@ -347,6 +356,14 @@ class TestReaderAndWriter:
     def test_dump_json_is_json_dumps_with_indent_2(self, doc):
         assert fileio.dump_json(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
+    @pytest.mark.parametrize(
+        "items",
+        [["1/7", "-2"], [""], ["a\\b"], ['a"b'], ["1", "\x7f"], ["\x00"], ["é√😀"], ["\u2028"], ["\ud800"], ["1", 2]],
+    )
+    def test_dump_json_writes_string_lists_as_json_dumps(self, items):
+        doc = {"entries": items}
+        assert fileio.dump_json(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
 
 class TestCliCommands:
     def test_core_matches_displayed_matrix(self):
@@ -442,10 +459,31 @@ class TestCliCommands:
         assert code == 0 and json.loads(out)["det"] == rat_str(det(core_matrix("axis", m, n)))
 
     def test_invariants_of_a_singular_core_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "core_matrix", lambda kind, m, n: Matrix.from_rows([[1, 2], [2, 4]]))
-        code, out = run_cli(["invariants", "--kind", "axis", "--m", "1", "--n", "1"])
-        assert code == 3 and out == ""
-        assert capsys.readouterr().err == "error: matrix is singular\n"
+        singular = Matrix.from_rows([[1, 2], [2, 4]])
+        for factors in [(singular, Matrix.identity(1)), (Matrix.identity(1), singular)]:
+            monkeypatch.setattr(cli, "core_factors", lambda kind, m, n: factors)
+            code, out = run_cli(["invariants", "--kind", "axis", "--m", "1", "--n", "1"])
+            assert code == 3 and out == ""
+            assert capsys.readouterr().err == "error: matrix is singular\n"
+
+    @pytest.mark.parametrize("kind", ["axis", "moment"])
+    def test_invariants_eliminates_no_matrix_larger_than_a_factor(self, monkeypatch, kind):
+        shapes = []
+        for name in ("_bareiss", "_rank_mod_p"):
+
+            def spy(rows, *args, _fn=getattr(linalg, name), **kwargs):
+                shapes.append((len(rows), len(rows[0]) if rows else 0))
+                return _fn(rows, *args, **kwargs)
+
+            monkeypatch.setattr(linalg, name, spy)
+        for m, n in [(4, 7), (7, 7), (8, 3)]:
+            want = rat_str(det(core_matrix(kind, m, n)))
+            shapes.clear()
+            code, out = run_cli(["invariants", "--kind", kind, "--m", str(m), "--n", str(n)])
+            assert code == 0 and json.loads(out)["det"] == want
+            # a solve_det elimination of [A^T | A] has 2 max(m, n) columns
+            assert shapes and max(r for r, _ in shapes) <= max(m, n)
+            assert max(c for _, c in shapes) <= 2 * max(m, n)
 
     def test_check_relations_command(self, monkeypatch):
         code, out = run_cli(

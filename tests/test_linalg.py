@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import matrices, rationals, skew_matrices, square_matrices
+from conftest import jordan_rows, matrices, rationals, skew_matrices, square_matrices
 from memsig.linalg import (
     Matrix,
     SpectrumError,
@@ -288,19 +288,11 @@ class TestJordanStructure:
     )
     def test_recovers_blocks_under_rational_similarity(self, rng, blocks):
         n = sum(size for _, size in blocks)
-        j = [[0] * n for _ in range(n)]
-        start = 0
-        for mu, size in blocks:
-            for r in range(size):
-                j[start + r][start + r] = mu
-                if r + 1 < size:
-                    j[start + r][start + r + 1] = 1
-            start += size
         p = Matrix.zeros(n, n)
         while det(p) == 0:
             p = Matrix(n, n, tuple(rat(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n * n)))
         assert any(x.denominator > 1 for x in p.entries)
-        m = p @ Matrix.from_rows(j) @ inverse(p)
+        m = p @ Matrix.from_rows(jordan_rows(blocks)) @ inverse(p)
         assert pm1_jordan_structure(m) == Counter(blocks)
 
     def test_reconstructs_rank_sequences(self):

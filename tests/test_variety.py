@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from conftest import jordan_rows
 from memsig import linalg, tensor
 from memsig.linalg import (
     CongruenceInvariants,
@@ -10,10 +12,15 @@ from memsig.linalg import (
     HBlock,
     Matrix,
     _PRIME,
+    cosquare,
     det,
+    inverse,
+    kron,
+    kron_jordan_structure,
+    pm1_jordan_structure,
     rank_int_rows,
 )
-from memsig.membranes import core_matrix, core_tensor
+from memsig.membranes import core_factors, core_matrix, core_tensor
 from memsig.rational import rat
 from memsig.variety import (
     axis_core_det_check,
@@ -24,6 +31,7 @@ from memsig.variety import (
     dimension_formula,
     dimension_report,
     image_dimension,
+    kron_congruence_invariants,
     random_integer_matrix,
     relation_checks,
     tucker_jacobian,
@@ -86,6 +94,60 @@ class TestCongruenceInvariants:
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             congruence_invariants(Matrix.zeros(2, 2))
+
+
+def _unimodular(n: int, rng) -> Matrix:
+    """L U for random integer unitriangular L (lower) and U (upper): det 1, integer inverse."""
+    lower = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(lower) @ Matrix.from_rows(upper)
+
+
+class TestKronRoute:
+    """The factor route of ``invariants`` against the generic route on the mn x mn core."""
+
+    SIZES = [*product(range(1, 7), repeat=2), (4, 7), (7, 7), (3, 8)]
+
+    @pytest.mark.parametrize("kind", ["axis", "moment"])
+    def test_equals_the_generic_route_on_the_core(self, kind):
+        for m, n in self.SIZES:
+            core = core_matrix(kind, m, n)
+            a, b = core_factors(kind, m, n)
+            assert kron(a, b) == core
+            got, want = kron_congruence_invariants(a, b), congruence_invariants(core)
+            assert got == want and got.det == want.det == det(core), (kind, m, n)
+            assert got.rank_profile == core_rank_profile(core), (kind, m, n)
+            assert got.cosquare_structure() == pm1_jordan_structure(cosquare(core))
+
+    def test_tensor_jordan_rule_on_similar_matrices(self, rng):
+        def block(mu=None):
+            return (mu or rng.choice([1, -1]), rng.randint(1, 3))
+
+        for _ in range(12):
+            pair = []
+            # X holds blocks at both signs, Y one or two blocks
+            x_blocks = [block(1), block(-1), block()][: rng.randint(2, 3)]
+            for blocks in (x_blocks, [block(), block()][: rng.randint(1, 2)]):
+                p = _unimodular(sum(size for _, size in blocks), rng)
+                x = inverse(p) @ Matrix.from_rows(jordan_rows(blocks)) @ p
+                assert x.den == 1 and pm1_jordan_structure(x) == Counter(blocks)
+                pair.append(x)
+            x, y = pair
+            rule = kron_jordan_structure(pm1_jordan_structure(x), pm1_jordan_structure(y))
+            assert rule == pm1_jordan_structure(kron(x, y))
+
+    @pytest.mark.parametrize("kind", ["axis", "moment"])
+    def test_path_core_cosquares_have_spectrum_pm1(self, kind):
+        """The route's precondition for every CLI input with m, n <= 30.
+
+        The structure is one J_1(+1) for odd m and one J_2(-1) for even m,
+        plus J_1(-1) for the rest.
+        """
+        for m in range(1, 31):
+            a, _ = core_factors(kind, m, 1)
+            lead = (1, 1) if m % 2 else (-1, 2)
+            want = Counter({lead: 1, (-1, 1): m - lead[1]})
+            assert pm1_jordan_structure(cosquare(a)) == want, (kind, m)
 
 
 class TestCongruentCheck:
