@@ -23,8 +23,10 @@ int64 bound of ``ExactArray.of`` and ``rational_texts``); ``sig`` with and
 without ``--float`` on a
 grid whose level-2 entries are beyond the float range; ``core`` and
 ``invariants`` of both kinds for m, n <= 3, at the sizes of the
-variety-dims benchmark workload, with m = 0 and at 57x56, one size over
-the entry budget; the ``dim`` kinds of the
+variety-dims benchmark workload, with m = 0, at 57x56, one size over
+the entry budget, and at 1x40, 13x2, 15x15, 16x16 and 30x30 (the moment
+dets of the last two exceed the writer's 4300-digit limit), and of the
+axis kind at 1x100; the ``dim`` kinds of the
 variety-dims benchmark workload and ``check-relations`` (2,2,1), (4,2,2),
 (3,1,1), at MEMSIG_SEED 1-3; malformed grid and polynomial documents
 with one fault at each nesting level, and one bad leaf of each kind; and,
@@ -49,8 +51,11 @@ SEEDS = ("1", "2", "3")
 # the `dim` kinds of perfbench's variety-dims workload: (d, m, n) at level 2, (m, n) at d = 4, level 3
 DIM_L2 = [(6, 2, 3), (6, 3, 3), (6, 4, 4), (7, 3, 3), (7, 2, 6), (7, 5, 5), (8, 2, 4), (8, 3, 5), (8, 4, 5)]
 DIM_L3 = [(2, 2), (2, 4), (3, 3), (3, 4)]
-# the `invariants` sizes of that workload, an empty factor, and a core just over the entry budget
-INVARIANTS = [(4, 4), (5, 5), (4, 7), (6, 6), (7, 7), (0, 3), (57, 56)]
+# the `invariants` sizes of that workload, an empty factor, a core just over the entry budget, and
+# long, mixed-parity and large cores; the moment dets of 16x16 and 30x30 pass the writer's digit limit
+INVARIANTS = [
+    (4, 4), (5, 5), (4, 7), (6, 6), (7, 7), (0, 3), (57, 56), (1, 40), (13, 2), (15, 15), (16, 16), (30, 30)
+]
 
 
 def _grid_doc(rng, d, m, n, value):
@@ -237,6 +242,8 @@ def write_battery(work: Path) -> list:
         for m, n in INVARIANTS:
             argv = ["invariants", "--kind", kind, "--m", str(m), "--n", str(n)]
             cases.append((f"invariants {kind} {m}x{n}", argv, None, None))
+    argv = ["invariants", "--kind", "axis", "--m", "1", "--n", "100"]
+    cases.append(("invariants axis 1x100", argv, None, None))
     grid = str(work / "int.json")
     for name, argv in _argparse_failures(grid).items():
         cases.append((f"argparse {name}", argv, None, None))

@@ -37,7 +37,6 @@ from .membranes import (
     axis_membrane_eval,
     bilinear_decompose,
     cell_derivatives,
-    core_factors,
     core_matrix,
     core_tensor,
     hadamard_sig,
@@ -63,15 +62,14 @@ from .rational import Rat, rat, rat_str
 from .tensor import SigTensor, tucker_apply
 from .variety import (
     DimReport,
-    axis_core_det_check,
     congruence_invariants,
     congruent_check,
+    core_invariants,
     core_rank_profile,
     degree_formula,
     dimension_formula,
     dimension_report,
     image_dimension,
-    kron_congruence_invariants,
     relation_checks,
 )
 

@@ -21,15 +21,9 @@ import sys
 from . import bench as bench_mod
 from . import fileio
 from .fastsig import sig_tensor_fast
-from .membranes import (
-    GridData,
-    bilinear_decompose,
-    core_factors,
-    core_tensor,
-    sig_via_congruence,
-)
+from .membranes import GridData, bilinear_decompose, core_tensor, sig_via_congruence
 from .rational import rat_str
-from .variety import dimension_report, kron_congruence_invariants, relation_checks
+from .variety import core_invariants, dimension_report, relation_checks
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -69,7 +63,7 @@ def _cmd_dim(args) -> dict:
 
 
 def _cmd_invariants(args) -> dict:
-    blocks = kron_congruence_invariants(*core_factors(args.kind, args.m, args.n))
+    blocks, det = core_invariants(args.kind, args.m, args.n)
     rank_sym, rank_skew = blocks.rank_profile
     return {
         "kind": args.kind,
@@ -77,7 +71,7 @@ def _cmd_invariants(args) -> dict:
         "n": args.n,
         "rank_sym": rank_sym,
         "rank_skew": rank_skew,
-        "det": rat_str(blocks.det),
+        "det": rat_str(det),
         "blocks": [str(b) for b in blocks.blocks],
     }
 

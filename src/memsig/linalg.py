@@ -12,11 +12,10 @@ comes back through ``Matrix.of``.
   the rank then comes from fraction-free Bareiss elimination on Python ints,
   which keeps intermediate entries polynomially sized.  Bareiss is the only
   route to determinants and to short ranks.
-- ``solve_det`` (and ``solve``, ``inverse`` and ``cosquare`` through it)
-  runs the same Bareiss routine as a fraction-free Gauss-Jordan elimination
-  of [A | B]: each division is exact by the previous pivot, the right block
-  over the last pivot is the solution, and the last pivot with the swap
-  sign gives det A.
+- ``solve`` (and ``inverse`` and ``cosquare`` through it) runs the same
+  Bareiss routine as a fraction-free Gauss-Jordan elimination of [A | B]:
+  each division is exact by the previous pivot, and the right block over
+  the last pivot is the solution.
 - Rank, determinant and solve divide each integer row by its gcd first
   (``_primitive_rows``), so one large common denominator does not inflate
   the Bareiss entries.
@@ -28,24 +27,23 @@ comes back through ``Matrix.of``.
 only eigenvalues are +1 and -1 from the exact rank sequences rank((M -+ I)^j);
 this is all the spectral information the congruence normal forms need.  The
 ranks are taken of integer powers (ints -+ den I)^j, since scaling by den^j
-changes no rank.  For a Kronecker product M = A (x) B (A of size m, B of
-size n) nothing of size mn needs eliminating: the cosquare is
-C_A (x) C_B, det M = det(A)^n det(B)^m, and ``kron_jordan_structure``
-combines the factors' Jordan structures by
-J_a(l) (x) J_b(u) ~ sum over i = 1..min(a, b) of J_(a+b+1-2i)(l u).
-``pm1_jordan_structure`` of the mn x mn cosquare is the oracle of that rule.
+changes no rank.  The cosquare of a Kronecker product A (x) B is
+C_A (x) C_B, and ``kron_jordan_structure`` combines the factors' Jordan
+structures by J_a(l) (x) J_b(u) ~ sum over i = 1..min(a, b) of
+J_(a+b+1-2i)(l u).  ``pm1_jordan_structure`` of the product is the oracle
+of that rule.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
 
 import numpy as np
 
-from .rational import ONE, ZERO, ExactArray, Rat, rat
+from .rational import ONE, ZERO, ExactArray, rat
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -308,32 +306,23 @@ def pfaffian(m: Matrix):
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
-    """The exact X with a @ X == b, for a square nonsingular ``a`` (``solve_det``'s X)."""
-    return solve_det(a, b)[0]
-
-
-def solve_det(a: Matrix, b: Matrix) -> tuple[Matrix, Rat]:
-    """(X, det a) for the exact X with a @ X == b, for a square nonsingular ``a``.
+    """The exact X with a @ X == b, for a square nonsingular ``a``.
 
     [a | b] is brought over one denominator and each of its integer rows
-    divided by its gcd g_i (which leaves X as it is); one fraction-free
+    divided by its gcd (which leaves X as it is); one fraction-free
     Gauss-Jordan elimination then turns it into [p I | p X], p the last
-    pivot, and X is the right block over p.  p is sign * det of the left
-    block, whose row i is row i of a.ints times b.den over g_i, so
-    det a = sign * p * prod(g_i) / (a.den * b.den)^n.
+    pivot, and X is the right block over p.
     """
     if not a.is_square:
         raise ValueError("solve needs a square matrix")
     if b.rows != a.rows:
         raise ValueError(f"solve needs a right-hand side with {a.rows} rows, got {b.rows}")
     n = a.rows
-    rows, gcds = _primitive_rows(np.concatenate([a.ints * b.den, b.ints * a.den], axis=1))
-    rank, sign = _bareiss(rows, jordan_cols=n)
-    if rank < n:
+    rows, _ = _primitive_rows(np.concatenate([a.ints * b.den, b.ints * a.den], axis=1))
+    if _bareiss(rows, jordan_cols=n)[0] < n:
         raise ValueError("matrix is singular")
     p = rows[n - 1][n - 1] if n else 1
-    x = Matrix.of(np.array(rows, dtype=object).reshape(n, n + b.cols)[:, n:], p)
-    return x, rat(sign * p * prod(gcds), (a.den * b.den) ** n)
+    return Matrix.of(np.array(rows, dtype=object).reshape(n, n + b.cols)[:, n:], p)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -433,14 +422,9 @@ class HBlock:
 
 @dataclass(frozen=True)
 class CongruenceInvariants:
-    """Multiset of canonical congruence blocks, stored sorted.
-
-    ``det`` is the determinant of the matrix the blocks were computed from,
-    when known; it is not a congruence invariant and is not compared.
-    """
+    """Multiset of canonical congruence blocks, stored sorted."""
 
     blocks: tuple
-    det: Rat | None = field(default=None, compare=False)
 
     def __post_init__(self):
         key = lambda b: (isinstance(b, HBlock), b)

@@ -240,16 +240,16 @@ def product_sig_entry(sig_x_entry, sig_y_entry, tupleword) -> Rat:
     return rat(sig_x_entry(iword)) * rat(sig_y_entry(jword))
 
 
-def _path_cores(kind: str, m: int, n: int, k: int) -> tuple[SigTensor, SigTensor]:
-    """The level-k path cores of orders m and n, once the kind and the core's size are checked."""
-    if kind == "moment":
-        path_core = moment_path_core
-    elif kind == "axis":
-        path_core = axis_path_core
-    else:
+_PATH_CORES = {"moment": moment_path_core, "axis": axis_path_core}
+
+
+def check_core_args(kind: str, m: int, n: int, k: int) -> None:
+    """Refuse an unknown kind, an order below 1 and a level-k core over the entry budget."""
+    if kind not in _PATH_CORES:
         raise ValueError(f"unknown core kind {kind!r} (expected 'moment' or 'axis')")
+    if min(m, n) < 1:
+        raise ValueError(f"need m, n >= 1, got ({m}, {n})")
     check_entry_count(m * n, k)
-    return path_core(m, k), path_core(n, k)
 
 
 @lru_cache(maxsize=CORE_CACHE_SIZE)
@@ -263,7 +263,9 @@ def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
     their denominators.  At level 2 this is the Kronecker product of the two
     path signature matrices.
     """
-    x, y = _path_cores(kind, m, n, k)
+    check_core_args(kind, m, n, k)
+    path_core = _PATH_CORES[kind]
+    x, y = path_core(m, k), path_core(n, k)
     outer = np.asarray(np.multiply.outer(x.ints, y.ints), dtype=object)  # a bare int at k = 0
     arr = outer.transpose([a for r in range(k) for a in (r, k + r)]).reshape((m * n,) * k)
     return SigTensor.of(arr, x.den * y.den, dim=m * n)
@@ -271,16 +273,6 @@ def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
 
 def core_matrix(kind: str, m: int, n: int) -> Matrix:
     return core_tensor(kind, m, n, 2).to_matrix()
-
-
-def core_factors(kind: str, m: int, n: int) -> tuple[Matrix, Matrix]:
-    """(A, B), the m x m and n x n path core matrices with core_matrix = kron(A, B).
-
-    Refuses an unknown kind and an mn x mn core over the entry budget, as
-    ``core_matrix`` does, without building the core.
-    """
-    x, y = _path_cores(kind, m, n, 2)
-    return x.to_matrix(), y.to_matrix()
 
 
 def hadamard_sig(sig_x: SigTensor, sig_y: SigTensor) -> SigTensor:

@@ -9,30 +9,54 @@ minor mod p, so a handful of trials suffices (max rank over trials is
 reported).  The same derivative-rank computation runs at level 3 with the
 Tucker cube map.
 
-Congruence invariants of the core matrices come from the Jordan structure of
-the cosquare M^{-T} M: blocks J_k((-1)^{k+1}) correspond to single blocks
-Gamma_k, and the remaining blocks at +-1 pair up into H_{2k}(mu).  Only the
-+-1-cosquare case is implemented; that is the case the dictionary cores live
-in.  A dictionary core is M = A (x) B for the two path cores A (m x m) and
-B (n x n), and four identities over Q let ``kron_congruence_invariants``
-work on the factors alone:
+Congruence invariants of a nonsingular matrix M come from the Jordan
+structure of its cosquare C = M^{-T} M: blocks J_k((-1)^{k+1}) correspond to
+single blocks Gamma_k, and the remaining blocks at +-1 pair up into
+H_{2k}(mu).  Only the +-1-cosquare case is implemented; that is the case the
+dictionary cores live in.  Since M +- M^T = M^T (C +- I), rank_sym is the
+size less the number of blocks of C at -1 and rank_skew the size less the
+number at +1 (``CongruenceInvariants.rank_profile``).
+``congruence_invariants`` finds C's structure by elimination and is the
+generic route; ``core_invariants`` reads the level-2 core's structure and
+determinant off closed forms and eliminates nothing.  The proof:
 
-- the cosquare is C = C_A (x) C_B;
-- det M = det(A)^n det(B)^m;
-- J_a(l) (x) J_b(u) is similar to the sum of J_(a+b+1-2i)(l u) over
-  i = 1..min(a, b) (characteristic 0), which gives C's Jordan structure;
-- M +- M^T = M^T (C +- I), so rank_sym = mn - #blocks of C at -1 and
-  rank_skew = mn - #blocks at +1 (``CongruenceInvariants.rank_profile``).
+- A path from 0 to x has a level-2 signature S with S + S^T = x x^T, the
+  shuffle identity e_i e_j + e_j e_i = e_i sh e_j (Ree 1958; Amendola, Friz
+  and Sturmfels, "Varieties of signature tensors", 2019).  Both dictionary
+  paths of order m end at 1 = (1, ..., 1), so each path core S (m x m)
+  satisfies S + S^T = 1 1^T.
+- det S = 1/D(m), so S is nonsingular.  Axis: S is triangular with 1/2 on
+  the diagonal, and D(m) = 2^m.  Moment: S_ij = j/(i+j) is a Cauchy matrix
+  scaled by diag(j), det S = m! prod_{i<j} (j-i)^2 / prod_{i,j} (i+j), and
+  the ratios of consecutive leading minors give
+  D(m) = prod_{k=1..m} C(2k, k) C(2k-1, k).
+- The cosquare C = S^{-T} S satisfies C + I = S^{-T} (S + S^T) = S^{-T} 1 1^T,
+  which is nonzero of rank 1, and det C = det S / det S^T = 1.  So -1 has
+  geometric multiplicity m - 1, and the last eigenvalue is l = (-1)^{m-1}
+  from det C = (-1)^{m-1} l.
+- Odd m: l = +1, C is diagonalizable, J_1(+1) + (m-1) J_1(-1), so the
+  blocks are Gamma_1 + ((m-1)/2) H_2(-1).  Even m: trace(C + I) = 0, and a
+  rank-1 matrix of trace 0 squares to 0, so C = J_2(-1) + (m-2) J_1(-1) and
+  the blocks are Gamma_2 + ((m-2)/2) H_2(-1).  Both kinds have the same
+  blocks, so their path cores are congruent: the paper's result that the
+  moment and axis membranes have the same signature matrices.
+- The core is M = A (x) B for the path cores A (m x m) and B (n x n).  Its
+  cosquare is C_A (x) C_B, whose Jordan structure ``kron_jordan_structure``
+  gives by J_a(l) (x) J_b(u) ~ sum over i = 1..min(a, b) of
+  J_(a+b+1-2i)(l u) (characteristic 0), and
+  det M = det(A)^n det(B)^m = 1/(D(m)^n D(n)^m).
 
-``congruence_invariants`` and ``core_rank_profile`` on the mn x mn core stay
-the generic route and the oracle the factor route is tested against.
+``congruence_invariants``, ``core_rank_profile`` and ``pm1_jordan_structure``
+on the path cores and the mn x mn core stay the oracles these closed forms
+are tested against.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -43,15 +67,15 @@ from .linalg import (
     Matrix,
     _PRIME,
     _rank_mod_p,
+    cosquare,
     det,
     kron_jordan_structure,
     pfaffian,
     pm1_jordan_structure,
     rank,
-    solve_det,
     sym_skew_split,
 )
-from .membranes import core_matrix, core_tensor
+from .membranes import check_core_args, core_matrix, core_tensor
 from .rational import ONE, Rat, rat
 from .tensor import SigTensor, check_budget, check_entry_count, mode_apply
 
@@ -70,7 +94,7 @@ def core_rank_profile(core: Matrix) -> tuple[int, int]:
     return rank(sym), rank(skew)
 
 
-def _invariants(structure, det_m) -> CongruenceInvariants:
+def _invariants(structure) -> CongruenceInvariants:
     """Congruence blocks of a cosquare's Jordan structure (``pm1_jordan_structure`` form).
 
     Jordan blocks J_k(+1) with k odd and J_k(-1) with k even become Gamma_k;
@@ -87,39 +111,47 @@ def _invariants(structure, det_m) -> CongruenceInvariants:
                     f"J_{k}({mu:+d}) occurs {cnt} times but must pair into H-blocks"
                 )
             blocks.extend([HBlock(k, mu)] * (cnt // 2))
-    return CongruenceInvariants(tuple(blocks), det_m)
+    return CongruenceInvariants(tuple(blocks))
 
 
 def congruence_invariants(m: Matrix) -> CongruenceInvariants:
     """Canonical congruence block multiset of a nonsingular matrix.
 
     Requires the cosquare spectrum to be contained in {+1, -1}; the blocks
-    come from its Jordan structure (``_invariants``).  The cosquare comes
-    from ``solve_det(M^T, M)``, and so does the result's ``det``,
-    det M^T = det M.  A singular matrix raises ValueError from ``solve_det``.
-    This is the generic route and the test oracle of
-    ``kron_congruence_invariants``.
+    come from its Jordan structure (``_invariants``).  A singular matrix
+    raises ValueError from ``cosquare``.  This is the generic route and the
+    test oracle of ``core_invariants``.
     """
     if not m.is_square:
         raise ValueError("congruence invariants need a square matrix")
-    cosq, det_m = solve_det(m.transpose(), m)
-    return _invariants(pm1_jordan_structure(cosq), det_m)
+    return _invariants(pm1_jordan_structure(cosquare(m)))
 
 
-def kron_congruence_invariants(a: Matrix, b: Matrix) -> CongruenceInvariants:
-    """``congruence_invariants(kron(a, b))`` from the two factors alone.
+def _path_core_structure(m: int) -> Counter:
+    """Jordan structure of the cosquare of an order-m path core, either kind (module docstring)."""
+    lead = (1, 1) if m % 2 else (-1, 2)
+    return Counter({lead: 1, (-1, 1): m - lead[1]})
 
-    For M = A (x) B with A of size m and B of size n, the cosquare is
-    C_A (x) C_B, so its Jordan structure is ``kron_jordan_structure`` of the
-    factors' structures, and det M = det(A)^n det(B)^m.  Each factor goes
-    through ``congruence_invariants`` once (one ``solve_det`` and one
-    ``pm1_jordan_structure``), so no matrix larger than max(m, n) is
-    eliminated.  Requires both factor cosquares to have spectrum in
-    {+1, -1}; a singular factor raises ValueError as a singular M does.
+
+def _path_core_det_den(kind: str, m: int) -> int:
+    """D(m) = 1/det of the order-m path core of ``kind`` (module docstring)."""
+    if kind == "axis":
+        return 2**m
+    return prod(comb(2 * k, k) * comb(2 * k - 1, k) for k in range(1, m + 1))
+
+
+def core_invariants(kind: str, m: int, n: int) -> tuple[CongruenceInvariants, Rat]:
+    """(congruence blocks, det) of the level-2 core matrix, in closed form.
+
+    The blocks come from ``kron_jordan_structure`` of the two path-core
+    structures and det = 1/(D(m)^n D(n)^m) (module docstring); nothing is
+    built or eliminated.  The arguments are refused as ``core_tensor``
+    refuses them at level 2.
     """
-    fa, fb = congruence_invariants(a), congruence_invariants(b)
-    structure = kron_jordan_structure(fa.cosquare_structure(), fb.cosquare_structure())
-    return _invariants(structure, fa.det**b.rows * fb.det**a.rows)
+    check_core_args(kind, m, n, 2)
+    structure = kron_jordan_structure(_path_core_structure(m), _path_core_structure(n))
+    det_den = _path_core_det_den(kind, m) ** n * _path_core_det_den(kind, n) ** m
+    return _invariants(structure), rat(1, det_den)
 
 
 def congruent_check(m: Matrix, n: Matrix) -> bool:
@@ -127,11 +159,6 @@ def congruent_check(m: Matrix, n: Matrix) -> bool:
     if m.rows != n.rows:
         return False
     return congruence_invariants(m) == congruence_invariants(n)
-
-
-def axis_core_det_check(m: int, n: int) -> bool:
-    """det of the axis core matrix equals 4^(-mn)."""
-    return det(core_matrix("axis", m, n)) == rat(1, 4 ** (m * n))
 
 
 # --------------------------------------------------------------------------

@@ -458,32 +458,37 @@ class TestCliCommands:
         code, out = run_cli(["invariants", "--kind", "axis", "--m", str(m), "--n", str(n)])
         assert code == 0 and json.loads(out)["det"] == rat_str(det(core_matrix("axis", m, n)))
 
-    def test_invariants_of_a_singular_core_exits_3(self, monkeypatch, capsys):
-        singular = Matrix.from_rows([[1, 2], [2, 4]])
-        for factors in [(singular, Matrix.identity(1)), (Matrix.identity(1), singular)]:
-            monkeypatch.setattr(cli, "core_factors", lambda kind, m, n: factors)
-            code, out = run_cli(["invariants", "--kind", "axis", "--m", "1", "--n", "1"])
-            assert code == 3 and out == ""
-            assert capsys.readouterr().err == "error: matrix is singular\n"
-
     @pytest.mark.parametrize("kind", ["axis", "moment"])
-    def test_invariants_eliminates_no_matrix_larger_than_a_factor(self, monkeypatch, kind):
-        shapes = []
+    def test_invariants_runs_no_elimination(self, monkeypatch, kind):
+        calls = []
         for name in ("_bareiss", "_rank_mod_p"):
 
             def spy(rows, *args, _fn=getattr(linalg, name), **kwargs):
-                shapes.append((len(rows), len(rows[0]) if rows else 0))
+                calls.append(len(rows))
                 return _fn(rows, *args, **kwargs)
 
             monkeypatch.setattr(linalg, name, spy)
         for m, n in [(4, 7), (7, 7), (8, 3)]:
             want = rat_str(det(core_matrix(kind, m, n)))
-            shapes.clear()
+            calls.clear()
             code, out = run_cli(["invariants", "--kind", kind, "--m", str(m), "--n", str(n)])
             assert code == 0 and json.loads(out)["det"] == want
-            # a solve_det elimination of [A^T | A] has 2 max(m, n) columns
-            assert shapes and max(r for r, _ in shapes) <= max(m, n)
-            assert max(c for _, c in shapes) <= 2 * max(m, n)
+            assert calls == []
+
+    def test_invariants_of_a_long_axis_core(self):
+        code, out = run_cli(["invariants", "--kind", "axis", "--m", "1", "--n", "3162"])
+        doc = json.loads(out)
+        assert code == 0 and doc["det"] == f"1/{4**3162}"
+        assert doc["blocks"] == ["Gamma2"] + ["H2(-1)"] * 1580
+        assert (doc["rank_sym"], doc["rank_skew"]) == (1, 3162)
+
+    @pytest.mark.parametrize(
+        "command", [["core", "--kind", "axis"], ["dim", "--d", "2"], ["invariants", "--kind", "moment"]]
+    )
+    def test_order_below_one_is_refused(self, capsys, command):
+        code, out = run_cli([*command, "--m", "0", "--n", "3"])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == "error: need m, n >= 1, got (0, 3)\n"
 
     def test_check_relations_command(self, monkeypatch):
         code, out = run_cli(

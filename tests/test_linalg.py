@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jordan_rows, matrices, rationals, skew_matrices, square_matrices
@@ -19,7 +19,6 @@ from memsig.linalg import (
     rank,
     rank_int_rows,
     solve,
-    solve_det,
     sym_skew_split,
 )
 from memsig.membranes import core_matrix
@@ -341,12 +340,6 @@ class TestSolve:
                 solve(a, b)
             return
         assert a @ solve(a, b) == b
-
-    @given(square_matrices(max_size=5), st.integers(0, 3), st.data())
-    def test_solve_det_reads_det_off_the_same_elimination(self, a, k, data):
-        b = data.draw(matrices(rows=a.rows, cols=k)) if k else Matrix(a.rows, 0, ())
-        assume(det(a) != 0)
-        assert solve_det(a, b) == (solve(a, b), det(a))
 
     @given(square_matrices(max_size=5))
     def test_cosquare_definition(self, m):

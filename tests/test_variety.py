@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import product
+from math import factorial, prod
 
 import pytest
 
@@ -20,18 +21,20 @@ from memsig.linalg import (
     pm1_jordan_structure,
     rank_int_rows,
 )
-from memsig.membranes import core_factors, core_matrix, core_tensor
+from memsig.membranes import _PATH_CORES, core_matrix, core_tensor
 from memsig.rational import rat
 from memsig.variety import (
-    axis_core_det_check,
+    _invariants,
+    _path_core_det_den,
+    _path_core_structure,
     congruence_invariants,
     congruent_check,
+    core_invariants,
     core_rank_profile,
     degree_formula,
     dimension_formula,
     dimension_report,
     image_dimension,
-    kron_congruence_invariants,
     random_integer_matrix,
     relation_checks,
     tucker_jacobian,
@@ -104,7 +107,7 @@ def _unimodular(n: int, rng) -> Matrix:
 
 
 class TestKronRoute:
-    """The factor route of ``invariants`` against the generic route on the mn x mn core."""
+    """The closed forms of ``invariants`` against the generic route on the cores."""
 
     SIZES = [*product(range(1, 7), repeat=2), (4, 7), (7, 7), (3, 8)]
 
@@ -112,12 +115,11 @@ class TestKronRoute:
     def test_equals_the_generic_route_on_the_core(self, kind):
         for m, n in self.SIZES:
             core = core_matrix(kind, m, n)
-            a, b = core_factors(kind, m, n)
-            assert kron(a, b) == core
-            got, want = kron_congruence_invariants(a, b), congruence_invariants(core)
-            assert got == want and got.det == want.det == det(core), (kind, m, n)
-            assert got.rank_profile == core_rank_profile(core), (kind, m, n)
-            assert got.cosquare_structure() == pm1_jordan_structure(cosquare(core))
+            blocks, det_m = core_invariants(kind, m, n)
+            assert blocks == congruence_invariants(core), (kind, m, n)
+            assert det_m == det(core), (kind, m, n)
+            assert blocks.rank_profile == core_rank_profile(core), (kind, m, n)
+            assert blocks.cosquare_structure() == pm1_jordan_structure(cosquare(core))
 
     def test_tensor_jordan_rule_on_similar_matrices(self, rng):
         def block(mu=None):
@@ -137,17 +139,22 @@ class TestKronRoute:
             assert rule == pm1_jordan_structure(kron(x, y))
 
     @pytest.mark.parametrize("kind", ["axis", "moment"])
-    def test_path_core_cosquares_have_spectrum_pm1(self, kind):
-        """The route's precondition for every CLI input with m, n <= 30.
-
-        The structure is one J_1(+1) for odd m and one J_2(-1) for even m,
-        plus J_1(-1) for the rest.
-        """
+    def test_path_core_closed_forms_equal_the_generic_route(self, kind):
+        """The shuffle identity, the factor normal forms and D(m) on the path cores, m <= 30."""
         for m in range(1, 31):
-            a, _ = core_factors(kind, m, 1)
-            lead = (1, 1) if m % 2 else (-1, 2)
-            want = Counter({lead: 1, (-1, 1): m - lead[1]})
-            assert pm1_jordan_structure(cosquare(a)) == want, (kind, m)
+            s = _PATH_CORES[kind](m, 2).to_matrix()
+            assert s + s.transpose() == Matrix.from_rows([[1] * m] * m), (kind, m)
+            structure = _path_core_structure(m)
+            assert pm1_jordan_structure(cosquare(s)) == structure, (kind, m)
+            assert congruence_invariants(s) == _invariants(structure), (kind, m)
+            assert det(s) == rat(1, _path_core_det_den(kind, m)), (kind, m)
+
+    def test_moment_det_den_equals_the_cauchy_determinant(self):
+        for m in range(1, 40):
+            pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+            cauchy = rat(factorial(m) * prod((j - i) ** 2 for i, j in pairs if i < j),
+                         prod(i + j for i, j in pairs))
+            assert rat(1, _path_core_det_den("moment", m)) == cauchy, m
 
 
 class TestCongruentCheck:
@@ -171,8 +178,7 @@ class TestCongruentCheck:
 class TestDetCheck:
     def test_small_orders(self):
         for m, n in product(range(1, 4), repeat=2):
-            assert axis_core_det_check(m, n)
-        assert det(core_matrix("axis", 3, 2)) == rat(1, 4**6)
+            assert det(core_matrix("axis", m, n)) == rat(1, 4 ** (m * n))
 
 
 class TestImageDimension:
