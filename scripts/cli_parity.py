@@ -19,16 +19,21 @@ huge-rational grid and on a dense and a sparse polynomial spec; ``decompose``
 on those grids and on larger ones; ``decompose`` and level-2 ``sig`` on grids
 whose literals have up to 18 or 19 digits (the reader's int64 bound) and on
 two whose cell differences over den 2 stay below 2^62 or reach past it (the
-int64 bound of ``ExactArray.of`` and ``rational_texts``); ``sig`` with and
-without ``--float`` on a
+int64 bound of ``ExactArray.of`` and ``rational_texts``); ``decompose`` and
+``sig`` at level 2, level 3 and by the congruence route on grids with nodes
+up to 2^61 - 1, 2^61 and 2^62 - 1 in magnitude (random, and alternating in
+sign so that every cell difference is 4 times the largest node: the int64
+bound of ``cell_derivatives``), and on rational grids whose ``den`` is just
+below or above 2^62; ``sig`` with and without ``--float`` on a
 grid whose level-2 entries are beyond the float range; ``core`` and
 ``invariants`` of both kinds for m, n <= 3, at the sizes of the
 variety-dims benchmark workload, with m = 0, at 57x56, one size over
 the entry budget, and at 1x40, 13x2, 15x15, 16x16 and 30x30 (the moment
-dets of the last two exceed the writer's 4300-digit limit), and of the
-axis kind at 1x100; the ``dim`` kinds of the
-variety-dims benchmark workload and ``check-relations`` (2,2,1), (4,2,2),
-(3,1,1), at MEMSIG_SEED 1-3; malformed grid and polynomial documents
+dets of the last two exceed the writer's 4300-digit limit, and that of
+30x30 is refused before it is computed), and of the axis kind at 1x100;
+``dim`` of both kinds at the sizes of the variety-dims benchmark workload
+and at larger cores, levels 2 and 3, and ``check-relations`` (2,2,1),
+(4,2,2), (3,1,1), at MEMSIG_SEED 1-3; malformed grid and polynomial documents
 with one fault at each nesting level, and one bad leaf of each kind; and,
 with and without ``--out``, calls that argparse refuses (no or an unknown
 subcommand, and for each subcommand a missing required flag or input, a
@@ -51,6 +56,8 @@ SEEDS = ("1", "2", "3")
 # the `dim` kinds of perfbench's variety-dims workload: (d, m, n) at level 2, (m, n) at d = 4, level 3
 DIM_L2 = [(6, 2, 3), (6, 3, 3), (6, 4, 4), (7, 3, 3), (7, 2, 6), (7, 5, 5), (8, 2, 4), (8, 3, 5), (8, 4, 5)]
 DIM_L3 = [(2, 2), (2, 4), (3, 3), (3, 4)]
+# (level, d, m, n) with larger cores: more terms in each int64 contraction of the Jacobian mod p
+DIM_LARGE = [(2, 3, 8, 8), (2, 2, 10, 12), (3, 3, 4, 4), (3, 2, 5, 5)]
 # the `invariants` sizes of that workload, an empty factor, a core just over the entry budget, and
 # long, mixed-parity and large cores; the moment dets of 16x16 and 30x30 pass the writer's digit limit
 INVARIANTS = [
@@ -77,6 +84,12 @@ def _huge_rational(rng):
 
 def _huge_denominator(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 10**6))
+
+
+def _alternating_doc(d, m, n, top):
+    """Nodes +-top alternating in a and b, so every cell difference is +-4 top."""
+    values = [[[str((-1) ** (a + b + i) * top) for b in range(n + 1)] for a in range(m + 1)] for i in range(d)]
+    return {"d": d, "m": m, "n": n, "values": values}
 
 
 def _digits(most, dens=None):
@@ -202,10 +215,17 @@ def write_battery(work: Path) -> list:
         "delta-below": _grid_doc(rng, 3, 4, 4, lambda r: Fraction(r.randint(-(2**59), 2**59), 2)),
         "delta-above": _grid_doc(rng, 3, 4, 4, lambda r: Fraction(r.randint(-(2**61), 2**61), 2)),
     }
+    # nodes on both sides of the int64 bound of cell_derivatives, and dens next to 2^62
+    node_grids = {}
+    for top, label in ((2**61 - 1, "2^61-1"), (2**61, "2^61"), (2**62 - 1, "2^62-1")):
+        node_grids[f"nodes-alt-{label}"] = _alternating_doc(3, 4, 3, top)
+        node_grids[f"nodes-rand-{label}"] = _grid_doc(rng, 3, 4, 4, lambda r, t=top: r.choice([t, -t, r.randint(-t, t)]))
+    for dens, label in (([2**62 - 1], "2^62-1"), ([2**62 + 1], "2^62+1"), ([2**31 - 1, 2**31 + 3], "2^62+2^32-3")):
+        node_grids[f"den-{label}"] = _grid_doc(rng, 3, 4, 4, lambda r, q=dens: Fraction(r.randint(-9, 9), r.choice(q)))
     # nodes up to 10^300: level-2 entries near 10^600 have no float
     huge_float = {"hugefloat": _grid_doc(rng, 2, 2, 2, lambda r: r.randint(-(10**300), 10**300))}
     malformed = _malformed_docs()
-    for name, doc in {**grids, **big_grids, **bound_grids, **specs, **huge_float, **malformed}.items():
+    for name, doc in {**grids, **big_grids, **bound_grids, **node_grids, **specs, **huge_float, **malformed}.items():
         (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
 
     cases = []
@@ -223,6 +243,12 @@ def write_battery(work: Path) -> list:
         path = str(work / f"{name}.json")
         cases.append((f"decompose {name}", ["decompose", path], None, "out.json"))
         cases.append((f"sig {name} L2", ["sig", path], None, None))
+    for name in node_grids:
+        path = str(work / f"{name}.json")
+        cases.append((f"decompose {name}", ["decompose", path], None, "out.json"))
+        cases.append((f"sig {name} L2", ["sig", path], None, None))
+        cases.append((f"sig {name} L2 congruence", ["sig", path, "--method", "congruence"], None, None))
+        cases.append((f"sig {name} L3", ["sig", path, "--level", "3"], None, None))
     path = str(work / "hugefloat.json")
     cases.append(("sig hugefloat", ["sig", path], None, None))
     cases.append(("sig hugefloat float", ["sig", path, "--float"], None, None))
@@ -256,6 +282,9 @@ def write_battery(work: Path) -> list:
             for m, n in DIM_L3:
                 argv = ["dim", "--d", "4", "--m", str(m), "--n", str(n), "--level", "3", "--kind", kind]
                 cases.append((f"dim L3 {kind} 4,{m},{n} seed {seed}", argv, seed, "out.json"))
+            for level, d, m, n in DIM_LARGE:
+                argv = ["dim", "--d", str(d), "--m", str(m), "--n", str(n), "--level", str(level), "--kind", kind]
+                cases.append((f"dim L{level} {kind} {d},{m},{n} seed {seed}", argv, seed, None))
         for d, m, n in [(2, 2, 1), (4, 2, 2), (3, 1, 1)]:
             argv = ["check-relations", "--d", str(d), "--m", str(m), "--n", str(n)]
             cases.append((f"check-relations {d},{m},{n} seed {seed}", argv, seed, None))

@@ -152,16 +152,19 @@ def _primitive_rows(arr: np.ndarray) -> tuple[list[list[int]], list[int]]:
 _PRIME = 2**31 - 1
 
 
-def _rank_mod_p(rows: list[list[int]]) -> int:
+def _rank_mod_p(rows) -> int:
     """Rank of an integer matrix over GF(2^31 - 1), by elimination in int64.
 
-    Entries are reduced on Python ints before the cast, so any size is
-    handled.  A minor that is nonzero mod p is nonzero over the integers, so
-    this rank is never above the rank over the rationals.
+    ``rows`` is a list of integer rows or a 2-D integer numpy array, which is
+    not modified.  Entries are reduced mod p before the elimination, in int64
+    for an int64 array and on Python ints otherwise, so any size is handled.
+    A minor that is nonzero mod p is nonzero over the integers, so this rank
+    is never above the rank over the rationals.
     """
-    if not rows or not rows[0]:
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    if not a.size:
         return 0
-    a = (np.array(rows, dtype=object) % _PRIME).astype(np.int64)
+    a = (a % _PRIME).astype(np.int64, copy=False)
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):

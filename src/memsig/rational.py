@@ -22,11 +22,16 @@ is int64 when every literal has at most 18 digits and ``den * max|p| <
 array's entries from ``ints`` and ``den`` directly, and ``rat_str`` formats
 one scalar.
 
-``of`` and ``rational_texts`` take the gcd of every entry with ``den`` in
-one ``np.gcd`` call.  ``int_view`` runs it on an int64 view when ``den``
-and every entry are below 2^62 in magnitude, where it and the quotients by
-divisors of ``den`` are exact, and on object dtype (Python ints, the same
-call) otherwise.  The stored form stays object ints over ``den``.
+``int_view`` gives an int64 view of an integer array when ``den`` and
+every entry are below 2^62 in magnitude, where gcds with ``den`` and the
+quotients by divisors of ``den`` are exact.  On that view ``of`` takes one
+reduction, canon = |den| / gcd(|den|, x_1, ..., x_N): the reduced
+denominator of x_i/den is den/g_i with g_i = gcd(x_i, den), and as every
+g_i divides den, lcm_i(den/g_i) = den/gcd_i(g_i).  On object dtype (Python
+ints) it takes the gcd of every entry with ``den`` in one ``np.gcd`` call
+and the lcm of the quotients, since a running gcd stays as large as a huge
+``den`` and is far slower.  ``rational_texts`` takes the elementwise
+``np.gcd`` on either view.  The stored form stays object ints over ``den``.
 """
 
 from __future__ import annotations
@@ -68,18 +73,18 @@ def lcm_all(values) -> int:
     return abs(xs[0])
 
 
-def int_view(ints: np.ndarray, den: int) -> np.ndarray:
-    """The integer array ``ints`` as int64 if |den| and every |entry| are below 2^62, else as object.
+def int_view(ints: np.ndarray, den: int, bound: int = 2**62) -> np.ndarray:
+    """The integer array ``ints`` as int64 if |den| and every |entry| are below ``bound``, else as object.
 
-    Under that bound ``np.gcd(view, den)``, which takes absolute values, and
-    every quotient by a divisor of ``den`` are exact in int64; above it the
-    same numpy calls run on Python ints.
+    Under the default bound ``np.gcd(view, den)``, which takes absolute
+    values, and every quotient by a divisor of ``den`` are exact in int64;
+    above it the same numpy calls run on Python ints.
     """
     try:
         view = ints.astype(np.int64, copy=False)
     except OverflowError:  # an entry past the int64 range
         return ints.astype(object, copy=False)
-    fits = abs(den) < 2**62 and -(2**62) < view.min(initial=0) and view.max(initial=0) < 2**62
+    fits = abs(den) < bound and -bound < view.min(initial=0) and view.max(initial=0) < bound
     return view if fits else ints.astype(object, copy=False)
 
 
@@ -115,15 +120,20 @@ class ExactArray:
     def of(cls, ints, den: int, **shape_fields):
         """The array ints / den, for an integer numpy array (object or int64) and a nonzero int ``den``.
 
-        Reduces to the canonical ``den`` with one ``np.gcd`` of all entries
-        against ``den``, on ``int_view``'s int64 view when its bound holds,
-        and one exact division per entry when ``den`` changes.  Shape fields
-        not given are read off ``ints.shape``.  An object array is taken
+        Reduces to the canonical ``den`` (module docstring): one
+        ``np.gcd.reduce`` seeded with |den| on ``int_view``'s int64 view when
+        its bound holds, else one elementwise ``np.gcd`` against ``den`` on
+        Python ints, and one exact division per entry when ``den`` changes.
+        Shape fields not given are read off ``ints.shape``.  An object array is taken
         over, not copied: it is made read-only.
         """
         if den != 1:
             view = int_view(np.asarray(ints), den)  # a kernel's 0-d result may come as a scalar
-            canon = lcm_all(set((abs(den) // np.gcd(view, den)).ravel().tolist()))
+            flat = view.ravel()  # 1-d, so that numpy returns arrays, not scalars, at 0-d
+            if view.dtype == np.int64:
+                canon = abs(den) // int(np.gcd.reduce(flat, initial=abs(den)))
+            else:
+                canon = lcm_all(set((abs(den) // np.gcd(flat, den)).tolist()))
             ints, den = (view // (den // canon), canon) if canon != den else (ints, den)
         ints = np.asarray(ints, dtype=object)
         obj = cls.__new__(cls)

@@ -9,7 +9,8 @@ The Tucker action is an integer kernel: ``tucker_apply`` applies
 ``mode_apply`` (one ``np.tensordot`` on numpy object arrays of Python ints)
 to the tensor's ``ints`` once per mode, with the matrix's ``ints``, and the
 result is over den * a.den^k.  The Jacobian of
-``variety.tucker_jacobian_rank`` is built from the same contraction.
+``variety.tucker_jacobian_rank`` is built from the same contraction, on
+int64 residues mod 2^31 - 1.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def mode_apply(arr: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Contract axis 0 with ``a``: new[..., x] = sum_y a[x, y] arr[y, ...].
 
     The new axis goes last, so k calls on a k-axis array apply ``a`` in every
-    mode, in order.  Both are object arrays of Python ints.
+    mode, in order.  Both are object arrays of Python ints, or int64 arrays
+    under a caller's proved bound (``variety._jacobian_mod_p``).
     """
     return np.tensordot(arr, a, axes=(0, 1))
 

@@ -2,12 +2,13 @@
 
 The congruence orbit {A C A^T : A in C^(d x mn)} of a core matrix C has a
 Zariski closure whose dimension equals the generic rank of the derivative of
-the orbit map.  The derivative is built exactly on integers at a random base
-point and ranked over GF(2^31 - 1).  That rank is never above the generic
-rank over Q, and it falls short of it only on the zero set of a nonzero
-minor mod p, so a handful of trials suffices (max rank over trials is
-reported).  The same derivative-rank computation runs at level 3 with the
-Tucker cube map.
+the orbit map.  The derivative at a random integer base point is built mod
+p = 2^31 - 1 in int64 (``_jacobian_mod_p``; the exact integer derivative,
+``tucker_jacobian``, is its test oracle) and ranked over GF(p).  That rank
+is never above the generic rank over Q, and it falls short of it only on
+the zero set of a nonzero minor mod p, so a handful of trials suffices (max
+rank over trials is reported).  The same derivative-rank computation runs at
+level 3 with the Tucker cube map.
 
 Congruence invariants of a nonsingular matrix M come from the Jordan
 structure of its cosquare C = M^{-T} M: blocks J_k((-1)^{k+1}) correspond to
@@ -54,6 +55,7 @@ are tested against.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, prod
@@ -140,15 +142,46 @@ def _path_core_det_den(kind: str, m: int) -> int:
     return prod(comb(2 * k, k) * comb(2 * k - 1, k) for k in range(1, m + 1))
 
 
+def _path_core_det_den_bits(kind: str, m: int) -> int:
+    """A lower bound on log2 D(m), computed without D(m).
+
+    Axis: log2 D(m) = m.  Moment: C(2k, k) >= 4^k / (2k + 1) and
+    C(2k - 1, k) = C(2k, k) / 2, so each factor of D(m) contributes at least
+    4k - 1 - 2 log2(2k + 1) bits.
+    """
+    if kind == "axis":
+        return m
+    return sum(4 * k - 1 - 2 * (2 * k + 1).bit_length() for k in range(1, m + 1))
+
+
+def _check_det_digits(kind: str, m: int, n: int) -> None:
+    """Refuse a core det whose denominator has more digits than ``str`` may write.
+
+    The digit count is bounded below by n bits D(m) + m bits D(n) times a
+    lower bound on log10(2), so nothing is refused that the writer could
+    print; a limit of 0 means no limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    bits = n * _path_core_det_den_bits(kind, m) + m * _path_core_det_den_bits(kind, n)
+    digits = bits * 30102 // 100000
+    if limit and digits > limit:
+        raise ValueError(
+            f"the det of the {m}x{n} {kind} core has a denominator of at least {digits} digits, "
+            f"over the limit ({limit} digits) for integer string conversion"
+        )
+
+
 def core_invariants(kind: str, m: int, n: int) -> tuple[CongruenceInvariants, Rat]:
     """(congruence blocks, det) of the level-2 core matrix, in closed form.
 
     The blocks come from ``kron_jordan_structure`` of the two path-core
     structures and det = 1/(D(m)^n D(n)^m) (module docstring); nothing is
     built or eliminated.  The arguments are refused as ``core_tensor``
-    refuses them at level 2.
+    refuses them at level 2, and so is a det too long to be written
+    (``_check_det_digits``), before it is computed.
     """
     check_core_args(kind, m, n, 2)
+    _check_det_digits(kind, m, n)
     structure = kron_jordan_structure(_path_core_structure(m), _path_core_structure(n))
     det_den = _path_core_det_den(kind, m) ** n * _path_core_det_den(kind, n) ** m
     return _invariants(structure), rat(1, det_den)
@@ -190,45 +223,82 @@ def random_integer_matrix(rows: int, cols: int, rng: random.Random, bound: int =
 
 
 def _check_jacobian_size(d: int, p: int, k: int) -> None:
-    """Raise ValueError if the (d * p) x d^k Jacobian exceeds tensor.MAX_ENTRIES."""
+    """Raise ValueError if the core (p^k entries) or the (d * p) x d^k Jacobian exceeds tensor.MAX_ENTRIES.
+
+    The core bound p^k <= MAX_ENTRIES gives p <= 3162 < 2^12 at every level
+    k >= 2, the levels that contract a mode, which ``_jacobian_mod_p``
+    needs.
+    """
     check_entry_count(d, k)
+    check_entry_count(p, k)
     check_budget(d * p * d**k, f"the level-{k} Jacobian for d = {d} and a dimension-{p} core")
 
 
-def tucker_jacobian(core: SigTensor, base: Matrix) -> list[list[int]]:
-    """Integer rows of the derivative of A -> [[core; A, ..., A]] at ``base``.
+def _jacobian(core: SigTensor, base: Matrix, ints: np.ndarray, contract) -> np.ndarray:
+    """The (d * p) x d^k derivative of A -> [[core; A, ..., A]] at ``base``, from ``ints``.
 
     The derivative sends E to the sum over slots r of the Tucker product with
-    E in slot r and the base point elsewhere.  On the stored integers of core
-    and base (dropping their denominators scales the derivative, not its
-    rank), slot r of E = e_alpha e_beta^T contributes P_r[beta, ...] at
-    i_r = alpha, where P_r contracts the base into every mode but r.  The
-    result is an exact (d * p) x d^k integer matrix.
+    E in slot r and the base point elsewhere.  Slot r of E = e_alpha e_beta^T
+    contributes P_r[beta, ...] at i_r = alpha, where P_r contracts the base
+    into every mode but r.  ``ints`` holds the core's stored integers (or
+    their residues) and ``contract(part)`` applies the base to axis 0 of
+    ``part``, new axis last, as ``mode_apply`` does; the result has the
+    dtype of ``ints``.
     """
     k, p, d = core.level, core.dim, base.rows
     if base.cols != p:
         raise ValueError("base point shape must be d x core.dim")
     _check_jacobian_size(d, p, k)
-    jac = np.zeros((d, p) + (d,) * k, dtype=object)
+    jac = np.zeros((d, p) + (d,) * k, dtype=ints.dtype)
     for r in range(k):
-        part = core.ints
+        part = ints
         for mode in range(k):
-            part = np.moveaxis(part, 0, -1) if mode == r else mode_apply(part, base.ints)
+            part = np.moveaxis(part, 0, -1) if mode == r else contract(part)
         part = np.moveaxis(part, r, 0)
         for alpha in range(d):
             jac[(alpha, slice(None)) + (slice(None),) * r + (alpha,)] += part
-    return jac.reshape(d * p, d**k).tolist()
+    return jac.reshape(d * p, d**k)
+
+
+def tucker_jacobian(core: SigTensor, base: Matrix) -> list[list[int]]:
+    """Integer rows of the derivative of A -> [[core; A, ..., A]] at ``base``.
+
+    Built on the stored integers of core and base (dropping their
+    denominators scales the derivative, not its rank), on Python ints: an
+    exact (d * p) x d^k integer matrix, the test oracle of
+    ``_jacobian_mod_p``.
+    """
+    return _jacobian(core, base, core.ints, lambda part: mode_apply(part, base.ints)).tolist()
+
+
+def _jacobian_mod_p(core: SigTensor, base: Matrix) -> np.ndarray:
+    """``tucker_jacobian(core, base)`` mod p = 2^31 - 1, built in int64.
+
+    Core and base are reduced mod p, and each mode is contracted against
+    the base's two 16-bit limbs hi < 2^15 and lo < 2^16 as
+    (T(part, hi) mod p * 2^16 + T(part, lo)) mod p.  Each product is below
+    2^31 * 2^16 = 2^47, and a contraction sums core.dim < 2^12 of them
+    (``_check_jacobian_size``), so every sum stays below 2^59.
+    """
+    b = (base.ints % _PRIME).astype(np.int64)
+    hi, lo = b >> 16, b & 0xFFFF
+
+    def contract(part):
+        return (mode_apply(part, hi) % _PRIME * 2**16 + mode_apply(part, lo)) % _PRIME
+
+    ints = np.asarray(core.ints % _PRIME).astype(np.int64)  # a bare int at level 0
+    return _jacobian(core, base, ints, contract) % _PRIME
 
 
 def tucker_jacobian_rank(core: SigTensor, base: Matrix) -> int:
-    """Rank over GF(2^31 - 1) of ``tucker_jacobian(core, base)``.
+    """Rank over GF(2^31 - 1) of ``tucker_jacobian(core, base)``, built mod p by ``_jacobian_mod_p``.
 
     This is the rank of the derivative at ``base`` reduced mod p, which is at
     most its exact rank there: a minor that is nonzero mod p is nonzero.  It
     is short of the exact rank only where every maximal nonzero minor
     vanishes mod p, e.g. at a base divisible by p.
     """
-    return _rank_mod_p(tucker_jacobian(core, base))
+    return _rank_mod_p(_jacobian_mod_p(core, base))
 
 
 def image_dimension(

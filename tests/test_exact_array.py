@@ -2,7 +2,7 @@
 
 import sys
 from dataclasses import FrozenInstanceError
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import grid_values, matrices, rationals
+from memsig import rational
 from memsig.bench import congruence_matrix_quadratic
 from memsig.fastsig import sig_tensor_fast
 from memsig.linalg import (
@@ -103,6 +104,58 @@ class TestStoredForm:
             Matrix(1, 2, (1, bad))
         with pytest.raises(TypeError):
             SigTensor(1, 2, (bad, 1))
+
+
+class TestOfReducer:
+    """``of`` takes one gcd reduction on an int64 view and an elementwise gcd on Python ints."""
+
+    SHAPES = [(), (0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (2, 3)]
+    EDGES = [2**62 - 1, 2**62, 2**62 + 1]
+
+    def draw(self, rng):
+        shape = rng.choice(self.SHAPES)
+        den = rng.choice([rng.randint(1, 10**6), 2**rng.randint(0, 61) * rng.randint(1, 3)] + self.EDGES)
+        den *= rng.choice([1, -1])
+        factor = rng.choice([1, abs(den) // rng.choice([1, 2, 3, 5, 7, 64])]) or 1
+        pool = [0, factor * rng.randint(-9, 9), rng.randint(-(10**12), 10**12), rng.choice([1, -1]) * rng.choice(self.EDGES)]
+        kind = rng.choice(["zero", "mixed", "multiples"])
+        draw = {"zero": lambda: 0, "mixed": lambda: rng.choice(pool), "multiples": lambda: factor * rng.randint(-5, 5)}[kind]
+        xs = [draw() for _ in range(prod(shape))]
+        fits = all(-(2**63) <= x < 2**63 for x in xs)
+        return np.array(xs, dtype=np.int64 if fits and rng.random() < 0.8 else object).reshape(shape), den
+
+    @staticmethod
+    def build(ints, den):
+        if ints.ndim == 0:
+            return SigTensor.of(ints, den, dim=1)
+        return Matrix.of(ints, den)
+
+    def test_equals_the_elementwise_route_and_the_fraction_oracle(self, monkeypatch, rng):
+        def object_view(ints, den, bound=2**62):
+            return ints.astype(object)
+
+        routes = {"int64": 0, "object": 0}
+        for _ in range(3000):
+            ints, den = self.draw(rng)
+            got = self.build(ints, den)
+            values = [rat(int(x), den) for x in ints.flat]
+            canon = lcm(*(v.denominator for v in values)) if values else 1
+            assert got.den == canon and got.ints.dtype == object
+            assert got.ints.shape == ints.shape and got.ints.tolist() == (
+                np.array([v * canon for v in values], dtype=object).reshape(ints.shape).tolist()
+            )
+            routes["int64" if rational.int_view(ints, den).dtype == np.int64 else "object"] += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(rational, "int_view", object_view)
+                elementwise = self.build(ints, den)
+            assert elementwise == got and elementwise.den == got.den
+        assert min(routes.values()) > 500
+
+    @pytest.mark.parametrize("den", [-7, -(2**62 - 1), -1, 1])
+    @pytest.mark.parametrize("shape", [(), (0, 0), (2, 0)])
+    def test_empty_zero_and_negative_den(self, den, shape):
+        got = self.build(np.zeros(shape, dtype=np.int64), den)
+        assert got.den == 1 and got.ints.shape == shape and not got.ints.any()
 
 
 def test_kernels_clear_nothing(monkeypatch, rng):

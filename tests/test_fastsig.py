@@ -81,9 +81,28 @@ class TestCellDerivatives:
         )
         delta, scale = cell_derivatives(g)
         assert scale == 12
-        assert delta.dtype == object and all(type(x) is int for x in delta.flat)
-        # mixed node differences 1 + 1/4 = 5/4 and 2/3 - 1/6 - 1 = -1/2
-        assert list(delta[0, 0]) == [15, -6]
+        # mixed node differences 1 + 1/4 = 5/4 and 2/3 - 1/6 - 1 = -1/2, in int64 below the node bound
+        assert delta.dtype == np.int64 and delta.tolist() == [[[15, -6]]]
+
+    @pytest.mark.parametrize(
+        "top, den, dtype",
+        [(2**61 - 1, 1, np.int64), (2**61 - 1, 2, np.int64), (2**61, 1, object), (2**61, 3, object),
+         (2**62 - 1, 1, object), (2**70, 1, object)],
+    )
+    def test_int64_below_the_node_bound_and_exact_on_both_sides(self, top, den, dtype):
+        # nodes +-top/den alternating in a and b make every |Delta| = 4 top, 2^63 - 4 at the bound;
+        # the CLI test at this bound checks sig and decompose on such grids
+        d, m, n = 2, 3, 2
+        values = [[[rat((-1) ** (a + b + i) * top, den) for b in range(n + 1)] for a in range(m + 1)] for i in range(d)]
+        g = GridData(d, m, n, values)
+        delta, scale = cell_derivatives(g)
+        v = g.ints.tolist()
+        want = [
+            [[v[i][a + 1][b + 1] - v[i][a][b + 1] - v[i][a + 1][b] + v[i][a][b] for b in range(n)] for a in range(m)]
+            for i in range(d)
+        ]
+        assert delta.dtype == dtype and scale == g.den and delta.tolist() == want
+        assert all(abs(x) == 4 * top * (g.den // den) for x in delta.flat)
 
     def test_huge_rational_nodes_stay_exact(self, rng):
         # numerators near 10^20 and denominators near 10^6 overflow any

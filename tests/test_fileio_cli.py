@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from memsig import cli, fileio, linalg, rational, tensor
+from memsig import cli, fileio, linalg, rational, tensor, variety
 from memsig.bench import random_integer_grid
 from memsig.linalg import Matrix, det
 from memsig.membranes import GridData, PolynomialMembrane, core_matrix
@@ -481,6 +482,51 @@ class TestCliCommands:
         assert code == 0 and doc["det"] == f"1/{4**3162}"
         assert doc["blocks"] == ["Gamma2"] + ["H2(-1)"] * 1580
         assert (doc["rank_sym"], doc["rank_skew"]) == (1, 3162)
+
+    @pytest.mark.parametrize("m, n, digits", [(1, 3162, 5997053), (30, 30, 27489), (17, 17, 4533)])
+    def test_moment_det_past_the_digit_limit_is_refused_before_it_is_computed(self, monkeypatch, capsys, m, n, digits):
+        def no_product(*args):
+            raise AssertionError("the det was computed")
+
+        monkeypatch.setattr(variety, "_path_core_det_den", no_product)
+        code, out = run_cli(["invariants", "--kind", "moment", "--m", str(m), "--n", str(n)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: the det of the {m}x{n} moment core has a denominator of at least {digits} digits, "
+            "over the limit (4300 digits) for integer string conversion\n"
+        )
+
+    def test_moment_det_below_the_bound_still_meets_the_writer(self, capsys):
+        # 16x16: the bound gives 3737 digits, the det has more than 4300, and the writer refuses it
+        code, out = run_cli(["invariants", "--kind", "moment", "--m", "16", "--n", "16"])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith("error: Exceeds the limit (4300 digits)")
+
+    def test_no_digit_limit_refuses_no_det(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out = run_cli(["invariants", "--kind", "moment", "--m", "17", "--n", "17"])
+            want = rat_str(variety.core_invariants("moment", 17, 17)[1])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0 and json.loads(out)["det"] == want and len(want) > 4300
+
+    @pytest.mark.parametrize("top, den", [(2**61 - 1, 1), (2**61 - 1, 2), (2**61, 1), (2**62 - 1, 3)])
+    def test_sig_and_decompose_exact_at_the_cell_difference_bound(self, tmp_path, top, den):
+        # nodes +-top/den alternating in a and b: every cell difference is +-4 top/den
+        d, m, n = 2, 3, 2
+        grid = GridData(d, m, n, [[[rat((-1) ** (a + b + i) * top, den) for b in range(n + 1)]
+                                   for a in range(m + 1)] for i in range(d)])
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid_doc(grid)))
+        for level in ("1", "2", "3"):
+            _, fast = run_cli(["sig", str(path), "--level", level, "--method", "fast"])
+            code, cong = run_cli(["sig", str(path), "--level", level, "--method", "congruence"])
+            assert code == 0 and fast == cong
+        code, out = run_cli(["decompose", str(path)])
+        signs = [(-1) ** (a + b + i) for i in range(d) for a in range(m) for b in range(n)]
+        assert code == 0 and json.loads(out)["entries"] == [rat_str(rat(4 * s * top, den)) for s in signs]
 
     @pytest.mark.parametrize(
         "command", [["core", "--kind", "axis"], ["dim", "--d", "2"], ["invariants", "--kind", "moment"]]

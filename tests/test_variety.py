@@ -3,6 +3,7 @@ from collections import Counter
 from itertools import product
 from math import factorial, prod
 
+import numpy as np
 import pytest
 
 from conftest import jordan_rows
@@ -23,8 +24,11 @@ from memsig.linalg import (
 )
 from memsig.membranes import _PATH_CORES, core_matrix, core_tensor
 from memsig.rational import rat
+from memsig.tensor import SigTensor
 from memsig.variety import (
+    _check_jacobian_size,
     _invariants,
+    _jacobian_mod_p,
     _path_core_det_den,
     _path_core_structure,
     congruence_invariants,
@@ -301,6 +305,39 @@ class TestModularJacobianRank:
         assert image_dimension(core_tensor("axis", 2, 2, 2), 4, 3, rng) == 14
         half = (_PRIME - 1) // 2
         assert rng.ranges == [(-half, half)] * (3 * 4 * 4)
+
+
+    @pytest.mark.parametrize("kind", ["axis", "moment"])
+    @pytest.mark.parametrize(
+        "level, m, n, d", [(0, 2, 2, 3), (1, 2, 3, 3), (2, 2, 3, 4), (2, 3, 3, 2), (3, 2, 2, 3), (3, 1, 3, 2)]
+    )
+    def test_int64_jacobian_is_the_exact_one_mod_p(self, rng, kind, level, m, n, d):
+        core = core_tensor(kind, m, n, level)
+        half = (_PRIME - 1) // 2
+        bases = [
+            random_integer_matrix(d, m * n, rng, half),
+            Matrix(d, m * n, [rng.choice([half, -half]) for _ in range(d * m * n)]),
+            random_integer_matrix(d, m * n, rng, 9).scale(rat(2**70 + 1, 3)),  # entries past int64
+        ]
+        for b in bases:
+            jac = _jacobian_mod_p(core, b)
+            assert jac.dtype == np.int64
+            assert jac.tolist() == [[x % _PRIME for x in row] for row in tucker_jacobian(core, b)]
+
+    def test_int64_jacobian_at_the_largest_residues(self):
+        # every core and base residue is p - 1
+        core, base = SigTensor(2, 40, [-1] * 1600), Matrix(2, 40, [-1] * 80)
+        jac = _jacobian_mod_p(core, base)
+        assert jac.tolist() == [[x % _PRIME for x in row] for row in tucker_jacobian(core, base)]
+
+    def test_core_over_the_entry_budget_is_refused(self, monkeypatch, rng):
+        with pytest.raises(ValueError, match="level-2 tensor over dimension 3163 has more than"):
+            _check_jacobian_size(1, 3163, 2)
+        _check_jacobian_size(1, 3162, 2)
+        core, base = core_tensor("axis", 2, 2, 2), random_integer_matrix(1, 4, rng)
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", 15)  # 16 core entries, a 4-entry Jacobian
+        with pytest.raises(ValueError, match="level-2 tensor over dimension 4 has more than 15"):
+            tucker_jacobian_rank(core, base)
 
 
 class TestDimensionFormula:
