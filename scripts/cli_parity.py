@@ -25,7 +25,10 @@ up to 2^61 - 1, 2^61 and 2^62 - 1 in magnitude (random, and alternating in
 sign so that every cell difference is 4 times the largest node: the int64
 bound of ``cell_derivatives``), and on rational grids whose ``den`` is just
 below or above 2^62; ``sig`` with and without ``--float`` on a
-grid whose level-2 entries are beyond the float range; ``core`` and
+grid whose level-2 entries are beyond the float range; ``decompose`` and
+``sig`` at levels 1 and 2 on a huge-denominator grid written as unreduced
+``"p/q"`` texts, whose lcm of the denominators as written is far above the
+lcm of the reduced ones (the reader's two routes); ``core`` and
 ``invariants`` of both kinds for m, n <= 3, at the sizes of the
 variety-dims benchmark workload, with m = 0, at 57x56, one size over
 the entry budget, and at 1x40, 13x2, 15x15, 16x16 and 30x30 (the moment
@@ -206,7 +209,7 @@ def write_battery(work: Path) -> list:
                       [(1, 1, 1), (2, 1, 2), (3, 2, 3), (1, 2, 1), (0, 1, 2), (2, 2, 2)]],
         },
     }
-    # literals on both sides of the reader's 18-digit bound (its int64 and object products too),
+    # literals on both sides of the reader's 18-digit bound and of its int64 product bound,
     # and node values over den 2 whose cell differences lie below 2^62 or reach past it
     bound_grids = {
         "digits18-smallden": _grid_doc(rng, 2, 3, 3, _digits(18, dens=[1, 2, 4])),
@@ -224,8 +227,12 @@ def write_battery(work: Path) -> list:
         node_grids[f"den-{label}"] = _grid_doc(rng, 3, 4, 4, lambda r, q=dens: Fraction(r.randint(-9, 9), r.choice(q)))
     # nodes up to 10^300: level-2 entries near 10^600 have no float
     huge_float = {"hugefloat": _grid_doc(rng, 2, 2, 2, lambda r: r.randint(-(10**300), 10**300))}
+    # "p/q" as written, not reduced: the lcm of the qs as written exceeds that of the reduced ones; at 20x20
+    # the level-2 entries stay below the writer's digit limit (at 30x30 they pass it)
+    unreduced = {"hugeden-unreduced": _grid_doc(rng, 2, 20, 20, lambda r: f"{r.randint(-9, 9)}/{r.randint(1, 10**6)}")}
     malformed = _malformed_docs()
-    for name, doc in {**grids, **big_grids, **bound_grids, **node_grids, **specs, **huge_float, **malformed}.items():
+    docs = {**grids, **big_grids, **bound_grids, **node_grids, **specs, **huge_float, **unreduced, **malformed}
+    for name, doc in docs.items():
         (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
 
     cases = []
@@ -252,6 +259,10 @@ def write_battery(work: Path) -> list:
     path = str(work / "hugefloat.json")
     cases.append(("sig hugefloat", ["sig", path], None, None))
     cases.append(("sig hugefloat float", ["sig", path, "--float"], None, None))
+    path = str(work / "hugeden-unreduced.json")
+    cases.append(("decompose hugeden-unreduced", ["decompose", path], None, "out.json"))
+    for level in (1, 2):
+        cases.append((f"sig hugeden-unreduced L{level}", ["sig", path, "--level", str(level)], None, None))
     for name in malformed:
         path = str(work / f"{name}.json")
         cases.append((f"sig {name}", ["sig", path], None, None))

@@ -7,23 +7,27 @@ Optional float fields are additive.  Indices are 0-based inside files and the
 documentation stays 1-based.
 
 Every rational array goes through one reader and one writer.  ``_parsed``
-reads a grid's ``values``, a dense ``A`` or a tensor's ``entries`` in bulk:
-it checks the nesting level by level and matches the comma-joined leaves
-against the grammar once, with no ``Fraction`` and no per-leaf loop.  Two
-bounds pick fixed-width arithmetic, each with an exact fallback:
+reads a grid's ``values``, a dense ``A`` or a tensor's ``entries``: it
+checks the nesting level by level and then takes one of two routes.
 
-- When every number has at most 18 digits (|x| < 10^18 < 2^63; the bound
-  is in the grammar, since ``np.fromstring`` saturates silently past int64)
-  all numbers are read in one ``np.fromstring`` call as int64; otherwise
-  ``int`` reads them into an object array of Python ints.
-- ``den`` is the lcm of the denominators as written, on Python ints, and
-  the entry of ``"p/q"`` is ``p * (den // q)``, multiplied in int64 when
-  ``den * max|p| < 2^63`` and on object dtype otherwise.
+- Bulk, in int64, only under a proved bound: the comma-joined leaves match
+  the grammar once with at most 18 digits per number (|x| < 10^18 < 2^63;
+  the bound is in the grammar, since ``np.fromstring`` saturates silently
+  past int64), and ``den * max|p| < 2^63`` for ``den`` the lcm of the
+  denominators as written.  All numbers are read in one ``np.fromstring``
+  call, one separator mask tells each ``"p/q"`` leaf, and its entry is
+  ``p * (den // q)``, with no ``Fraction`` and no per-leaf loop.
+- Per leaf, for every other document: ``parse_rational`` reads each leaf
+  in lowest terms and ``rational.cleared_array`` clears them over the lcm
+  of the reduced denominators.  Reduced values keep ``den`` small when the
+  denominators as written share large factors with their numerators, so
+  ``of`` has no huge entry to divide.  This route is the exact fallback;
+  it costs one ``Fraction`` per ``"p/q"`` leaf.
 
-The reader does not reduce; ``ExactArray.of``, the one reducer, brings the
-array to its canonical form.  A location is computed only on failure:
-``_locate`` walks the array again and raises the error of its first fault,
-so messages do not depend on the bulk path.  ``rational_texts`` formats an
+The bulk route does not reduce; ``ExactArray.of``, the one canonicalizer,
+brings either route's pair to its canonical form.  A location is computed
+only on failure: ``_locate`` walks the array again and raises the error of
+its first fault, so messages do not depend on the route.  ``rational_texts`` formats an
 array's entries straight from its ``ints`` and ``den`` after one ``np.gcd``
 against ``den`` (int64 when ``den`` and every entry are below 2^62, see
 ``rational.int_view``), so no entry is rebuilt as a ``Rat`` to be printed,
@@ -46,7 +50,7 @@ import numpy as np
 
 from .linalg import Matrix
 from .membranes import GridData, PolynomialMembrane
-from .rational import ExactArray, int_view, lcm_all, rat
+from .rational import ExactArray, cleared_array, int_view, lcm_all, rat
 from .tensor import SigTensor, check_entry_count
 
 TENSOR_ORDER = "row-major-1-based-words"
@@ -81,31 +85,41 @@ def parse_rational(text, where: str):
     raise FileFormatError(f"{where}: {text!r} is not a rational 'p' or 'p/q'") from None
 
 
-# the leaves joined by "," with a trailing ","; possessive, so the match keeps no backtracking stack
-_LEAVES = re.compile(f"(?:{_RATIONAL.pattern},)*+")
-# the same with at most 18 digits per number, so every number is below 10^18 < 2^63
+# the leaves joined by "," with a trailing ",", each number of at most 18 digits, so below 10^18 < 2^63;
+# possessive, so the match keeps no backtracking stack
 _BOUNDED = re.compile(r"(?:[+-]?[0-9]{1,18}(?:/[0-9]{1,18})?,)*+")
 
 
 def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
     """(ints, den) for ``value`` nesting as ``shape`` with rational leaves.
 
-    ``den`` is the lcm of the denominators as written, so the pair is not
-    reduced; the caller builds the array through ``of``, which reduces it.
+    The bulk route's pair is not reduced; the caller builds the array
+    through ``of``, which makes either route's pair canonical.  The nesting
+    is checked level by level, and then one of two routes reads the leaves:
 
-    The nesting is checked level by level and the leaves, joined with
-    commas, by one match of the grammar.  Under ``_BOUNDED`` the numbers
-    are read by ``np.fromstring`` in int64, which saturates silently past
-    its range, so the bound is in the grammar; otherwise by ``int`` into an
-    object array.  With no ``"/"`` they are the entries over 1.  Otherwise
-    the comma and slash positions of the (then ASCII) text tell each
-    ``"p/q"`` leaf, and each entry is ``p * den // q``, in int64 when
-    ``den * max|p| < 2^63``.  The index work calls numpy's C methods and
-    ufuncs, not its Python-level helpers (``flatnonzero``, ``delete``,
-    ``searchsorted``, ``full``), whose first call in a forked job costs
-    0.1-0.3 ms each.  On any fault (a wrong nesting, a non-string leaf, no
-    match, an int past the digit limit or q = 0) ``_locate`` raises the
-    located error.
+    - Bulk, in int64, when the bound is proved: the leaves, joined with
+      commas, match ``_BOUNDED`` once, and ``den * max|p| < 2^63`` for
+      ``den`` the lcm of the denominators as written.  ``np.fromstring``
+      reads every number (it saturates silently past int64, so the digit
+      bound is in the grammar).  With no ``"/"`` they are the entries over
+      1.  Otherwise one separator mask tells each ``"p/q"`` leaf: the
+      ``","`` and ``"/"`` bytes of the text in order, behind a leading
+      ``","``, so that number i has separator i before it and i + 1 after
+      it.  A number is a q when the separator before it is ``"/"``, and a
+      leaf has a q when the separator after its p is ``"/"``; its entry is
+      ``p * den // q``.
+    - Per leaf, for every other document (a literal of 19 or more digits,
+      a larger product, q = 0, whose lcm is 0, or any fault):
+      ``parse_rational`` reads each leaf in lowest terms and
+      ``cleared_array`` clears them over the lcm of the *reduced*
+      denominators, which can be far smaller than the lcm as written, so
+      ``of`` divides no huge entry.
+
+    The index work calls numpy's C methods and ufuncs, not its Python-level
+    helpers (``flatnonzero``, ``delete``, ``searchsorted``, ``full``), whose
+    first call in a forked job costs 0.1-0.3 ms each.  On any fault (a
+    wrong nesting, a non-string leaf, a leaf outside the grammar, an int
+    past the digit limit or q = 0) ``_locate`` raises the located error.
     """
     try:
         leaves = [value]
@@ -115,27 +129,21 @@ def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
             leaves = [x for xs in leaves for x in xs]
         # a non-str leaf makes join raise TypeError, and a leaf holding a comma the count too high
         text = ",".join(leaves) + ","
-        bounded = _BOUNDED.fullmatch(text) is not None
-        if text.count(",") != len(leaves) or not (bounded or _LEAVES.fullmatch(text)):
-            raise ValueError
-        if bounded:
+        if text.count(",") == len(leaves) and _BOUNDED.fullmatch(text):
             flat = np.fromstring(text[:-1].replace("/", ","), dtype=np.int64, sep=",")
-        else:
-            flat = np.array(list(map(int, re.split("[,/]", text[:-1]))), dtype=object)
-        if "/" not in text:  # skip the index work: each numpy call costs tens of us cold, as in a forked job
-            return flat.reshape(shape), 1
-        # the leaf of each "/" is the number of commas before it (the text is ASCII once matched),
-        # and the k-th "/" of leaf i is followed by its q at position i + k + 1 of flat
-        at = np.ndarray.searchsorted(*((np.frombuffer(text.encode(), "u1") == c).nonzero()[0] for c in b",/"))
-        q_at = at + np.arange(1, len(at) + 1)
-        qs, nums = flat[q_at], flat[np.bincount(q_at, minlength=len(flat)) == 0]
-        den = lcm_all(set(qs.tolist()))
-        # a q = 0 leaf makes den 0 and, on object dtype, p * den // q raise ZeroDivisionError
-        dtype = np.int64 if 0 < den * max(-int(nums.min()), int(nums.max()), 1) < 2**63 else object
-        ints = nums.astype(dtype) * den
-        ints[at] //= qs.astype(dtype)  # exact: q divides den
-        return ints.reshape(shape), den
-    except (TypeError, ValueError, ZeroDivisionError):
+            if "/" not in text:  # skip the index work: each numpy call costs tens of us cold, as in a forked job
+                return flat.reshape(shape), 1
+            # the separator mask: deleting the signs and digits leaves the separators in order
+            slash = np.frombuffer(("," + text).encode().translate(None, b"+-0123456789"), "u1") == 47
+            is_p = ~slash[:-1]
+            nums, qs = flat.compress(is_p), flat.compress(slash[:-1])
+            den = lcm_all(set(qs.tolist()))  # 0 if some q = 0
+            if 0 < den * max(-int(nums.min()), int(nums.max()), 1) < 2**63:
+                ints = nums * den
+                ints[slash[1:].compress(is_p).nonzero()[0]] //= qs  # exact: q divides den
+                return ints.reshape(shape), den
+        return cleared_array([parse_rational(x, where) for x in leaves], shape)
+    except (TypeError, ValueError):
         _locate(value, shape, where)
         raise
 

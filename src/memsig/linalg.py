@@ -462,8 +462,5 @@ class CongruenceInvariants:
             at[mu] += cnt
         return self.total_size - at[-1], self.total_size - at[1]
 
-    def counts(self) -> Counter:
-        return Counter(self.blocks)
-
     def __str__(self) -> str:
         return " + ".join(str(b) for b in self.blocks) if self.blocks else "(empty)"

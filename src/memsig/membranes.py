@@ -301,8 +301,7 @@ def resolve_spec(spec) -> tuple[Matrix, str, int, int]:
     if isinstance(spec, PolynomialMembrane):
         return spec.coeffs, "moment", spec.m, spec.n
     if isinstance(spec, PiecewiseBilinearMembrane):
-        g = spec.grid
-        return bilinear_decompose(g), "axis", g.m, g.n
+        spec = spec.grid
     if isinstance(spec, GridData):
         return bilinear_decompose(spec), "axis", spec.m, spec.n
     if isinstance(spec, ProductMembrane):

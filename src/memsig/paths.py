@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .linalg import Matrix
 from .polyops import padd, peval, pint, pmul
@@ -119,20 +119,7 @@ class PolynomialPath:
 
 def linear_path_sig(u, k: int) -> SigTensor:
     """Level-k tensor of t -> u t: entry (i_1..i_k) = u_{i_1}...u_{i_k} / k!."""
-    u = tuple(rat(x) for x in u)
-    inv_fact = rat(1, factorial(k))
-    return SigTensor.from_function(
-        k,
-        len(u),
-        lambda w: _prod(u[i - 1] for i in w) * inv_fact,
-    )
-
-
-def _prod(factors):
-    acc = ONE
-    for f in factors:
-        acc *= f
-    return acc
+    return SigTensor.from_function(k, len(u), path_sig_entry_fn(LinearPath(tuple(u))))
 
 
 def moment_path_sig_entry(word) -> Rat:
@@ -271,7 +258,7 @@ def path_sig_entry_fn(path):
             k = len(word)
             if k not in inv:
                 inv[k] = rat(1, factorial(k))
-            return _prod(path.u[i - 1] for i in word) * inv[k]
+            return prod((path.u[i - 1] for i in word), start=ONE) * inv[k]
 
         return linear_entry
     if isinstance(path, MomentPath):

@@ -13,14 +13,15 @@ integer result back through ``ExactArray.of``, so no kernel clears an
 operand or divides per entry.
 
 Serialization convention (shared with the CLI file formats): decimal-integer
-strings ``"p"`` or ``"p/q"`` in lowest terms.  The file reader reads
-``"p"`` as an int and ``"p/q"`` as an integer pair, so no ``Fraction`` is
-built, and hands the array to ``ExactArray.of`` over the lcm of the
-denominators as written, unreduced: ``of`` is the one reducer.  Its array
-is int64 when every literal has at most 18 digits and ``den * max|p| <
-2^63``, else object (see ``fileio``).  ``fileio.rational_texts`` writes an
-array's entries from ``ints`` and ``den`` directly, and ``rat_str`` formats
-one scalar.
+strings ``"p"`` or ``"p/q"`` in lowest terms.  The file reader has two
+routes (see ``fileio``).  Under its proved bound, every literal of at most
+18 digits and ``den * max|p| < 2^63``, it reads ``"p"`` as an int and
+``"p/q"`` as an integer pair in int64, so no ``Fraction`` is built, and
+hands the array to ``ExactArray.of`` over the lcm of the denominators as
+written, unreduced: ``of`` is the one canonicalizer.  Otherwise it reads
+each leaf in lowest terms and clears them with ``cleared_array``, as a
+constructor does.  ``fileio.rational_texts`` writes an array's entries
+from ``ints`` and ``den`` directly, and ``rat_str`` formats one scalar.
 
 ``int_view`` gives an int64 view of an integer array when ``den`` and
 every entry are below 2^62 in magnitude, where gcds with ``den`` and the

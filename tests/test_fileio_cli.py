@@ -327,6 +327,44 @@ class TestReaderAndWriter:
         assert ints.dtype == (np.int64 if abs(p) < 2**32 else object)
         assert den == 2**31 and [int(x) for x in ints] == [fileio.parse_rational(t, "x") * den for t in leaves]
 
+    @staticmethod
+    def _spy_parse_rational(monkeypatch) -> list:
+        calls, real = [], fileio.parse_rational
+        monkeypatch.setattr(fileio, "parse_rational", lambda text, where: calls.append(text) or real(text, where))
+        return calls
+
+    # 60247241209 * 153092023 = 2^63 - 1, so the last two documents sit on either side of the product bound
+    @pytest.mark.parametrize(
+        "leaves, bulk",
+        [
+            (["0", "-3", "+7", "999999999999999999"], True),
+            (["1/2", "-4/6", "0/5", "+3"], True),
+            (["153092023", "-1/60247241209", "5/92737", "-153092023/649657"], True),
+            (["1000000000000000000", "1/2", "-4/6", "3"], False),
+            (["153092024", "-1/60247241209", "5/92737", "-153092023/649657"], False),
+        ],
+    )
+    def test_parse_rational_runs_only_where_the_bound_fails(self, monkeypatch, leaves, bulk):
+        calls = self._spy_parse_rational(monkeypatch)
+        ints, den = fileio._parsed(leaves, (len(leaves),), "entries")
+        assert calls == ([] if bulk else leaves)
+        assert ints.dtype == (np.int64 if bulk else object)
+        assert [rat(int(x), den) for x in ints] == [fileio.parse_rational(t, "x") for t in leaves]
+
+    @pytest.mark.parametrize(
+        "leaves, bulk, den",
+        [
+            (["2/4", "-6/9", "1/3", "5"], True, 36),  # the bulk route clears over the lcm as written
+            (["2/4", "-6/9", "1/3", "5000000000000000000"], False, 6),
+            (["2/4", "-6/9", f"{2**40}/{2**41}", "5"], False, 6),  # as written: den 9 * 2^41, den * max|p| > 2^63
+        ],
+    )
+    def test_the_per_leaf_route_clears_over_the_reduced_denominators(self, monkeypatch, leaves, bulk, den):
+        calls = self._spy_parse_rational(monkeypatch)
+        ints, got = fileio._parsed([leaves[:2], leaves[2:]], (2, 2), "A")
+        assert got == den and bool(calls) is not bulk and ints.shape == (2, 2)
+        assert [rat(int(x), den) for x in ints.flat] == [fileio.parse_rational(t, "x") for t in leaves]
+
     @pytest.mark.parametrize("x", [2**62 - 1, -(2**62 - 1), 2**62, -(2**62), -(2**63)])
     @pytest.mark.parametrize("den", [1, 6, 2**62 - 1, 2**62, -(2**62)])
     @pytest.mark.parametrize("dtype", [object, np.int64])
