@@ -36,7 +36,8 @@ dets of the last two exceed the writer's 4300-digit limit, and that of
 30x30 is refused before it is computed), and of the axis kind at 1x100;
 ``dim`` of both kinds at the sizes of the variety-dims benchmark workload
 and at larger cores, levels 2 and 3, and ``check-relations`` (2,2,1),
-(4,2,2), (3,1,1), at MEMSIG_SEED 1-3; malformed grid and polynomial documents
+(4,2,2), (3,1,1), at MEMSIG_SEED 1-3, and ``dim`` at the non-integer
+MEMSIG_SEED "abc"; malformed grid and polynomial documents
 with one fault at each nesting level, and one bad leaf of each kind; and,
 with and without ``--out``, calls that argparse refuses (no or an unknown
 subcommand, and for each subcommand a missing required flag or input, a
@@ -299,6 +300,7 @@ def write_battery(work: Path) -> list:
         for d, m, n in [(2, 2, 1), (4, 2, 2), (3, 1, 1)]:
             argv = ["check-relations", "--d", str(d), "--m", str(m), "--n", str(n)]
             cases.append((f"check-relations {d},{m},{n} seed {seed}", argv, seed, None))
+    cases.append(("dim seed abc", ["dim", "--d", "2", "--m", "1", "--n", "1"], "abc", None))
     return cases
 
 

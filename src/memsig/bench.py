@@ -120,11 +120,7 @@ def fit_exponent(points: list[tuple[int, int]]) -> float | None:
     pts = [(math.log(s), math.log(t)) for s, t in points if s > 0 and t > 0]
     if len({x for x, _ in pts}) < 2:
         return None
-    mx = sum(x for x, _ in pts) / len(pts)
-    my = sum(y for _, y in pts) / len(pts)
-    num = sum((x - mx) * (y - my) for x, y in pts)
-    den = sum((x - mx) ** 2 for x, _ in pts)
-    return num / den
+    return statistics.linear_regression(*zip(*pts)).slope
 
 
 def run_bench(

@@ -4,10 +4,10 @@ Subcommands: sig, core, dim, invariants, check-relations, bench, decompose.
 Each command returns its output, a JSON document (CSV text for bench), and
 ``main`` is the only code that serializes it, writes it to stdout or --out
 and maps exceptions to exit codes.  MEMSIG_SEED fixes the RNG seed for
-generic-point sampling.  Exit codes: 0 success, 2 parse error or
-unreadable/unwritable file, 3 shape/contract error (also arguments that
-measure nothing, such as d = 0 or zero samples), 4 relation-check failure
-(the report is still written).
+generic-point sampling.  Exit codes: 0 success, 2 parse error (a malformed
+file or a non-integer MEMSIG_SEED) or unreadable/unwritable file, 3
+shape/contract error (also arguments that measure nothing, such as d = 0 or
+zero samples), 4 relation-check failure (the report is still written).
 """
 
 from __future__ import annotations
@@ -32,9 +32,12 @@ EXIT_RELATION = 4
 
 
 def _seed() -> int | None:
-    """MEMSIG_SEED as an int, or None when it is unset."""
+    """MEMSIG_SEED as an int, or None when it is unset; a non-integer is a parse error."""
     seed = os.environ.get("MEMSIG_SEED")
-    return int(seed) if seed is not None else None
+    try:
+        return int(seed) if seed is not None else None
+    except ValueError:
+        raise fileio.FileFormatError(f"MEMSIG_SEED must be an integer, got {seed!r}") from None
 
 
 def _cmd_sig(args) -> dict:

@@ -47,13 +47,18 @@ with the parent's coefficients.  ``sig_word_fast`` keeps the full advance and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
 from .membranes import GridData, cell_derivatives
 from .rational import Rat, rat
 from .tensor import SigTensor, check_entry_count
+
+
+def _step_scales(k: int) -> int:
+    """prod(s! for s <= k) squared."""
+    return prod(factorial(s) for s in range(1, k + 1)) ** 2
 
 
 def _weights(top: int, size: int, start: int) -> np.ndarray:
@@ -71,7 +76,6 @@ class CellPolyField:
     """
 
     coeffs: np.ndarray
-    scale: int = 1
 
     def __post_init__(self):
         c = self.coeffs
@@ -89,6 +93,11 @@ class CellPolyField:
     @property
     def word_len(self) -> int:
         return self.coeffs.shape[2] - 1
+
+    @property
+    def scale(self) -> int:
+        """prod(s! for s <= word_len) squared: the product of the step scales of ``advance_letter``."""
+        return _step_scales(self.word_len)
 
     @classmethod
     def ones(cls, m: int, n: int) -> "CellPolyField":
@@ -121,7 +130,7 @@ def advance_letter(field: CellPolyField, delta: np.ndarray) -> CellPolyField:
     out[1:, :, 0, 1:] = np.cumsum(strip_y, axis=0)[:-1] * top
     out[:, 1:, 1:, 0] = np.cumsum(strip_x, axis=1)[:, :-1] * top
     out[1:, 1:, 0, 0] = np.cumsum(np.cumsum(full, axis=0), axis=1)[:-1, :-1]
-    return CellPolyField(out, field.scale * top**2)
+    return CellPolyField(out)
 
 
 def sig_word_fast(grid: GridData, word) -> Rat:
@@ -144,20 +153,18 @@ def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
         return SigTensor.level_zero(d)
     delta, scale = cell_derivatives(grid)
     nums = np.empty(d**k, dtype=object)
+    w = _weights(k, k, 1)  # k!/(p+1)!: a full cell's weight at the last letter
 
-    def walk(field: CellPolyField, depth: int, offset: int) -> int:
-        """Fill the entries below the prefix; returns their common denominator."""
+    def walk(field: CellPolyField, depth: int, offset: int) -> None:
+        """Fill the entries below the prefix."""
         if depth + 1 == k:
-            s = field.word_len + 1
-            w = _weights(s, s, 1)
             nums[offset * d : offset * d + d] = delta.reshape(d, -1) @ (field.coeffs @ w @ w).ravel()
-            return field.scale * factorial(s) ** 2 * scale**k
+            return
         for letter in range(d):
-            den = walk(advance_letter(field, delta[letter]), depth + 1, offset * d + letter)
-        return den
+            walk(advance_letter(field, delta[letter]), depth + 1, offset * d + letter)
 
-    den = walk(CellPolyField.ones(grid.m, grid.n), 0, 0)
-    return SigTensor.of(nums.reshape((d,) * k), den)
+    walk(CellPolyField.ones(grid.m, grid.n), 0, 0)
+    return SigTensor.of(nums.reshape((d,) * k), _step_scales(k) * scale**k)
 
 
 def sig_matrix_fast(grid: GridData):

@@ -7,35 +7,19 @@ Optional float fields are additive.  Indices are 0-based inside files and the
 documentation stays 1-based.
 
 Every rational array goes through one reader and one writer.  ``_parsed``
-reads a grid's ``values``, a dense ``A`` or a tensor's ``entries``: it
-checks the nesting level by level and then takes one of two routes.
-
-- Bulk, in int64, only under a proved bound: the comma-joined leaves match
-  the grammar once with at most 18 digits per number (|x| < 10^18 < 2^63;
-  the bound is in the grammar, since ``np.fromstring`` saturates silently
-  past int64), and ``den * max|p| < 2^63`` for ``den`` the lcm of the
-  denominators as written.  All numbers are read in one ``np.fromstring``
-  call, one separator mask tells each ``"p/q"`` leaf, and its entry is
-  ``p * (den // q)``, with no ``Fraction`` and no per-leaf loop.
-- Per leaf, for every other document: ``parse_rational`` reads each leaf
-  in lowest terms and ``rational.cleared_array`` clears them over the lcm
-  of the reduced denominators.  Reduced values keep ``den`` small when the
-  denominators as written share large factors with their numerators, so
-  ``of`` has no huge entry to divide.  This route is the exact fallback;
-  it costs one ``Fraction`` per ``"p/q"`` leaf.
-
-The bulk route does not reduce; ``ExactArray.of``, the one canonicalizer,
-brings either route's pair to its canonical form.  A location is computed
-only on failure: ``_locate`` walks the array again and raises the error of
-its first fault, so messages do not depend on the route.  ``rational_texts`` formats an
-array's entries straight from its ``ints`` and ``den`` after one ``np.gcd``
-against ``den`` (int64 when ``den`` and every entry are below 2^62, see
-``rational.int_view``), so no entry is rebuilt as a ``Rat`` to be printed,
-and ``dump_json`` encodes each top-level value with json's C encoder.  In a
-forked CLI job, each numpy loop used for the first time pages about 1-1.5
-MB into the job's RSS, and the first call of the default (hash-based)
-``np.unique`` costs 11-26 ms, so distinct denominators are taken with
-``set(....tolist())``.
+reads a grid's ``values``, a dense ``A`` or a tensor's ``entries`` and
+builds the array on one of the two routes of the ``ExactArray`` contract,
+``of`` or ``cleared``; its docstring says which route runs when.  A
+location is computed only on failure: ``_locate`` walks the array again and
+raises the error of its first fault, so messages do not depend on the
+route.  ``rational_texts`` formats an array's entries straight from its
+``ints`` and ``den`` after one ``np.gcd`` against ``den`` (int64 when
+``den`` and every entry are below 2^62, see ``rational.int_view``), so no
+entry is rebuilt as a ``Rat`` to be printed, and ``dump_json`` encodes each
+top-level value with json's C encoder.  In a forked CLI job, each numpy
+loop used for the first time pages about 1-1.5 MB into the job's RSS, and
+the first call of the default (hash-based) ``np.unique`` costs 11-26 ms, so
+distinct denominators are taken with ``set(....tolist())``.
 
 Errors: FileFormatError for malformed input (CLI exit 2), ContractError for
 shape or contract violations (CLI exit 3).
@@ -50,7 +34,7 @@ import numpy as np
 
 from .linalg import Matrix
 from .membranes import GridData, PolynomialMembrane
-from .rational import ExactArray, cleared_array, int_view, lcm_all, rat
+from .rational import ExactArray, int_view, lcm_all, rat
 from .tensor import SigTensor, check_entry_count
 
 TENSOR_ORDER = "row-major-1-based-words"
@@ -90,12 +74,13 @@ def parse_rational(text, where: str):
 _BOUNDED = re.compile(r"(?:[+-]?[0-9]{1,18}(?:/[0-9]{1,18})?,)*+")
 
 
-def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
-    """(ints, den) for ``value`` nesting as ``shape`` with rational leaves.
+def _parsed(cls, value, nesting: tuple, where: str, shape: tuple | None = None, *args) -> ExactArray:
+    """The ``cls`` array of ``value``, which nests as ``nesting`` with rational leaves.
 
-    The bulk route's pair is not reduced; the caller builds the array
-    through ``of``, which makes either route's pair canonical.  The nesting
-    is checked level by level, and then one of two routes reads the leaves:
+    The array has shape ``shape`` (by default ``nesting``), and ``args`` go
+    on to ``cls.of`` and ``cls.cleared`` (a tensor's ``dim``).  The nesting
+    is checked level by level, and then one of two routes reads the leaves,
+    each making the array canonical once:
 
     - Bulk, in int64, when the bound is proved: the leaves, joined with
       commas, match ``_BOUNDED`` once, and ``den * max|p| < 2^63`` for
@@ -107,13 +92,13 @@ def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
       ``","``, so that number i has separator i before it and i + 1 after
       it.  A number is a q when the separator before it is ``"/"``, and a
       leaf has a q when the separator after its p is ``"/"``; its entry is
-      ``p * den // q``.
+      ``p * den // q``.  The pair is not reduced: ``cls.of`` reduces it.
     - Per leaf, for every other document (a literal of 19 or more digits,
       a larger product, q = 0, whose lcm is 0, or any fault):
-      ``parse_rational`` reads each leaf in lowest terms and
-      ``cleared_array`` clears them over the lcm of the *reduced*
-      denominators, which can be far smaller than the lcm as written, so
-      ``of`` divides no huge entry.
+      ``parse_rational`` reads each leaf in lowest terms and ``cls.cleared``
+      clears them over the lcm of the *reduced* denominators, which can be
+      far smaller than the lcm as written, and which is already canonical,
+      so ``of`` is not called.
 
     The index work calls numpy's C methods and ufuncs, not its Python-level
     helpers (``flatnonzero``, ``delete``, ``searchsorted``, ``full``), whose
@@ -121,9 +106,10 @@ def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
     wrong nesting, a non-string leaf, a leaf outside the grammar, an int
     past the digit limit or q = 0) ``_locate`` raises the located error.
     """
+    shape = nesting if shape is None else shape
     try:
         leaves = [value]
-        for size in shape:
+        for size in nesting:
             if not all(isinstance(x, list) and len(x) == size for x in leaves):
                 raise ValueError
             leaves = [x for xs in leaves for x in xs]
@@ -132,7 +118,7 @@ def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
         if text.count(",") == len(leaves) and _BOUNDED.fullmatch(text):
             flat = np.fromstring(text[:-1].replace("/", ","), dtype=np.int64, sep=",")
             if "/" not in text:  # skip the index work: each numpy call costs tens of us cold, as in a forked job
-                return flat.reshape(shape), 1
+                return cls.of(flat.reshape(shape), 1, *args)
             # the separator mask: deleting the signs and digits leaves the separators in order
             slash = np.frombuffer(("," + text).encode().translate(None, b"+-0123456789"), "u1") == 47
             is_p = ~slash[:-1]
@@ -141,10 +127,10 @@ def _parsed(value, shape: tuple, where: str) -> tuple[np.ndarray, int]:
             if 0 < den * max(-int(nums.min()), int(nums.max()), 1) < 2**63:
                 ints = nums * den
                 ints[slash[1:].compress(is_p).nonzero()[0]] //= qs  # exact: q divides den
-                return ints.reshape(shape), den
-        return cleared_array([parse_rational(x, where) for x in leaves], shape)
+                return cls.of(ints.reshape(shape), den, *args)
+        return cls.cleared([parse_rational(x, where) for x in leaves], shape, *args)
     except (TypeError, ValueError):
-        _locate(value, shape, where)
+        _locate(value, nesting, where)
         raise
 
 
@@ -214,14 +200,14 @@ def grid_from_doc(doc: dict) -> GridData:
     values = doc.get("values")
     if not isinstance(values, list):
         raise FileFormatError("'values' must be a nested list of rational strings")
-    return GridData.of(*_parsed(values, (d, m + 1, n + 1), "values"))
+    return _parsed(GridData, values, (d, m + 1, n + 1), "values")
 
 
 def polynomial_from_doc(doc: dict) -> PolynomialMembrane:
     """Polynomial membrane: dense "A" (d x mn, nu-ordered) or sparse "terms"."""
     d, m, n = (_require_int(doc, key, 1) for key in ("d", "m", "n"))
     if "A" in doc:
-        return PolynomialMembrane(Matrix.of(*_parsed(doc["A"], (d, m * n), "A")), m, n)
+        return PolynomialMembrane(_parsed(Matrix, doc["A"], (d, m * n), "A"), m, n)
     if "terms" in doc:
         terms = doc["terms"]
         if not isinstance(terms, list):
@@ -281,8 +267,7 @@ def tensor_from_doc(doc: dict) -> SigTensor:
         check_entry_count(dim, level)
     except ValueError as exc:
         raise ContractError(str(exc)) from None
-    ints, den = _parsed(entries, (dim**level,), "entries")
-    return SigTensor.of(ints.reshape((dim,) * level), den, dim=dim)
+    return _parsed(SigTensor, entries, (dim**level,), "entries", (dim,) * level, dim)
 
 
 def matrix_to_doc(m: Matrix, note: str | None = None) -> dict:

@@ -53,19 +53,13 @@ class Matrix(ExactArray):
     ``Matrix(rows, cols, entries)`` takes row-major ints or rationals.
     """
 
-    rows: int
-    cols: int
-    ints: np.ndarray
-    den: int
+    rows = property(lambda self: self.ints.shape[0])
+    cols = property(lambda self: self.ints.shape[1])
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self._clear(entries, (rows, cols), rows=rows, cols=cols)
-
-    @staticmethod
-    def _shape_fields(shape: tuple) -> dict:
-        return {"rows": shape[0], "cols": shape[1]}
+        self._clear(entries, (rows, cols))
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":

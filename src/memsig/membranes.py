@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .linalg import Matrix
 from .paths import AxisPath, MomentPath, axis_path_core, moment_path_core
 from .rational import ONE, ExactArray, Rat, ZERO, int_view, rat
-from .tensor import CORE_CACHE_SIZE, SigTensor, check_budget, check_entry_count, tucker_apply
+from .tensor import SigTensor, check_budget, check_entry_count, tucker_apply
 
 log = logging.getLogger(__name__)
 
@@ -61,31 +60,25 @@ def nu_inv(x: int, n: int) -> tuple[int, int]:
 class GridData(ExactArray):
     """Rational node values X_i(a/m, b/n) over one common denominator.
 
-    ``ints`` is a read-only (d, m+1, n+1) numpy object array of Python ints
-    and ``den`` the lcm L of the node denominators in lowest terms, so
+    ``ints`` is a read-only (d, m+1, n+1) numpy object array of Python ints,
+    which ``d``, ``m`` and ``n`` are read off, and ``den`` the lcm L of the
+    node denominators in lowest terms, so
     X_i(a/m, b/n) = ints[i, a, b] / L; ``values`` derives the rationals.
     ``GridData(d, m, n, values)`` takes nested values[i][a][b] (ints or
     rationals; a float or a string raises TypeError) and clears them once.
     Grids with equal values compare and hash equal.
     """
 
-    d: int
-    m: int
-    n: int
-    ints: np.ndarray
-    den: int
+    d = property(lambda self: self.ints.shape[0])
+    m = property(lambda self: self.ints.shape[1] - 1)
+    n = property(lambda self: self.ints.shape[2] - 1)
 
     def __init__(self, d: int, m: int, n: int, values):
         if min(d, m, n) < 1 or len(values) != d or any(
             len(comp) != m + 1 or any(len(row) != n + 1 for row in comp) for comp in values
         ):
             raise ValueError(f"need d, m, n >= 1 and values of shape {d} x {m + 1} x {n + 1}")
-        flat = (x for comp in values for row in comp for x in row)
-        self._clear(flat, (d, m + 1, n + 1), d=d, m=m, n=n)
-
-    @staticmethod
-    def _shape_fields(shape: tuple) -> dict:
-        return {"d": shape[0], "m": shape[1] - 1, "n": shape[2] - 1}
+        self._clear((x for comp in values for row in comp for x in row), (d, m + 1, n + 1))
 
     @property
     def values(self) -> tuple:
@@ -258,7 +251,6 @@ def check_core_args(kind: str, m: int, n: int, k: int) -> None:
     check_entry_count(m * n, k)
 
 
-@lru_cache(maxsize=CORE_CACHE_SIZE)
 def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
     """Level-k core tensor (dim mn) of the moment or axis membrane.
 
@@ -274,7 +266,7 @@ def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
     x, y = path_core(m, k), path_core(n, k)
     outer = np.asarray(np.multiply.outer(x.ints, y.ints), dtype=object)  # a bare int at k = 0
     arr = outer.transpose([a for r in range(k) for a in (r, k + r)]).reshape((m * n,) * k)
-    return SigTensor.of(arr, x.den * y.den, dim=m * n)
+    return SigTensor.of(arr, x.den * y.den, m * n)
 
 
 def core_matrix(kind: str, m: int, n: int) -> Matrix:
@@ -285,7 +277,7 @@ def hadamard_sig(sig_x: SigTensor, sig_y: SigTensor) -> SigTensor:
     """Entrywise product; the signature of the Hadamard-product membrane."""
     if (sig_x.level, sig_x.dim) != (sig_y.level, sig_y.dim):
         raise ValueError("tensors must share level and dimension")
-    return SigTensor.of(sig_x.ints * sig_y.ints, sig_x.den * sig_y.den, dim=sig_x.dim)
+    return SigTensor.of(sig_x.ints * sig_y.ints, sig_x.den * sig_y.den, sig_x.dim)
 
 
 # --------------------------------------------------------------------------

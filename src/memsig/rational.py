@@ -7,21 +7,15 @@ positive denominator, and interoperable with plain ints).
 Arrays of them (``Matrix``, ``SigTensor`` and ``GridData``) share one stored
 form, ``ExactArray``: a read-only numpy object array ``ints`` of Python ints
 over one denominator ``den``, the lcm of the reduced denominators of the
-entries.  A constructor clears its rational input once (``cleared_array``);
-a kernel reads ``ints`` and ``den``, computes on Python ints and hands its
-integer result back through ``ExactArray.of``, so no kernel clears an
-operand or divides per entry.
+entries.  Its docstring states the contract: the shape is read off ``ints``,
+and each array is made canonical exactly once, by ``_clear`` from rationals
+or by ``of`` from an integer pair.  The file reader takes one route or the
+other (``fileio._parsed``).
 
 Serialization convention (shared with the CLI file formats): decimal-integer
-strings ``"p"`` or ``"p/q"`` in lowest terms.  The file reader has two
-routes (see ``fileio``).  Under its proved bound, every literal of at most
-18 digits and ``den * max|p| < 2^63``, it reads ``"p"`` as an int and
-``"p/q"`` as an integer pair in int64, so no ``Fraction`` is built, and
-hands the array to ``ExactArray.of`` over the lcm of the denominators as
-written, unreduced: ``of`` is the one canonicalizer.  Otherwise it reads
-each leaf in lowest terms and clears them with ``cleared_array``, as a
-constructor does.  ``fileio.rational_texts`` writes an array's entries
-from ``ints`` and ``den`` directly, and ``rat_str`` formats one scalar.
+strings ``"p"`` or ``"p/q"`` in lowest terms.  ``fileio.rational_texts``
+writes an array's entries from ``ints`` and ``den`` directly, and
+``rat_str`` formats one scalar.
 
 ``int_view`` gives an int64 view of an integer array when ``den`` and
 every entry are below 2^62 in magnitude, where gcds with ``den`` and the
@@ -37,7 +31,7 @@ and the lcm of the quotients, since a running gcd stays as large as a huge
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass
 from fractions import Fraction as Rat
 from math import lcm, prod
 
@@ -104,29 +98,45 @@ def cleared_array(values, shape) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=object).reshape(shape), scale
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class ExactArray:
     """Rational array entries[i] = ints[i] / den, stored in canonical form.
 
-    Subclasses are frozen dataclasses (``init=False, eq=False``) whose fields
-    are their shape fields followed by ``ints``, a read-only numpy object
-    array of Python ints, and ``den``, the lcm of the reduced denominators of
-    the entries (1 when all are integers).  The form is canonical, so arrays
-    with equal entries and shape fields compare and hash equal.  A
-    constructor clears its rational input with ``_clear``; a kernel returns
-    its integer result through ``of``, which reads the shape fields off the
-    shape of ``ints`` with the subclass's static ``_shape_fields(shape)``.
+    ``ints`` and ``den`` are the only stored fields: ``ints`` is a read-only
+    numpy object array of Python ints and ``den`` the lcm of the reduced
+    denominators of the entries (1 when all are integers).  Every shape fact
+    (``Matrix.rows``, ``GridData.m``, ``SigTensor.level``, ...) is read off
+    ``ints.shape``; ``SigTensor`` alone also stores ``dim``, which a level-0
+    tensor has no axis to hold.  The form is canonical, so arrays with equal
+    entries and shape compare and hash equal.
+
+    An array is made canonical exactly once, on one of two routes:
+
+    - rationals go through ``_clear``, which clears them over the lcm of
+      their reduced denominators (``cleared_array``): the constructors, and
+      ``cleared`` for the file reader's per-leaf route;
+    - an integer pair (ints, den) goes through ``of``, which reduces ``den``
+      to the canonical one: the kernels, and the file reader's int64 bulk
+      route, whose ``den`` is the lcm of the denominators as written.
+
+    So no kernel clears an operand or divides per entry, and no array is
+    reduced twice.  Subclasses are frozen dataclasses (``init=False,
+    eq=False``), so setting a field or a shape property raises
+    ``FrozenInstanceError``.
     """
 
+    ints: np.ndarray
+    den: int
+
     @classmethod
-    def of(cls, ints, den: int, **shape_fields):
+    def of(cls, ints, den: int):
         """The array ints / den, for an integer numpy array (object or int64) and a nonzero int ``den``.
 
         Reduces to the canonical ``den`` (module docstring): one
         ``np.gcd.reduce`` seeded with |den| on ``int_view``'s int64 view when
         its bound holds, else one elementwise ``np.gcd`` against ``den`` on
         Python ints, and one exact division per entry when ``den`` changes.
-        Shape fields not given are read off ``ints.shape``.  An object array is taken
-        over, not copied: it is made read-only.
+        An object array is taken over, not copied: it is made read-only.
         """
         if den != 1:
             view = int_view(np.asarray(ints), den)  # a kernel's 0-d result may come as a scalar
@@ -136,25 +146,27 @@ class ExactArray:
             else:
                 canon = lcm_all(set((abs(den) // np.gcd(flat, den)).tolist()))
             ints, den = (view // (den // canon), canon) if canon != den else (ints, den)
-        ints = np.asarray(ints, dtype=object)
-        obj = cls.__new__(cls)
-        obj._store(ints, den, {**cls._shape_fields(ints.shape), **shape_fields})
-        return obj
+        return cls.__new__(cls)._store(np.asarray(ints, dtype=object), den)
 
-    def _clear(self, values, shape: tuple, **shape_fields) -> None:
-        """Store prod(shape) ints or rationals, cleared once.
+    @classmethod
+    def cleared(cls, values, shape: tuple):
+        """The array of the prod(shape) ints or rationals ``values``, cleared once by ``_clear``."""
+        return cls.__new__(cls)._clear(values, shape)
+
+    def _clear(self, values, shape: tuple):
+        """Store prod(shape) ints or rationals, cleared once; returns ``self``.
 
         A wrong count raises ValueError, a float or a string TypeError.
         """
         values = [x if type(x) in (int, Rat) else rat(x) for x in values]
         if len(values) != prod(shape):
             raise ValueError(f"expected {prod(shape)} entries, got {len(values)}")
-        ints, den = cleared_array(values, shape)
-        self._store(ints, den, shape_fields)
+        return self._store(*cleared_array(values, shape))
 
-    def _store(self, ints: np.ndarray, den: int, shape_fields: dict) -> None:
+    def _store(self, ints: np.ndarray, den: int):
         ints.flags.writeable = False
-        self.__dict__.update(shape_fields, ints=ints, den=den)
+        self.__dict__.update(ints=ints, den=den)
+        return self
 
     @property
     def entries(self) -> tuple:
@@ -162,8 +174,7 @@ class ExactArray:
         return tuple(rat(x, self.den) for x in self.ints.flat)
 
     def _key(self) -> tuple:
-        shape = tuple(getattr(self, f.name) for f in fields(self)[:-2])
-        return shape, self.ints.shape, self.den, tuple(self.ints.flat)
+        return self.ints.shape, self.den, tuple(self.ints.flat)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()

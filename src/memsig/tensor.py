@@ -27,8 +27,8 @@ from .rational import ONE, ExactArray, rat
 # the tests, scripts and benchmark stay below 10^5.
 MAX_ENTRIES = 10**7
 
-# Cores kept by the core-tensor caches (membranes.core_tensor, paths.*_path_core):
-# enough for every (m, n) <= 8 of a dimension table at one level.
+# Cores kept by each path-core cache (paths.moment_path_core, paths.axis_path_core), keyed by
+# (order, level): enough for every order <= 8 of a dimension table at eight levels.
 CORE_CACHE_SIZE = 64
 
 
@@ -63,23 +63,38 @@ class SigTensor(ExactArray):
     """Level-k tensor over dimension d: ``ints`` of shape (d,) * k over ``den``.
 
     ``SigTensor(level, dim, entries)`` takes the d^k entries (ints or
-    rationals) in row-major word order.
+    rationals) in row-major word order.  ``level`` is read off ``ints``;
+    ``dim`` is stored, since a level-0 tensor has no axis to read it off, and
+    every axis has length ``dim``.
     """
 
-    level: int
     dim: int
-    ints: np.ndarray
-    den: int
+    level = property(lambda self: self.ints.ndim)
 
     def __init__(self, level: int, dim: int, entries):
         if level < 0 or dim < 1:
             raise ValueError("need level >= 0 and dim >= 1")
-        self._clear(entries, (dim,) * level, level=level, dim=dim)
+        self._clear(entries, (dim,) * level)._set_dim(dim)
 
-    @staticmethod
-    def _shape_fields(shape: tuple) -> dict:
-        """Level 0 has no axis to read the dimension off: ``of`` needs ``dim=``."""
-        return {"level": len(shape), "dim": shape[0]} if shape else {"level": 0}
+    @classmethod
+    def of(cls, ints, den: int, dim: int | None = None) -> "SigTensor":
+        """``ExactArray.of``; ``dim`` defaults to the length of the axes, and level 0 needs it."""
+        return super().of(ints, den)._set_dim(dim)
+
+    @classmethod
+    def cleared(cls, values, shape: tuple, dim: int | None = None) -> "SigTensor":
+        """``ExactArray.cleared``, with ``dim`` as in ``of``."""
+        return super().cleared(values, shape)._set_dim(dim)
+
+    def _set_dim(self, dim: int | None) -> "SigTensor":
+        shape = self.ints.shape
+        self.__dict__["dim"] = dim = shape[0] if dim is None and shape else dim
+        if dim is None or dim < 1 or shape != (dim,) * len(shape):
+            raise ValueError(f"an array of shape {shape} is no tensor over dimension {dim}")
+        return self
+
+    def _key(self) -> tuple:
+        return self.dim, super()._key()
 
     @classmethod
     def from_function(cls, level: int, dim: int, entry_fn) -> "SigTensor":
@@ -110,8 +125,7 @@ class SigTensor(ExactArray):
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "SigTensor":
-        if not m.is_square:
-            raise ValueError("need a square matrix")
+        """The level-2 tensor of a square matrix; ``of`` refuses any other shape."""
         return cls.of(m.ints, m.den)
 
 
@@ -137,7 +151,7 @@ def tucker_apply(t: SigTensor, a: Matrix) -> SigTensor:
     arr = t.ints
     for _ in range(t.level):
         arr = mode_apply(arr, a.ints)
-    return SigTensor.of(arr, t.den * a.den**t.level, dim=a.rows)
+    return SigTensor.of(arr, t.den * a.den**t.level, a.rows)
 
 
 def all_ones(level: int, dim: int) -> SigTensor:

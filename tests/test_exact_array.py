@@ -98,6 +98,21 @@ class TestStoredForm:
         assert SigTensor(0, 2, (1,)) != SigTensor(0, 3, (1,))
         assert SigTensor(0, 2, (1,)) == SigTensor.of(np.asarray(5, dtype=object), 5, dim=2)
 
+    def test_the_shape_is_read_off_ints(self):
+        a = Matrix.of(np.zeros((2, 3), dtype=object), 1)
+        grid = GridData.of(np.zeros((3, 2, 5), dtype=object), 1)
+        t = SigTensor.of(np.zeros((2, 2, 2), dtype=object), 1)
+        assert (a.rows, a.cols, grid.d, grid.m, grid.n, t.level, t.dim) == (2, 3, 3, 1, 4, 3, 2)
+        with pytest.raises(TypeError):
+            Matrix.of(np.zeros((2, 3), dtype=object), 1, rows=5)
+
+    @pytest.mark.parametrize("shape, dim", [((2, 2), 3), ((2, 3), None), ((3, 2), 3), ((), None), ((), 0), ((0,), None)])
+    def test_a_tensor_whose_axes_are_not_its_dim_is_refused(self, shape, dim):
+        with pytest.raises(ValueError, match="no tensor over dimension"):
+            SigTensor.of(np.zeros(shape, dtype=object), 1, dim)
+        with pytest.raises(ValueError, match="no tensor over dimension"):
+            SigTensor.cleared([0] * prod(shape), shape, dim)
+
     @pytest.mark.parametrize("bad", [0.5, "1/2"])
     def test_inexact_or_text_entry_rejected(self, bad):
         with pytest.raises(TypeError):
@@ -179,8 +194,8 @@ def test_kernels_clear_nothing(monkeypatch, rng):
         lambda: pm1_jordan_structure(cosq),
         lambda: tucker_apply(core, a),
         lambda: tucker_jacobian_rank(core, base),
-        lambda: core_tensor.__wrapped__("moment", 3, 1, 3),
-        lambda: core_tensor.__wrapped__("axis", 2, 2, 0),
+        lambda: core_tensor("moment", 3, 1, 3),
+        lambda: core_tensor("axis", 2, 2, 0),
         lambda: hadamard_sig(core, core),
         lambda: reduce_grid(grid),
         lambda: bilinear_decompose(grid),

@@ -18,7 +18,7 @@ from memsig import cli, fileio, linalg, rational, tensor, variety
 from memsig.bench import random_integer_grid
 from memsig.linalg import Matrix, det
 from memsig.membranes import GridData, PolynomialMembrane, core_matrix
-from memsig.rational import rat, rat_str
+from memsig.rational import ExactArray, rat, rat_str
 from memsig.tensor import SigTensor
 
 from conftest import rationals
@@ -320,18 +320,33 @@ class TestReaderAndWriter:
             fileio.tensor_from_doc({"level": 2, "dim": 2, "entries": leaves})
         assert str(info.value) == f"entries[2]: {zero!r} is not a rational 'p' or 'p/q'"
 
-    @pytest.mark.parametrize("p", [2**32 - 1, 2**32, -(2**32 - 1), -(2**32), 0])
-    def test_the_int64_product_bound_is_den_times_max_p(self, p):
-        leaves = [str(p), f"1/{2**31}", f"{p}/2", f"-3/{2**30}"]  # den = 2^31, so den * max|p| is 2^63 at |p| = 2^32
-        ints, den = fileio._parsed(leaves, (4,), "entries")
-        assert ints.dtype == (np.int64 if abs(p) < 2**32 else object)
-        assert den == 2**31 and [int(x) for x in ints] == [fileio.parse_rational(t, "x") * den for t in leaves]
-
     @staticmethod
-    def _spy_parse_rational(monkeypatch) -> list:
-        calls, real = [], fileio.parse_rational
-        monkeypatch.setattr(fileio, "parse_rational", lambda text, where: calls.append(text) or real(text, where))
+    def _spy_routes(monkeypatch) -> dict:
+        """Record the texts ``parse_rational`` reads and the arguments of ``ExactArray.of`` and ``.cleared``."""
+        calls = {"parse_rational": [], "of": [], "cleared": []}
+        real = fileio.parse_rational
+        monkeypatch.setattr(fileio, "parse_rational", lambda text, where: calls["parse_rational"].append(text) or real(text, where))
+        for name in ("of", "cleared"):
+
+            def spy(cls, first, second, *args, method=getattr(ExactArray, name).__func__, log=calls[name]):
+                log.append((first, second))
+                return method(cls, first, second, *args)
+
+            monkeypatch.setattr(ExactArray, name, classmethod(spy))
         return calls
+
+    @pytest.mark.parametrize("p", [2**32 - 1, 2**32, -(2**32 - 1), -(2**32), 0])
+    def test_the_int64_product_bound_is_den_times_max_p(self, monkeypatch, p):
+        leaves = [str(p), f"1/{2**31}", f"{p}/2", f"-3/{2**30}"]  # den = 2^31, so den * max|p| is 2^63 at |p| = 2^32
+        calls = self._spy_routes(monkeypatch)
+        got = fileio._parsed(SigTensor, leaves, (4,), "entries")
+        bulk = abs(p) < 2**32
+        assert (len(calls["of"]), len(calls["cleared"])) == ((1, 0) if bulk else (0, 1))
+        if bulk:
+            (ints, den), = calls["of"]
+            assert ints.dtype == np.int64 and den == 2**31
+            assert [int(x) for x in ints] == [fileio.parse_rational(t, "x") * den for t in leaves]
+        assert got.den == 2**31 and list(got.entries) == [fileio.parse_rational(t, "x") for t in leaves]
 
     # 60247241209 * 153092023 = 2^63 - 1, so the last two documents sit on either side of the product bound
     @pytest.mark.parametrize(
@@ -345,25 +360,51 @@ class TestReaderAndWriter:
         ],
     )
     def test_parse_rational_runs_only_where_the_bound_fails(self, monkeypatch, leaves, bulk):
-        calls = self._spy_parse_rational(monkeypatch)
-        ints, den = fileio._parsed(leaves, (len(leaves),), "entries")
-        assert calls == ([] if bulk else leaves)
-        assert ints.dtype == (np.int64 if bulk else object)
-        assert [rat(int(x), den) for x in ints] == [fileio.parse_rational(t, "x") for t in leaves]
+        calls = self._spy_routes(monkeypatch)
+        got = fileio._parsed(SigTensor, leaves, (len(leaves),), "entries")
+        assert calls["parse_rational"] == ([] if bulk else leaves)
+        assert (len(calls["of"]), len(calls["cleared"])) == ((1, 0) if bulk else (0, 1))
+        if bulk:
+            assert calls["of"][0][0].dtype == np.int64
+        assert list(got.entries) == [fileio.parse_rational(t, "x") for t in leaves]
 
     @pytest.mark.parametrize(
         "leaves, bulk, den",
         [
-            (["2/4", "-6/9", "1/3", "5"], True, 36),  # the bulk route clears over the lcm as written
+            (["2/4", "-6/9", "1/3", "5"], True, 36),  # the bulk route hands of the lcm as written
             (["2/4", "-6/9", "1/3", "5000000000000000000"], False, 6),
             (["2/4", "-6/9", f"{2**40}/{2**41}", "5"], False, 6),  # as written: den 9 * 2^41, den * max|p| > 2^63
         ],
     )
     def test_the_per_leaf_route_clears_over_the_reduced_denominators(self, monkeypatch, leaves, bulk, den):
-        calls = self._spy_parse_rational(monkeypatch)
-        ints, got = fileio._parsed([leaves[:2], leaves[2:]], (2, 2), "A")
-        assert got == den and bool(calls) is not bulk and ints.shape == (2, 2)
-        assert [rat(int(x), den) for x in ints.flat] == [fileio.parse_rational(t, "x") for t in leaves]
+        calls = self._spy_routes(monkeypatch)
+        got = fileio._parsed(Matrix, [leaves[:2], leaves[2:]], (2, 2), "A")
+        assert bool(calls["parse_rational"]) is not bulk and not calls["cleared" if bulk else "of"]
+        if bulk:
+            (ints, written), = calls["of"]
+            assert written == den and ints.shape == (2, 2)
+        else:
+            (values, shape), = calls["cleared"]
+            assert got.den == den and shape == (2, 2)
+        assert got.den == 6 and list(got.entries) == [fileio.parse_rational(t, "x") for t in leaves]
+
+    @pytest.mark.parametrize(
+        "read, doc",
+        [
+            (fileio.grid_from_doc, {"d": 1, "m": 1, "n": 1, "values": [[["LEAF", "1/3"], ["-2/4", "5"]]]}),
+            (lambda doc: fileio.polynomial_from_doc(doc).coeffs, {"d": 2, "m": 1, "n": 1, "A": [["LEAF"], ["-2/4"]]}),
+            (fileio.tensor_from_doc, {"level": 2, "dim": 2, "entries": ["LEAF", "1/3", "-2/4", "5"]}),
+            (fileio.tensor_from_doc, {"level": 0, "dim": 3, "entries": ["LEAF"]}),
+        ],
+        ids=["grid", "A", "tensor", "tensor-level-0"],
+    )
+    @pytest.mark.parametrize("leaf", ["7/6", "70000000000000000001/6"])
+    def test_each_reader_makes_its_array_canonical_once(self, monkeypatch, read, doc, leaf):
+        calls = self._spy_routes(monkeypatch)
+        got = read(json.loads(json.dumps(doc).replace("LEAF", leaf)))
+        assert (len(calls["of"]), len(calls["cleared"])) == ((1, 0) if len(leaf) <= 18 else (0, 1))
+        assert got.den == 6 and got.entries[0] == rat(int(leaf[:-2]), 6)
+        assert getattr(got, "dim", None) == doc.get("dim")
 
     @pytest.mark.parametrize("x", [2**62 - 1, -(2**62 - 1), 2**62, -(2**62), -(2**63)])
     @pytest.mark.parametrize("den", [1, 6, 2**62 - 1, 2**62, -(2**62)])
@@ -698,6 +739,23 @@ class TestCliCommands:
         assert code == 0 and out == cong
         assert "entries_float" not in json.loads(out)
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_an_output_past_the_writers_digit_limit_exits_3(self, tmp_path, capsys, out):
+        node = 7**3500  # 2958 digits: the level-1 entry is written, the level-2 entry (node^2 / 2) is not
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", str(node)]]]}))
+        target = tmp_path / "out.json"
+        flags = ["--out", str(target)] if out else []
+        code, text = run_cli(["sig", str(grid), "--level", "1", *flags])
+        assert code == 0 and capsys.readouterr().err == ""
+        written = target.read_text() if out else text
+        assert json.loads(written)["entries"] == [str(node)]
+        target.unlink(missing_ok=True)
+        code, text = run_cli(["sig", str(grid), "--level", "2", *flags])
+        err = capsys.readouterr().err
+        assert code == 3 and text == "" and not target.exists()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "4300 digits" in err
+
     @pytest.mark.parametrize("target", ["missing/x.json", "."])
     def test_unwritable_out_exits_2(self, tmp_path, single_cell_grid_file, capsys, target):
         path = tmp_path / target
@@ -817,6 +875,13 @@ class TestCliCommands:
         code, out = run_cli(args)
         assert code == 3 and out == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+    def test_a_non_integer_seed_exits_2(self, monkeypatch, capsys, seed):
+        code, out = run_cli(["dim", "--d", "2", "--m", "1", "--n", "1"], {"MEMSIG_SEED": seed}, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == f"error: MEMSIG_SEED must be an integer, got {seed!r}\n"
 
     def test_seed_reproducibility(self, monkeypatch):
         _, out1 = run_cli(["dim", "--d", "4", "--m", "2", "--n", "2", "--trials", "1"], {"MEMSIG_SEED": "11"}, monkeypatch)
