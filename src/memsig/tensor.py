@@ -88,9 +88,10 @@ class SigTensor(ExactArray):
 
     def _set_dim(self, dim: int | None) -> "SigTensor":
         shape = self.ints.shape
-        self.__dict__["dim"] = dim = shape[0] if dim is None and shape else dim
+        dim = shape[0] if dim is None and shape else dim
         if dim is None or dim < 1 or shape != (dim,) * len(shape):
             raise ValueError(f"an array of shape {shape} is no tensor over dimension {dim}")
+        self.__dict__["dim"] = dim
         return self
 
     def _key(self) -> tuple:

@@ -384,7 +384,7 @@ class TestReaderAndWriter:
             (ints, written), = calls["of"]
             assert written == den and ints.shape == (2, 2)
         else:
-            (values, shape), = calls["cleared"]
+            (_, shape), = calls["cleared"]
             assert got.den == den and shape == (2, 2)
         assert got.den == 6 and list(got.entries) == [fileio.parse_rational(t, "x") for t in leaves]
 
@@ -741,7 +741,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("out", [False, True])
     def test_an_output_past_the_writers_digit_limit_exits_3(self, tmp_path, capsys, out):
-        node = 7**3500  # 2958 digits: the level-1 entry is written, the level-2 entry (node^2 / 2) is not
+        node = 7**3500  # 2958 digits: the level-1 entry is written, the level-2 entry (node^2 / 4) is not
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", str(node)]]]}))
         target = tmp_path / "out.json"
