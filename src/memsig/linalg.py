@@ -27,11 +27,11 @@ comes back through ``Matrix.of``.
 only eigenvalues are +1 and -1 from the exact rank sequences rank((M -+ I)^j);
 this is all the spectral information the congruence normal forms need.  The
 ranks are taken of integer powers (ints -+ den I)^j, since scaling by den^j
-changes no rank.  The cosquare of a Kronecker product A (x) B is
-C_A (x) C_B, and ``kron_jordan_structure`` combines the factors' Jordan
-structures by J_a(l) (x) J_b(u) ~ sum over i = 1..min(a, b) of
-J_(a+b+1-2i)(l u).  ``pm1_jordan_structure`` of the product is the oracle
-of that rule.
+changes no rank.  ``kron_jordan_structure`` gives the structure of a
+Kronecker product from its factors' structures, and ``pm1_jordan_structure``
+of the product is its oracle.  A congruence class is stored as its
+cosquare's Jordan structure (``CongruenceInvariants``), which the blocks
+Gamma_k and H_2k(mu) are read off.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ class Matrix(ExactArray):
     ``Matrix(rows, cols, entries)`` takes row-major ints or rationals.
     """
 
+    _least_shape = (0, 0)
     rows = property(lambda self: self.ints.shape[0])
     cols = property(lambda self: self.ints.shape[1])
 
@@ -419,42 +420,51 @@ class HBlock:
 
 @dataclass(frozen=True)
 class CongruenceInvariants:
-    """Multiset of canonical congruence blocks, stored sorted."""
+    """Congruence class of a nonsingular matrix M whose cosquare C = M^{-T} M has spectrum in {+1, -1}.
 
-    blocks: tuple
+    Stored once, as C's Jordan structure: ``structure`` holds the sorted
+    ((mu, size), count) items with count > 0 of the ``pm1_jordan_structure``
+    Counter (or items) that the constructor takes.  A single J_k(mu) with
+    mu = (-1)^(k+1) is the block Gamma_k; every other J_k(mu) must occur an
+    even number of times, and each pair is the block H_2k(mu).  Any other
+    count raises ValueError.
+    """
+
+    structure: tuple
 
     def __post_init__(self):
-        key = lambda b: (isinstance(b, HBlock), b)
-        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=key)))
+        items = tuple(sorted((key, cnt) for key, cnt in dict(self.structure).items() if cnt))
+        for (mu, k), cnt in items:
+            if not self._single(mu, k) and cnt % 2:
+                raise ValueError(f"J_{k}({mu:+d}) occurs {cnt} times but must pair into H-blocks")
+        object.__setattr__(self, "structure", items)
+
+    @staticmethod
+    def _single(mu: int, k: int) -> bool:
+        return mu == (1 if k % 2 else -1)
+
+    @property
+    def blocks(self) -> tuple:
+        """The canonical blocks: Gamma_k by size, then H_2k(mu) by (k, mu)."""
+        out = []
+        for (mu, k), cnt in self.structure:
+            out += [GammaBlock(k)] * cnt if self._single(mu, k) else [HBlock(k, mu)] * (cnt // 2)
+        return tuple(sorted(out, key=lambda b: (isinstance(b, HBlock), b)))
 
     @property
     def total_size(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-    def cosquare_structure(self) -> Counter:
-        """Jordan block multiset of the cosquare, as ``pm1_jordan_structure`` gives it.
-
-        Gamma_k stands for one J_k((-1)^(k+1)) and H_2k(mu) for two J_k(mu).
-        """
-        out: Counter = Counter()
-        for b in self.blocks:
-            if isinstance(b, GammaBlock):
-                out[(1 if b.size % 2 else -1, b.size)] += 1
-            else:
-                out[(b.mu, b.halfsize)] += 2
-        return out
+        return sum(k * cnt for (_, k), cnt in self.structure)
 
     @property
     def rank_profile(self) -> tuple[int, int]:
-        """(rank of M + M^T, rank of M - M^T) for the nonsingular M of these blocks.
+        """(rank of M + M^T, rank of M - M^T).
 
-        M +- M^T = M^T (C +- I) for the cosquare C, so each rank is the size
-        less the number of Jordan blocks of C at -+1.
+        M +- M^T = M^T (C +- I), so each rank is the size less the number of
+        Jordan blocks of C at -+1.
         """
-        at = Counter()
-        for (mu, _), cnt in self.cosquare_structure().items():
-            at[mu] += cnt
-        return self.total_size - at[-1], self.total_size - at[1]
+        at_minus = sum(cnt for (mu, _), cnt in self.structure if mu == -1)
+        at_plus = sum(cnt for (mu, _), cnt in self.structure if mu == 1)
+        return self.total_size - at_minus, self.total_size - at_plus
 
     def __str__(self) -> str:
-        return " + ".join(str(b) for b in self.blocks) if self.blocks else "(empty)"
+        return " + ".join(map(str, self.blocks)) or "(empty)"

@@ -69,6 +69,7 @@ class GridData(ExactArray):
     Grids with equal values compare and hash equal.
     """
 
+    _least_shape = (1, 2, 2)
     d = property(lambda self: self.ints.shape[0])
     m = property(lambda self: self.ints.shape[1] - 1)
     n = property(lambda self: self.ints.shape[2] - 1)
@@ -155,10 +156,6 @@ class PolynomialMembrane:
                 raise ValueError(f"term ({i}, {j}, {dim}) out of range")
             rows[dim - 1][nu(i, j, n) - 1] += rat(coeff)
         return cls(Matrix.from_rows(rows), m, n)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.rows
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,10 @@ class ExactArray:
     (``Matrix.rows``, ``GridData.m``, ``SigTensor.level``, ...) is read off
     ``ints.shape``; ``SigTensor`` alone also stores ``dim``, which a level-0
     tensor has no axis to hold.  The form is canonical, so arrays with equal
-    entries and shape compare and hash equal.
+    entries and shape compare and hash equal.  A subclass's ``_least_shape``
+    gives its number of axes and their least lengths (``Matrix`` (0, 0),
+    ``GridData`` (1, 2, 2)); every route refuses any other shape with
+    ValueError.  ``SigTensor`` checks its axes against ``dim`` instead.
 
     An array is made canonical exactly once, on one of two routes:
 
@@ -127,6 +130,7 @@ class ExactArray:
 
     ints: np.ndarray
     den: int
+    _least_shape = None
 
     @classmethod
     def of(cls, ints, den: int):
@@ -164,6 +168,9 @@ class ExactArray:
         return self._store(*cleared_array(values, shape))
 
     def _store(self, ints: np.ndarray, den: int):
+        least = self._least_shape
+        if least and (ints.ndim != len(least) or any(s < k for s, k in zip(ints.shape, least))):
+            raise ValueError(f"a {type(self).__name__} needs axes at least {least} long, got shape {ints.shape}")
         ints.flags.writeable = False
         self.__dict__.update(ints=ints, den=den)
         return self

@@ -116,9 +116,6 @@ class SigTensor(ExactArray):
                 raise ValueError(f"letter {letter} out of range [1, {self.dim}]")
         return rat(self.ints[tuple(letter - 1 for letter in word)], self.den)
 
-    def words(self):
-        return words_iter(self.dim, self.level)
-
     def to_matrix(self) -> Matrix:
         if self.level != 2:
             raise ValueError("only level-2 tensors convert to matrices")

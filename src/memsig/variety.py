@@ -10,14 +10,11 @@ the zero set of a nonzero minor mod p, so a handful of trials suffices (max
 rank over trials is reported).  The same derivative-rank computation runs at
 level 3 with the Tucker cube map.
 
-Congruence invariants of a nonsingular matrix M come from the Jordan
-structure of its cosquare C = M^{-T} M: blocks J_k((-1)^{k+1}) correspond to
-single blocks Gamma_k, and the remaining blocks at +-1 pair up into
-H_{2k}(mu).  Only the +-1-cosquare case is implemented; that is the case the
-dictionary cores live in.  Since M +- M^T = M^T (C +- I), rank_sym is the
-size less the number of blocks of C at -1 and rank_skew the size less the
-number at +1 (``CongruenceInvariants.rank_profile``).
-``congruence_invariants`` finds C's structure by elimination and is the
+The congruence class of a nonsingular matrix M is the Jordan structure of
+its cosquare C = M^{-T} M, which ``linalg.CongruenceInvariants`` stores and
+reads the blocks Gamma_k and H_2k(mu) and the rank profile off.  Only the
++-1-cosquare case is implemented; that is the case the dictionary cores live
+in.  ``congruence_invariants`` finds C's structure by elimination and is the
 generic route; ``core_invariants`` reads the level-2 core's structure and
 determinant off closed forms and eliminates nothing.  The proof:
 
@@ -64,8 +61,6 @@ import numpy as np
 
 from .linalg import (
     CongruenceInvariants,
-    GammaBlock,
-    HBlock,
     Matrix,
     _PRIME,
     _rank_mod_p,
@@ -90,43 +85,24 @@ def core_rank_profile(core: Matrix) -> tuple[int, int]:
     """(rank of symmetric part, rank of skew part) of a square matrix.
 
     The test oracle of ``CongruenceInvariants.rank_profile``, which reads
-    the same ranks off the blocks of a nonsingular matrix.
+    the same ranks of a nonsingular matrix off its cosquare's Jordan
+    structure.
     """
     sym, skew = sym_skew_split(core)
     return rank(sym), rank(skew)
 
 
-def _invariants(structure) -> CongruenceInvariants:
-    """Congruence blocks of a cosquare's Jordan structure (``pm1_jordan_structure`` form).
-
-    Jordan blocks J_k(+1) with k odd and J_k(-1) with k even become Gamma_k;
-    the remaining blocks (J_k(-1) with k odd, J_k(+1) with k even) must pair
-    up and become H_{2k}(-1) resp. H_{2k}(+1).
-    """
-    blocks: list = []
-    for (mu, k), cnt in sorted(structure.items()):
-        if (mu == 1) == (k % 2 == 1):
-            blocks.extend([GammaBlock(k)] * cnt)
-        else:
-            if cnt % 2:
-                raise ValueError(
-                    f"J_{k}({mu:+d}) occurs {cnt} times but must pair into H-blocks"
-                )
-            blocks.extend([HBlock(k, mu)] * (cnt // 2))
-    return CongruenceInvariants(tuple(blocks))
-
-
 def congruence_invariants(m: Matrix) -> CongruenceInvariants:
     """Canonical congruence block multiset of a nonsingular matrix.
 
-    Requires the cosquare spectrum to be contained in {+1, -1}; the blocks
-    come from its Jordan structure (``_invariants``).  A singular matrix
-    raises ValueError from ``cosquare``.  This is the generic route and the
-    test oracle of ``core_invariants``.
+    Requires the cosquare spectrum to be contained in {+1, -1}; the class
+    is the cosquare's Jordan structure, found by elimination.  A singular
+    matrix raises ValueError from ``cosquare``.  This is the generic route
+    and the test oracle of ``core_invariants``.
     """
     if not m.is_square:
         raise ValueError("congruence invariants need a square matrix")
-    return _invariants(pm1_jordan_structure(cosquare(m)))
+    return CongruenceInvariants(pm1_jordan_structure(cosquare(m)))
 
 
 def _path_core_structure(m: int) -> Counter:
@@ -184,7 +160,7 @@ def core_invariants(kind: str, m: int, n: int) -> tuple[CongruenceInvariants, Ra
     _check_det_digits(kind, m, n)
     structure = kron_jordan_structure(_path_core_structure(m), _path_core_structure(n))
     det_den = _path_core_det_den(kind, m) ** n * _path_core_det_den(kind, n) ** m
-    return _invariants(structure), rat(1, det_den)
+    return CongruenceInvariants(structure), rat(1, det_den)
 
 
 def congruent_check(m: Matrix, n: Matrix) -> bool:

@@ -113,6 +113,18 @@ class TestStoredForm:
         with pytest.raises(ValueError, match="no tensor over dimension"):
             SigTensor.cleared([0] * prod(shape), shape, dim)
 
+    @pytest.mark.parametrize(
+        "cls, shape",
+        [(Matrix, (3,)), (Matrix, ()), (Matrix, (2, 2, 1)),
+         (GridData, (2, 1, 3)), (GridData, (2, 3, 1)), (GridData, (0, 2, 2)), (GridData, (2, 3))],
+    )
+    def test_an_array_its_class_cannot_hold_is_refused(self, cls, shape):
+        for den in (1, 2):
+            with pytest.raises(ValueError, match="needs axes at least"):
+                cls.of(np.zeros(shape, dtype=object), den)
+        with pytest.raises(ValueError, match="needs axes at least"):
+            cls.cleared([0] * prod(shape), shape)
+
     @pytest.mark.parametrize("bad", [0.5, "1/2"])
     def test_inexact_or_text_entry_rejected(self, bad):
         with pytest.raises(TypeError):

@@ -638,6 +638,18 @@ class TestCliCommands:
         assert code == 4
         assert json.loads(out)["detail"] == "boom"
 
+    def test_check_relations_exits_4_on_a_failed_relation(self, monkeypatch):
+        monkeypatch.setattr(variety, "core_matrix", lambda kind, m, n: Matrix.identity(2))
+        code, out = run_cli(
+            ["check-relations", "--d", "2", "--m", "2", "--n", "1", "--samples", "7"],
+            {"MEMSIG_SEED": "5"},
+            monkeypatch,
+        )
+        doc = json.loads(out)
+        a = variety.random_integer_matrix(2, 2, random.Random(5))
+        assert code == 4 and (doc["status"], doc["samples"]) == ("fail", 7)
+        assert doc["counterexample"] == [rat_str(x) for x in a.entries]
+
     def test_check_relations_counterexample_printed_in_lowest_terms(self, monkeypatch):
         from memsig.variety import RelationReport
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import jordan_rows
-from memsig import linalg, tensor
+from memsig import linalg, tensor, variety
 from memsig.linalg import (
     CongruenceInvariants,
     GammaBlock,
@@ -27,7 +27,6 @@ from memsig.rational import rat
 from memsig.tensor import SigTensor
 from memsig.variety import (
     _check_jacobian_size,
-    _invariants,
     _jacobian_mod_p,
     _path_core_det_den,
     _path_core_structure,
@@ -44,6 +43,17 @@ from memsig.variety import (
     tucker_jacobian,
     tucker_jacobian_rank,
 )
+
+
+def invariants_of_blocks(blocks) -> CongruenceInvariants:
+    """The class of a block list: Gamma_k is one J_k((-1)^(k+1)), H_2k(mu) two J_k(mu)."""
+    structure: Counter = Counter()
+    for b in blocks:
+        if isinstance(b, GammaBlock):
+            structure[(1 if b.size % 2 else -1, b.size)] += 1
+        else:
+            structure[(b.mu, b.halfsize)] += 2
+    return CongruenceInvariants(structure)
 
 
 def expected_axis_blocks(m: int, n: int) -> CongruenceInvariants:
@@ -63,7 +73,7 @@ def expected_axis_blocks(m: int, n: int) -> CongruenceInvariants:
     else:
         blocks += [HBlock(1, -1)] * ((m + n - 2) // 2)
         blocks += [GammaBlock(1)] * ((m - 1) * (n - 1) + 1)
-    return CongruenceInvariants(tuple(blocks))
+    return invariants_of_blocks(blocks)
 
 
 def expected_rank_profile(m: int, n: int) -> tuple[int, int]:
@@ -96,11 +106,34 @@ class TestCongruenceInvariants:
 
     def test_identity_blocks(self):
         inv = congruence_invariants(Matrix.identity(4))
-        assert inv == CongruenceInvariants((GammaBlock(1),) * 4)
+        assert inv == invariants_of_blocks([GammaBlock(1)] * 4)
+        assert inv.blocks == (GammaBlock(1),) * 4
 
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             congruence_invariants(Matrix.zeros(2, 2))
+
+    @pytest.mark.parametrize("structure", [{(-1, 1): 1}, {(1, 2): 3}, {(1, 1): 2, (-1, 3): 1}])
+    def test_unpaired_blocks_are_refused(self, structure):
+        with pytest.raises(ValueError, match="must pair into H-blocks"):
+            CongruenceInvariants(Counter(structure))
+
+    def test_blocks_are_read_off_the_structure(self):
+        structure = {(1, 1): 2, (-1, 2): 1, (1, 3): 1, (-1, 1): 2, (1, 2): 4, (-1, 3): 2, (1, 4): 0}
+        inv = CongruenceInvariants(Counter(structure))
+        assert inv.structure == (((-1, 1), 2), ((-1, 2), 1), ((-1, 3), 2), ((1, 1), 2), ((1, 2), 4), ((1, 3), 1))
+        assert str(inv) == "Gamma1 + Gamma1 + Gamma2 + Gamma3 + H2(-1) + H4(1) + H4(1) + H6(-1)"
+        assert CongruenceInvariants(inv.structure) == inv and hash(CongruenceInvariants(inv.structure)) == hash(inv)
+        # 5 blocks at -1 and 7 at +1 in a size of 23
+        assert (inv.total_size, inv.rank_profile) == (23, (18, 16))
+        assert str(CongruenceInvariants(Counter())) == "(empty)"
+
+    def test_rank_profile_builds_no_blocks(self, monkeypatch):
+        core = core_matrix("axis", 2, 3)
+        inv = congruence_invariants(core)
+        monkeypatch.setattr(linalg, "GammaBlock", None)
+        monkeypatch.setattr(linalg, "HBlock", None)
+        assert inv.rank_profile == core_rank_profile(core)
 
 
 def _unimodular(n: int, rng) -> Matrix:
@@ -123,7 +156,7 @@ class TestKronRoute:
             assert blocks == congruence_invariants(core), (kind, m, n)
             assert det_m == det(core), (kind, m, n)
             assert blocks.rank_profile == core_rank_profile(core), (kind, m, n)
-            assert blocks.cosquare_structure() == pm1_jordan_structure(cosquare(core))
+            assert dict(blocks.structure) == pm1_jordan_structure(cosquare(core))
 
     def test_tensor_jordan_rule_on_similar_matrices(self, rng):
         def block(mu=None):
@@ -150,7 +183,7 @@ class TestKronRoute:
             assert s + s.transpose() == Matrix.from_rows([[1] * m] * m), (kind, m)
             structure = _path_core_structure(m)
             assert pm1_jordan_structure(cosquare(s)) == structure, (kind, m)
-            assert congruence_invariants(s) == _invariants(structure), (kind, m)
+            assert congruence_invariants(s) == CongruenceInvariants(structure), (kind, m)
             assert det(s) == rat(1, _path_core_det_den(kind, m)), (kind, m)
 
     def test_moment_det_den_equals_the_cauchy_determinant(self):
@@ -168,6 +201,11 @@ class TestCongruentCheck:
 
     def test_core_not_congruent_to_identity(self):
         assert not congruent_check(core_matrix("axis", 2, 2), Matrix.identity(4))
+
+    def test_different_sizes_are_not_congruent(self):
+        assert not congruent_check(Matrix.identity(2), Matrix.identity(3))
+        # decided by the sizes alone: the singular matrix would raise in ``cosquare``
+        assert not congruent_check(Matrix.zeros(2, 2), Matrix.identity(3))
 
     def test_invariance_under_congruence(self, rng):
         m = core_matrix("axis", 2, 2)
@@ -417,6 +455,25 @@ class TestRelationChecks:
     def test_refuses_no_samples(self, rng, samples):
         with pytest.raises(ValueError, match="at least one sample"):
             relation_checks(2, 2, 1, samples, rng)
+
+    def test_the_quadratic_fails_on_a_core_with_a_nonsingular_symmetric_part(self, monkeypatch):
+        monkeypatch.setattr(variety, "core_matrix", lambda kind, m, n: Matrix.identity(2))
+        report = relation_checks(2, 2, 1, 7, random.Random(5))
+        a = random_integer_matrix(2, 2, random.Random(5))
+        assert det(a) != 0
+        assert (report.status, report.samples, report.counterexample) == ("fail", 7, a)
+        # X = A A^T is symmetric, so the quadratic is 4 det(X) = 4 det(A)^2
+        assert report.detail == f"4 X11 X22 - X21^2 - 2 X21 X12 - X12^2 = {4 * det(a) ** 2}"
+
+    def test_the_pfaffian_fails_on_a_core_with_a_nonsingular_skew_part(self, monkeypatch):
+        skew = Matrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        monkeypatch.setattr(variety, "core_matrix", lambda kind, m, n: Matrix.identity(4) + skew)
+        report = relation_checks(4, 2, 2, 7, random.Random(5))
+        a = random_integer_matrix(4, 4, random.Random(5))
+        assert det(a) != 0
+        assert (report.status, report.samples, report.counterexample) == ("fail", 7, a)
+        # X^sk = A J A^T for the skew part J, whose Pfaffian is 1, so pf(X^sk) = det(A)
+        assert report.detail == f"pfaffian(X^sk) = {det(a)}"
 
     def test_seeded_reproducibility(self):
         r1 = relation_checks(4, 2, 2, 5, random.Random(99))
