@@ -28,7 +28,9 @@ below or above 2^62; ``sig`` with and without ``--float`` on a
 grid whose level-2 entries are beyond the float range; ``decompose`` and
 ``sig`` at levels 1 and 2 on a huge-denominator grid written as unreduced
 ``"p/q"`` texts, whose lcm of the denominators as written is far above the
-lcm of the reduced ones (the reader's two routes); ``core`` and
+lcm of the reduced ones (the reader's two routes); ``sig`` at levels 64 and
+65 on a d=1 1x1 grid, and ``core`` of the axis kind at 1x1, level 65 (the
+tensor level limit, numpy's 64 axes); ``core`` and
 ``invariants`` of both kinds for m, n <= 3, at the sizes of the
 variety-dims benchmark workload, with m = 0, at 57x56, one size over
 the entry budget, and at 1x40, 13x2, 15x15, 16x16 and 30x30 (the moment
@@ -231,8 +233,12 @@ def write_battery(work: Path) -> list:
     # "p/q" as written, not reduced: the lcm of the qs as written exceeds that of the reduced ones; at 20x20
     # the level-2 entries stay below the writer's digit limit (at 30x30 they pass it)
     unreduced = {"hugeden-unreduced": _grid_doc(rng, 2, 20, 20, lambda r: f"{r.randint(-9, 9)}/{r.randint(1, 10**6)}")}
+    # one coordinate and one cell: every level up to the entry budget's 10^7 fits, so the level limit decides
+    single = {"single": {"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", "2"]]]}}
     malformed = _malformed_docs()
-    docs = {**grids, **big_grids, **bound_grids, **node_grids, **specs, **huge_float, **unreduced, **malformed}
+    docs = {
+        **grids, **big_grids, **bound_grids, **node_grids, **specs, **huge_float, **unreduced, **single, **malformed
+    }
     for name, doc in docs.items():
         (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
 
@@ -264,6 +270,10 @@ def write_battery(work: Path) -> list:
     cases.append(("decompose hugeden-unreduced", ["decompose", path], None, "out.json"))
     for level in (1, 2):
         cases.append((f"sig hugeden-unreduced L{level}", ["sig", path, "--level", str(level)], None, None))
+    path = str(work / "single.json")
+    for level in (64, 65):
+        cases.append((f"sig single L{level}", ["sig", path, "--level", str(level)], None, None))
+    cases.append(("core axis 1x1 L65", ["core", "--kind", "axis", "--m", "1", "--n", "1", "--level", "65"], None, None))
     for name in malformed:
         path = str(work / f"{name}.json")
         cases.append((f"sig {name}", ["sig", path], None, None))

@@ -8,7 +8,6 @@ algorithm and the variety diagnostics.
 from .fastsig import (
     CellPolyField,
     advance_letter,
-    sig_matrix_fast,
     sig_tensor_fast,
     sig_word_fast,
 )
@@ -19,7 +18,6 @@ from .linalg import (
     Matrix,
     cosquare,
     det,
-    inverse,
     kron,
     kron_jordan_structure,
     pfaffian,
@@ -31,15 +29,11 @@ from .membranes import (
     GridData,
     PiecewiseBilinearMembrane,
     PolynomialMembrane,
-    ProductMembrane,
-    TransformedMembrane,
     axis_grid,
-    axis_membrane_eval,
     bilinear_decompose,
     cell_derivatives,
     core_matrix,
     core_tensor,
-    hadamard_sig,
     nu,
     nu_inv,
     product_sig_entry,

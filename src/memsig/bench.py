@@ -30,7 +30,7 @@ from .fastsig import sig_tensor_fast
 from .linalg import Matrix
 from .membranes import GridData, cell_derivatives
 from .paths import axis_path_core
-from .tensor import check_budget
+from .tensor import check_budget, check_entry_count
 
 
 def random_integer_grid(d: int, m: int, n: int, rng: random.Random, bound: int = 9) -> GridData:
@@ -133,8 +133,9 @@ def run_bench(
 ) -> BenchResult:
     """Median-of-repeats timings per size and method, plus the fast-method fit.
 
-    Every grid size is checked against ``tensor.MAX_ENTRIES``, and every
-    method name and the level of ``congruence``, before any grid is drawn.
+    Every grid size and the level are checked against the entry budget
+    (``tensor.check_budget``, ``tensor.check_entry_count``), and every method
+    name and the level of ``congruence``, before any grid is drawn.
     All grids are drawn first, in size order; then each repeat times every
     (size, method) pair once, in that order.
     ``doubling_ratios`` maps each method to median(t at size) / median(t at
@@ -145,6 +146,7 @@ def run_bench(
         raise ValueError(f"need at least one repeat, got {repeats}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    check_entry_count(d, level)
     for m, n in sizes:
         if min(m, n) < 1:
             raise ValueError(f"need sizes with m, n >= 1, got {m}x{n}")

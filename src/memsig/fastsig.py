@@ -165,8 +165,3 @@ def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
 
     walk(CellPolyField.ones(grid.m, grid.n), 0, 0)
     return SigTensor.of(nums.reshape((d,) * k), _step_scales(k) * scale**k)
-
-
-def sig_matrix_fast(grid: GridData):
-    """The d x d signature matrix (level-2 specialization, shared prefixes)."""
-    return sig_tensor_fast(grid, 2).to_matrix()

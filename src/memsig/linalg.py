@@ -12,10 +12,10 @@ comes back through ``Matrix.of``.
   the rank then comes from fraction-free Bareiss elimination on Python ints,
   which keeps intermediate entries polynomially sized.  Bareiss is the only
   route to determinants and to short ranks.
-- ``solve`` (and ``inverse`` and ``cosquare`` through it) runs the same
-  Bareiss routine as a fraction-free Gauss-Jordan elimination of [A | B]:
-  each division is exact by the previous pivot, and the right block over
-  the last pivot is the solution.
+- ``solve`` (and ``cosquare`` through it) runs the same Bareiss routine as
+  a fraction-free Gauss-Jordan elimination of [A | B]: each division is
+  exact by the previous pivot, and the right block over the last pivot is
+  the solution.
 - Rank, determinant and solve divide each integer row by its gcd first
   (``_primitive_rows``), so one large common denominator does not inflate
   the Bareiss entries.
@@ -253,10 +253,6 @@ def det(m: Matrix):
     return rat(sign * a[n - 1][n - 1] * prod(gcds), m.den**n)
 
 
-def is_skew(m: Matrix) -> bool:
-    return m.is_square and bool((m.ints == -m.ints.T).all())
-
-
 def pfaffian(m: Matrix):
     """Exact Pfaffian of an even-dimensional skew-symmetric matrix.
 
@@ -273,7 +269,7 @@ def pfaffian(m: Matrix):
         raise ValueError("Pfaffian needs a square matrix")
     if m.rows % 2:
         raise ValueError("Pfaffian needs even dimension")
-    if not is_skew(m):
+    if not (m.ints == -m.ints.T).all():
         raise ValueError("Pfaffian needs a skew-symmetric matrix")
     n = m.rows
     a = m.ints.tolist()
@@ -321,11 +317,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     p = rows[n - 1][n - 1] if n else 1
     return Matrix.of(np.array(rows, dtype=object).reshape(n, n + b.cols)[:, n:], p)
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse, ``solve(m, I)``."""
-    return solve(m, Matrix.identity(m.rows))
 
 
 def cosquare(m: Matrix) -> Matrix:

@@ -12,9 +12,8 @@ A grid, like every exact array here, is an ``ExactArray``: integer nodes
 kernels read, so a cell's mixed node difference is an integer difference,
 taken in int64 when every node is below 2^61 in magnitude
 (``cell_derivatives``).
-The core tensors, ``hadamard_sig``, ``reduce_grid`` and
-``bilinear_decompose`` compute on stored integers too and return their
-results through ``of``.
+The core tensors, ``reduce_grid`` and ``bilinear_decompose`` compute on
+stored integers too and return their results through ``of``.
 
 The single flattening convention for pairs (i, j) in [m] x [n] is
 nu(i, j) = n (i - 1) + j (1-based); at level 2 this makes the moment and axis
@@ -32,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Matrix
-from .paths import AxisPath, MomentPath, axis_path_core, moment_path_core
-from .rational import ONE, ExactArray, Rat, ZERO, int_view, rat
-from .tensor import SigTensor, check_budget, check_entry_count, tucker_apply
+from .paths import axis_path_core, moment_path_core
+from .rational import ExactArray, Rat, ZERO, int_view, rat
+from .tensor import MAX_LEVEL, SigTensor, check_budget, check_entry_count, tucker_apply
 
 log = logging.getLogger(__name__)
 
@@ -110,14 +109,6 @@ def cell_derivatives(grid: GridData) -> tuple[np.ndarray, int]:
 
 
 @dataclass(frozen=True)
-class ProductMembrane:
-    """(s, t) -> X(s) (x) Y(t), flattened by nu."""
-
-    path_x: object
-    path_y: object
-
-
-@dataclass(frozen=True)
 class PolynomialMembrane:
     """d-dimensional polynomial membrane A . Mom^{m,n}.
 
@@ -160,15 +151,13 @@ class PolynomialMembrane:
 
 @dataclass(frozen=True)
 class PiecewiseBilinearMembrane:
+    """A ``GridData`` wrapped as a spec; ``sig_via_congruence`` unwraps it.
+
+    Prefer the grid itself.  The wrapper stays only because the benchmark's
+    sig-l3-rat reference route (``perfbench/workloads.py``) builds one.
+    """
+
     grid: GridData
-
-
-@dataclass(frozen=True)
-class TransformedMembrane:
-    """A . base for a linear transform A."""
-
-    a: Matrix
-    base: object
 
 
 # --------------------------------------------------------------------------
@@ -196,26 +185,6 @@ def bilinear_decompose(grid: GridData) -> Matrix:
     return Matrix.of(delta.reshape(grid.d, grid.m * grid.n), scale)
 
 
-def axis_membrane_eval(m: int, n: int, i: int, j: int, s, t) -> Rat:
-    """Coordinate (i, j) of the axis membrane of order (m, n) at (s, t)."""
-    if not (1 <= i <= m and 1 <= j <= n):
-        raise ValueError(f"coordinate ({i}, {j}) out of range [1,{m}] x [1,{n}]")
-    s, t = rat(s), rat(t)
-    if not (0 <= s <= 1 and 0 <= t <= 1):
-        raise ValueError("(s, t) must lie in the unit square")
-    if s <= rat(i - 1, m) or t <= rat(j - 1, n):
-        return ZERO
-    s_in = s <= rat(i, m)
-    t_in = t <= rat(j, n)
-    if s_in and t_in:
-        return rat(m * n) * s * t + rat(m * (1 - j)) * s + rat(n * (1 - i)) * t + rat((i - 1) * (j - 1))
-    if not s_in and t_in:
-        return rat(n) * t + rat(1 - j)
-    if s_in and not t_in:
-        return rat(m) * s + rat(1 - i)
-    return ONE
-
-
 def axis_grid(m: int, n: int, d: int | None = None) -> GridData:
     """Node values of the axis membrane itself: value[nu(i,j)][a][b] = [i<=a][j<=b]."""
     d = m * n if d is None else d
@@ -240,12 +209,18 @@ _PATH_CORES = {"moment": moment_path_core, "axis": axis_path_core}
 
 
 def check_core_args(kind: str, m: int, n: int, k: int) -> None:
-    """Refuse an unknown kind, an order below 1 and a level-k core over the entry budget."""
+    """Refuse an unknown kind, an order below 1 and a level-k core over the entry budget.
+
+    ``core_tensor`` builds a level-k core from an outer product of 2k axes,
+    so k is refused above MAX_LEVEL // 2 too.
+    """
     if kind not in _PATH_CORES:
         raise ValueError(f"unknown core kind {kind!r} (expected 'moment' or 'axis')")
     if min(m, n) < 1:
         raise ValueError(f"need m, n >= 1, got ({m}, {n})")
     check_entry_count(m * n, k)
+    if 2 * k > MAX_LEVEL:
+        raise ValueError(f"a level-{k} core is built from {2 * k} axes, more than numpy's limit of {MAX_LEVEL}")
 
 
 def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
@@ -270,48 +245,21 @@ def core_matrix(kind: str, m: int, n: int) -> Matrix:
     return core_tensor(kind, m, n, 2).to_matrix()
 
 
-def hadamard_sig(sig_x: SigTensor, sig_y: SigTensor) -> SigTensor:
-    """Entrywise product; the signature of the Hadamard-product membrane."""
-    if (sig_x.level, sig_x.dim) != (sig_y.level, sig_y.dim):
-        raise ValueError("tensors must share level and dimension")
-    return SigTensor.of(sig_x.ints * sig_y.ints, sig_x.den * sig_y.den, sig_x.dim)
-
-
 # --------------------------------------------------------------------------
 # equivariance route
 
 
-class SpecResolutionError(ValueError):
-    """Raised for membrane specs outside the dictionary families."""
+def sig_via_congruence(spec, k: int) -> SigTensor:
+    """Level-k signature tensor through the dictionary + Tucker action.
 
-
-def resolve_spec(spec) -> tuple[Matrix, str, int, int]:
-    """Reduce a membrane spec to (A, core kind, m, n) with sig = [[core; A..A]]."""
+    A ``PolynomialMembrane`` acts on the moment core with its coefficients,
+    a grid (bare or wrapped) on the axis core with ``bilinear_decompose``.
+    Any other spec raises TypeError.
+    """
     if isinstance(spec, PolynomialMembrane):
-        return spec.coeffs, "moment", spec.m, spec.n
+        return tucker_apply(core_tensor("moment", spec.m, spec.n, k), spec.coeffs)
     if isinstance(spec, PiecewiseBilinearMembrane):
         spec = spec.grid
     if isinstance(spec, GridData):
-        return bilinear_decompose(spec), "axis", spec.m, spec.n
-    if isinstance(spec, ProductMembrane):
-        px, py = spec.path_x, spec.path_y
-        if isinstance(px, MomentPath) and isinstance(py, MomentPath):
-            m, n = px.degree, py.degree
-            return Matrix.identity(m * n), "moment", m, n
-        if isinstance(px, AxisPath) and isinstance(py, AxisPath):
-            m, n = px.order, py.order
-            return Matrix.identity(m * n), "axis", m, n
-        raise SpecResolutionError(
-            "only moment x moment and axis x axis products resolve to a core; "
-            "use product_sig_entry for mixed products"
-        )
-    if isinstance(spec, TransformedMembrane):
-        a0, kind, m, n = resolve_spec(spec.base)
-        return spec.a @ a0, kind, m, n
-    raise SpecResolutionError(f"cannot resolve membrane spec {spec!r}")
-
-
-def sig_via_congruence(spec, k: int) -> SigTensor:
-    """Level-k signature tensor through the dictionary + Tucker action."""
-    a, kind, m, n = resolve_spec(spec)
-    return tucker_apply(core_tensor(kind, m, n, k), a)
+        return tucker_apply(core_tensor("axis", spec.m, spec.n, k), bilinear_decompose(spec))
+    raise TypeError(f"cannot resolve membrane spec {spec!r}")

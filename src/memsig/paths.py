@@ -11,7 +11,6 @@ Words use 1-based letters throughout.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
@@ -20,8 +19,6 @@ from .linalg import Matrix
 from .polyops import padd, peval, pint, pmul
 from .rational import ONE, Rat, ZERO, rat
 from .tensor import CORE_CACHE_SIZE, SigTensor, tucker_apply
-
-log = logging.getLogger(__name__)
 
 
 # --------------------------------------------------------------------------
@@ -87,10 +84,9 @@ class PiecewiseLinearPath:
 
 @dataclass(frozen=True)
 class PolynomialPath:
-    """X_i(t) = sum_j coeffs[i][j-1] t^j; constant terms are dropped on input.
+    """X_i(t) = sum_j coeffs[i][j-1] t^j.
 
-    Signatures are translation invariant, so a constant column contributes
-    nothing; callers passing one get a logged warning rather than an error.
+    Signatures are translation invariant, so there is no constant term.
     """
 
     coeffs: tuple  # d rows, each the coefficients of t^1..t^m
@@ -99,14 +95,6 @@ class PolynomialPath:
         object.__setattr__(
             self, "coeffs", tuple(tuple(rat(x) for x in row) for row in self.coeffs)
         )
-
-    @classmethod
-    def from_constant_form(cls, rows) -> "PolynomialPath":
-        """Rows give coefficients of t^0..t^m; the t^0 column is stripped."""
-        rows = [list(map(rat, r)) for r in rows]
-        if any(r[0] for r in rows):
-            log.warning("dropping constant terms of a polynomial path (signature-invariant)")
-        return cls(tuple(tuple(r[1:]) for r in rows))
 
     @property
     def dim(self) -> int:

@@ -27,20 +27,26 @@ from .rational import ONE, ExactArray, rat
 # the tests, scripts and benchmark stay below 10^5.
 MAX_ENTRIES = 10**7
 
+# Highest level stored: a level-k tensor is an array of k axes, and numpy (>= 2.0)
+# builds no array of more than 64 axes.
+MAX_LEVEL = 64
+
 # Cores kept by each path-core cache (paths.moment_path_core, paths.axis_path_core), keyed by
 # (order, level): enough for every order <= 8 of a dimension table at eight levels.
 CORE_CACHE_SIZE = 64
 
 
 def check_entry_count(dim: int, level: int) -> None:
-    """Raise ValueError if level < 0 or dim**level, the entry count, exceeds MAX_ENTRIES.
+    """Raise ValueError if level is outside [0, MAX_LEVEL] or dim**level exceeds MAX_ENTRIES.
 
-    Never forms dim**level for a huge level: with dim >= 2, a level of at
-    least MAX_ENTRIES.bit_length() already gives 2**level > MAX_ENTRIES.
+    The level is checked first, so dim**level, the entry count, is never
+    formed for a huge level.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    if (dim > 1 and level >= MAX_ENTRIES.bit_length()) or dim**level > MAX_ENTRIES:
+    if level > MAX_LEVEL:
+        raise ValueError(f"a level-{level} tensor has more than {MAX_LEVEL} axes, numpy's limit")
+    if dim**level > MAX_ENTRIES:
         raise ValueError(
             f"a level-{level} tensor over dimension {dim} has more than "
             f"{MAX_ENTRIES} entries"
@@ -121,11 +127,6 @@ class SigTensor(ExactArray):
             raise ValueError("only level-2 tensors convert to matrices")
         return Matrix.of(self.ints, self.den)
 
-    @classmethod
-    def from_matrix(cls, m: Matrix) -> "SigTensor":
-        """The level-2 tensor of a square matrix; ``of`` refuses any other shape."""
-        return cls.of(m.ints, m.den)
-
 
 def mode_apply(arr: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Contract axis 0 with ``a``: new[..., x] = sum_y a[x, y] arr[y, ...].
@@ -150,7 +151,3 @@ def tucker_apply(t: SigTensor, a: Matrix) -> SigTensor:
     for _ in range(t.level):
         arr = mode_apply(arr, a.ints)
     return SigTensor.of(arr, t.den * a.den**t.level, a.rows)
-
-
-def all_ones(level: int, dim: int) -> SigTensor:
-    return SigTensor(level, dim, (ONE,) * dim**level)

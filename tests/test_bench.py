@@ -12,7 +12,7 @@ from memsig.bench import (
     random_integer_grid,
     run_bench,
 )
-from memsig.fastsig import sig_matrix_fast
+from memsig.fastsig import sig_tensor_fast
 from memsig.membranes import GridData, cell_derivatives
 from memsig.rational import rat
 
@@ -43,12 +43,12 @@ class TestQuadraticBaseline:
         assert int(np.max(np.abs(cell_derivatives(g)[0]))) == amax
         bound = 4 * (m * n * amax) ** 2
         assert (bound < 2**53) == float64_route and target // 2 < bound < 2**62
-        assert congruence_matrix_quadratic(g) == sig_matrix_fast(g)
+        assert congruence_matrix_quadratic(g) == sig_tensor_fast(g, 2).to_matrix()
 
     def test_agrees_with_fast_on_random_grids(self, rng):
         for _ in range(8):
             g = random_integer_grid(rng.randint(1, 3), rng.randint(1, 5), rng.randint(1, 5), rng)
-            assert congruence_matrix_quadratic(g) == sig_matrix_fast(g)
+            assert congruence_matrix_quadratic(g) == sig_tensor_fast(g, 2).to_matrix()
 
     def test_rational_grid_falls_back_exactly(self, rng):
         vals = tuple(
@@ -59,7 +59,7 @@ class TestQuadraticBaseline:
             for _ in range(2)
         )
         g = GridData(2, 2, 2, vals)
-        assert congruence_matrix_quadratic(g) == sig_matrix_fast(g)
+        assert congruence_matrix_quadratic(g) == sig_tensor_fast(g, 2).to_matrix()
 
     def test_rational_grid_with_huge_cleared_delta_stays_exact(self, rng):
         # denominators near 10^6 give an lcm L, and so a cleared Delta, far
@@ -73,7 +73,7 @@ class TestQuadraticBaseline:
         )
         g = GridData(2, 2, 3, vals)
         assert int(np.max(np.abs(cell_derivatives(g)[0]))) > 2**31
-        assert congruence_matrix_quadratic(g) == sig_matrix_fast(g)
+        assert congruence_matrix_quadratic(g) == sig_tensor_fast(g, 2).to_matrix()
 
     def test_huge_values_take_object_dtype_branch(self, rng):
         big = 10**12  # far beyond the float64 bound
@@ -82,7 +82,7 @@ class TestQuadraticBaseline:
             for _ in range(2)
         )
         g = GridData(2, 2, 2, vals)
-        assert congruence_matrix_quadratic(g) == sig_matrix_fast(g)
+        assert congruence_matrix_quadratic(g) == sig_tensor_fast(g, 2).to_matrix()
 
 
 class TestHarness:
@@ -111,6 +111,17 @@ class TestHarness:
     def test_congruence_baseline_is_level2_only(self):
         with pytest.raises(ValueError):
             run_bench([(2, 2)], level=3, methods=("congruence",), seed=1)
+
+    def test_level_is_checked_before_any_grid_is_drawn(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("no grid may be drawn")
+
+        monkeypatch.setattr(bench, "random_integer_grid", no_grid)
+        for level in (-1, 65, 1000):
+            with pytest.raises(ValueError, match="level"):
+                run_bench([(1, 1)], d=1, level=level, methods=("fast",), seed=1)
+        with pytest.raises(ValueError, match="more than 10000000 entries"):
+            run_bench([(1, 1)], d=10, level=8, methods=("fast",), seed=1)
 
     def test_fit_exponent_recovers_slope(self):
         points = [(10, 1000), (100, 10000), (1000, 100000)]

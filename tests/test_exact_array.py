@@ -28,7 +28,6 @@ from memsig.membranes import (
     bilinear_decompose,
     core_matrix,
     core_tensor,
-    hadamard_sig,
     reduce_grid,
 )
 from memsig.rational import rat
@@ -208,7 +207,6 @@ def test_kernels_clear_nothing(monkeypatch, rng):
         lambda: tucker_jacobian_rank(core, base),
         lambda: core_tensor("moment", 3, 1, 3),
         lambda: core_tensor("axis", 2, 2, 0),
-        lambda: hadamard_sig(core, core),
         lambda: reduce_grid(grid),
         lambda: bilinear_decompose(grid),
         lambda: sig_tensor_fast(grid, 3),

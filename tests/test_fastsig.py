@@ -9,14 +9,12 @@ from memsig.fastsig import (
     CellPolyField,
     advance_letter,
     cell_derivatives,
-    sig_matrix_fast,
     sig_tensor_fast,
     sig_word_fast,
 )
 from memsig.linalg import Matrix
 from memsig.membranes import (
     GridData,
-    PiecewiseBilinearMembrane,
     axis_grid,
     bilinear_decompose,
     core_matrix,
@@ -123,9 +121,8 @@ class TestCellDerivatives:
                 for _ in range(d)
             ),
         )
-        membrane = PiecewiseBilinearMembrane(g)
         for k in (1, 2, 3):
-            assert sig_tensor_fast(g, k) == sig_via_congruence(membrane, k)
+            assert sig_tensor_fast(g, k) == sig_via_congruence(g, k)
 
 
 class TestAdvanceLetter:
@@ -205,7 +202,7 @@ class TestSigWordFast:
                 for _ in range(2)
             ),
         )
-        s = sig_via_congruence(PiecewiseBilinearMembrane(g), 2)
+        s = sig_via_congruence(g, 2)
         for i, j in words_iter(2, 2):
             assert sig_word_fast(g, (i, j)) == s.get((i, j))
 
@@ -218,12 +215,12 @@ class TestSigTensorFast:
     @given(grids(max_d=2, max_m=3, max_n=3))
     @settings(max_examples=15)
     def test_oracle_equivalence_level2(self, g):
-        assert sig_tensor_fast(g, 2) == sig_via_congruence(PiecewiseBilinearMembrane(g), 2)
+        assert sig_tensor_fast(g, 2) == sig_via_congruence(g, 2)
 
     @given(grids(max_d=2, max_m=2, max_n=2))
     @settings(max_examples=10)
     def test_oracle_equivalence_level3(self, g):
-        assert sig_tensor_fast(g, 3) == sig_via_congruence(PiecewiseBilinearMembrane(g), 3)
+        assert sig_tensor_fast(g, 3) == sig_via_congruence(g, 3)
 
     def test_every_entry_matches_the_word_route(self, rng):
         for k in (1, 2, 3):
@@ -273,7 +270,7 @@ class TestSigTensorFast:
 class TestSigMatrixFast:
     def test_axis_grid_gives_axis_core(self):
         for m, n in [(2, 2), (3, 2)]:
-            assert sig_matrix_fast(axis_grid(m, n)) == core_matrix("axis", m, n)
+            assert sig_tensor_fast(axis_grid(m, n), 2).to_matrix() == core_matrix("axis", m, n)
 
     def test_matches_decomposition_congruence(self, rng):
         g = GridData(
@@ -286,11 +283,11 @@ class TestSigMatrixFast:
             ),
         )
         a = bilinear_decompose(g)
-        assert sig_matrix_fast(g) == a @ core_matrix("axis", 4, 3) @ a.transpose()
+        assert sig_tensor_fast(g, 2).to_matrix() == a @ core_matrix("axis", 4, 3) @ a.transpose()
 
     def test_zero_grid(self):
         g = GridData(2, 2, 2, tuple((((rat(0),) * 3),) * 3 for _ in range(2)))
-        assert sig_matrix_fast(g) == Matrix.zeros(2, 2)
+        assert sig_tensor_fast(g, 2).to_matrix() == Matrix.zeros(2, 2)
 
 
 class TestFieldContinuity:

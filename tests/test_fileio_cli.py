@@ -6,7 +6,7 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from math import prod
+from math import factorial, prod
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from memsig import cli, fileio, linalg, rational, tensor, variety
+from memsig import cli, fastsig, fileio, linalg, membranes, rational, tensor, variety
 from memsig.bench import random_integer_grid
 from memsig.linalg import Matrix, det
 from memsig.membranes import GridData, PolynomialMembrane, core_matrix
@@ -65,6 +65,11 @@ class TestFileFormats:
     def test_tensor_size_checked_before_the_power(self, level):
         with pytest.raises(fileio.ContractError, match="more than"):
             fileio.tensor_from_doc({"level": level, "dim": 3, "entries": []})
+
+    def test_tensor_level_past_numpys_axis_limit_is_refused(self):
+        with pytest.raises(fileio.ContractError, match="a level-65 tensor has more than 64 axes"):
+            fileio.tensor_from_doc({"level": 65, "dim": 1, "entries": ["1"]})
+        assert fileio.tensor_from_doc({"level": 64, "dim": 1, "entries": ["1"]}).level == 64
 
     def test_rational_strings_canonical(self):
         assert rat_str(rat(-4, 6)) == "-2/3"
@@ -728,6 +733,38 @@ class TestCliCommands:
         code, out = run_cli(["sig", str(path), "--level", "3", "--method", "fast"])
         assert code == 3 and out == ""
         assert "more than 4 entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sig", "GRID", "--level", "65"], "a level-65 tensor has more than 64 axes"),
+            (["sig", "GRID", "--level", "1000"], "a level-1000 tensor has more than 64 axes"),
+            (["sig", "GRID", "--level", "65", "--method", "congruence"], "a level-65 tensor has more than 64 axes"),
+            (["sig", "GRID", "--level", "33", "--method", "congruence"], "a level-33 core is built from 66 axes"),
+            (["core", "--kind", "axis", "--m", "1", "--n", "1", "--level", "65"], "a level-65 tensor has more than 64 axes"),
+            (["core", "--kind", "moment", "--m", "1", "--n", "1", "--level", "33"], "a level-33 core is built from 66 axes"),
+            (["bench", "--sizes", "1x1", "--d", "1", "--level", "1000", "--methods", "fast"], "a level-1000 tensor"),
+        ],
+        ids=["sig-65", "sig-1000", "sig-congruence-65", "sig-congruence-33", "core-65", "core-33", "bench-1000"],
+    )
+    def test_a_level_past_numpys_axis_limit_exits_3_before_any_work(
+        self, monkeypatch, capsys, single_cell_grid_file, argv, message
+    ):
+        def no_work(*args):
+            raise AssertionError("no letter or path core may be computed")
+
+        monkeypatch.setattr(fastsig, "advance_letter", no_work)
+        for kind in ("moment", "axis"):
+            monkeypatch.setitem(membranes._PATH_CORES, kind, no_work)
+        code, out = run_cli([single_cell_grid_file if a == "GRID" else a for a in argv])
+        err = capsys.readouterr().err
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+    def test_level_64_is_computed_on_a_one_dimensional_grid(self, single_cell_grid_file):
+        # the single cell's mixed difference is 2, so the level-k entry is 2^k / (k!)^2
+        code, out = run_cli(["sig", single_cell_grid_file, "--level", "64"])
+        assert code == 0 and json.loads(out)["entries"] == [rat_str(rat(2**64, factorial(64) ** 2))]
 
     def test_exit_code_polynomial_over_entry_budget(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "poly.json"

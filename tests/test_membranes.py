@@ -13,17 +13,11 @@ from memsig.fileio import parse_rational
 from memsig.linalg import Matrix, kron
 from memsig.membranes import (
     GridData,
-    PiecewiseBilinearMembrane,
     PolynomialMembrane,
-    ProductMembrane,
-    SpecResolutionError,
-    TransformedMembrane,
     axis_grid,
-    axis_membrane_eval,
     bilinear_decompose,
     core_matrix,
     core_tensor,
-    hadamard_sig,
     nu,
     nu_inv,
     product_sig_entry,
@@ -34,10 +28,8 @@ from memsig.paths import (
     AxisPath,
     LinearPath,
     MomentPath,
-    PiecewiseLinearPath,
     axis_path_core,
     axis_path_pieces,
-    linear_path_sig,
     moment_path_core,
     moment_path_poly,
     path_sig_entry_fn,
@@ -45,7 +37,7 @@ from memsig.paths import (
     pw_poly_path_sig_oracle,
 )
 from memsig.rational import rat
-from memsig.tensor import SigTensor, all_ones, tucker_apply, words_iter
+from memsig.tensor import SigTensor, tucker_apply, words_iter
 
 A_EXAMPLE = Matrix.from_rows([[1, -1, 1, 1], [1, 1, 0, -1]])
 
@@ -348,9 +340,7 @@ class TestGridOps:
         assert all(x == 0 for comp in reduced.values for x in comp[0])
         assert all(comp[a][0] == 0 for comp in reduced.values for a in range(4))
         assert sig_tensor_fast(g, 2) == sig_tensor_fast(reduced, 2)
-        assert sig_via_congruence(PiecewiseBilinearMembrane(g), 2) == sig_via_congruence(
-            PiecewiseBilinearMembrane(reduced), 2
-        )
+        assert sig_via_congruence(g, 2) == sig_via_congruence(reduced, 2)
 
     def test_decompose_axis_grid_is_identity(self):
         for m, n in [(1, 1), (2, 3), (3, 2)]:
@@ -373,30 +363,6 @@ class TestGridOps:
                         for j in range(1, node_b + 1):
                             acc += a.at(x, nu(i, j, g.n) - 1)
                     assert acc == red.values[x][node_a][node_b]
-
-
-class TestAxisMembraneEval:
-    def test_zero_region(self):
-        assert axis_membrane_eval(3, 2, 2, 1, rat(1, 3), rat(1, 2)) == 0
-
-    def test_one_region(self):
-        assert axis_membrane_eval(3, 2, 2, 1, rat(9, 10), rat(3, 4)) == 1
-
-    def test_cell_formula_value(self):
-        assert axis_membrane_eval(3, 2, 2, 1, rat(1, 2), rat(1, 4)) == rat(1, 4)
-
-    def test_matches_axis_grid_nodes(self):
-        m, n = 3, 2
-        g = axis_grid(m, n)
-        for x in range(1, m * n + 1):
-            i, j = nu_inv(x, n)
-            for a in range(m + 1):
-                for b in range(n + 1):
-                    assert axis_membrane_eval(m, n, i, j, rat(a, m), rat(b, n)) == g.values[x - 1][a][b]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            axis_membrane_eval(2, 2, 3, 1, rat(1, 2), rat(1, 2))
 
 
 class TestSigViaCongruence:
@@ -432,7 +398,7 @@ class TestSigViaCongruence:
         u = (rat(2), rat(-3), rat(1, 2))
         g = GridData(3, 1, 1, tuple(((rat(0), rat(0)), (rat(0), c)) for c in u))
         for k in range(4):
-            t = sig_via_congruence(PiecewiseBilinearMembrane(g), k)
+            t = sig_via_congruence(g, k)
             fact = 1
             for i in range(1, k + 1):
                 fact *= i
@@ -442,24 +408,17 @@ class TestSigViaCongruence:
                     prod_u *= u[letter - 1]
                 assert t.get(w) == prod_u / (fact * fact)
 
-    def test_product_specs_resolve_to_cores(self):
-        assert sig_via_congruence(ProductMembrane(MomentPath(2), MomentPath(2)), 2) == core_tensor(
-            "moment", 2, 2, 2
-        )
-        assert sig_via_congruence(ProductMembrane(AxisPath(2), AxisPath(3)), 2) == core_tensor(
-            "axis", 2, 3, 2
-        )
-
-    def test_mixed_product_unresolvable(self):
-        with pytest.raises(SpecResolutionError):
-            sig_via_congruence(ProductMembrane(MomentPath(2), AxisPath(2)), 2)
+    def test_unknown_spec_raises_type_error(self):
+        for spec in (MomentPath(2), A_EXAMPLE, axis_grid(2, 2).values):
+            with pytest.raises(TypeError, match="cannot resolve membrane spec"):
+                sig_via_congruence(spec, 2)
 
     @given(matrices(rows=2, cols=2, max_size=2))
     @settings(max_examples=20)
     def test_equivariance(self, b):
         base = PolynomialMembrane(A_EXAMPLE, 2, 2)
         for k in range(3):
-            assert sig_via_congruence(TransformedMembrane(b, base), k) == tucker_apply(
+            assert sig_via_congruence(PolynomialMembrane(b @ A_EXAMPLE, 2, 2), k) == tucker_apply(
                 sig_via_congruence(base, k), b
             )
 
@@ -491,34 +450,6 @@ class TestSigViaCongruence:
         assert big == small
 
 
-class TestHadamard:
-    def test_ones_neutral(self):
-        t = core_tensor("moment", 2, 2, 2)
-        assert hadamard_sig(t, all_ones(2, 4)) == t
-
-    def test_level1_increments_multiply(self):
-        x = linear_path_sig((2, 3), 1)
-        y = linear_path_sig((5, -1), 1)
-        assert hadamard_sig(x, y).entries == (rat(10), rat(-3))
-
-    def test_matches_product_membrane_diagonal(self, rng):
-        verts = lambda: tuple(
-            tuple(rat(rng.randint(-3, 3)) for _ in range(2)) for _ in range(4)
-        )
-        px, py = PiecewiseLinearPath(verts()), PiecewiseLinearPath(verts())
-        ex, ey = path_sig_entry_fn(px), path_sig_entry_fn(py)
-        from memsig.paths import pw_linear_path_sig
-
-        sx, sy = pw_linear_path_sig(px, 2), pw_linear_path_sig(py, 2)
-        had = hadamard_sig(sx, sy)
-        for i, j in words_iter(2, 2):
-            assert had.get((i, j)) == product_sig_entry(ex, ey, ((i, i), (j, j)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard_sig(all_ones(2, 2), all_ones(2, 3))
-
-
 class TestPolynomialMembraneInput:
     def test_sparse_terms_drop_degenerate(self, caplog):
         with caplog.at_level("WARNING"):
@@ -538,4 +469,4 @@ class TestPolynomialMembraneInput:
         for _ in range(5):
             g = rational_grid(rng, rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 3))
             k = rng.randint(0, 3)
-            assert sig_tensor_fast(g, k) == sig_via_congruence(PiecewiseBilinearMembrane(g), k)
+            assert sig_tensor_fast(g, k) == sig_via_congruence(g, k)

@@ -159,12 +159,6 @@ class TestPolyOracle:
         for i, j in words_iter(2, 2):
             assert poly_path_sig_oracle(path, (i, j)) == u[i - 1] * u[j - 1] / 2
 
-    def test_constant_stripping_warns(self, caplog):
-        with caplog.at_level("WARNING"):
-            path = PolynomialPath.from_constant_form([[1, 2], [0, 3]])
-        assert "constant" in caplog.text
-        assert path.coeffs == ((rat(2),), (rat(3),))
-
 
 def _rank1_check(matrix: Matrix, level1: SigTensor):
     d = matrix.rows

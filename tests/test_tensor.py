@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -10,7 +11,7 @@ from memsig.fastsig import sig_tensor_fast
 from memsig.linalg import Matrix
 from memsig.membranes import core_tensor
 from memsig.rational import rat
-from memsig.tensor import SigTensor, all_ones, check_entry_count, tucker_apply, words_iter
+from memsig.tensor import SigTensor, check_entry_count, tucker_apply, words_iter
 
 
 def test_level_zero_is_scalar_one():
@@ -31,7 +32,7 @@ def test_word_indexing_row_major():
 
 def test_matrix_roundtrip():
     m = Matrix.from_rows([[1, 2], [3, 4]])
-    assert SigTensor.from_matrix(m).to_matrix() == m
+    assert SigTensor.of(m.ints, m.den).to_matrix() == m
 
 
 def test_tucker_identity():
@@ -46,7 +47,7 @@ def test_tucker_level2_matches_printed_polynomial_value():
 
 
 def test_tucker_level1_sums_rows():
-    t = all_ones(1, 4)
+    t = SigTensor(1, 4, (1,) * 4)
     a = Matrix.from_rows([[1, -1, 1, 1], [1, 1, 0, -1]])
     assert tucker_apply(t, a).entries == (rat(2), rat(1))
 
@@ -99,10 +100,19 @@ def test_words_iter_order():
 
 def test_entry_count_check():
     check_entry_count(10, 7)  # exactly MAX_ENTRIES
-    check_entry_count(1, 10**18)
-    for dim, level in [(10, 8), (25, 8), (2, 10**18), (10**8, 1)]:
+    check_entry_count(1, 64)  # exactly MAX_LEVEL
+    for dim, level in [(10, 8), (25, 8), (10**8, 1)]:
         with pytest.raises(ValueError, match="entries"):
             check_entry_count(dim, level)
+    for dim, level in [(1, 65), (1, 10**18), (2, 10**18)]:
+        with pytest.raises(ValueError, match=f"a level-{level} tensor has more than 64 axes, numpy's limit"):
+            check_entry_count(dim, level)
+
+
+def test_max_level_is_numpys_axis_limit():
+    assert np.empty((1,) * tensor.MAX_LEVEL).ndim == tensor.MAX_LEVEL
+    with pytest.raises(ValueError):
+        np.empty((1,) * (tensor.MAX_LEVEL + 1))
 
 
 def test_negative_level_refused():
@@ -119,7 +129,7 @@ def test_oversized_tensors_are_refused_before_any_entry(monkeypatch):
     with pytest.raises(ValueError):
         SigTensor.from_function(2, 3, entry)
     with pytest.raises(ValueError):
-        tucker_apply(all_ones(2, 2), Matrix(3, 2, (1,) * 6))
+        tucker_apply(SigTensor(2, 2, (1,) * 4), Matrix(3, 2, (1,) * 6))
     grid = random_integer_grid(3, 2, 2, random.Random(1))
     assert len(sig_tensor_fast(grid, 1).entries) == 3
     with pytest.raises(ValueError):
