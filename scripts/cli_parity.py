@@ -29,8 +29,11 @@ grid whose level-2 entries are beyond the float range; ``decompose`` and
 ``sig`` at levels 1 and 2 on a huge-denominator grid written as unreduced
 ``"p/q"`` texts, whose lcm of the denominators as written is far above the
 lcm of the reduced ones (the reader's two routes); ``sig`` at levels 64 and
-65 on a d=1 1x1 grid, and ``core`` of the axis kind at 1x1, level 65 (the
-tensor level limit, numpy's 64 axes); ``core`` and
+65 on a d=1 1x1 grid, with ``--float`` at 64 and by the congruence route at
+33 and 64, ``sig`` at level 33 on a 1x1 grid of zeros (an integer tensor of
+more than 32 axes), ``sig`` at levels 32, 33 and 64 on a 1x1 polynomial
+spec, ``core`` of both kinds at 1x1, levels 33 and 64, and of the axis kind
+at 1x1, level 65 (the tensor level limit, numpy's 64 axes); ``core`` and
 ``invariants`` of both kinds for m, n <= 3, at the sizes of the
 variety-dims benchmark workload, with m = 0, at 57x56, one size over
 the entry budget, and at 1x40, 13x2, 15x15, 16x16 and 30x30 (the moment
@@ -234,7 +237,11 @@ def write_battery(work: Path) -> list:
     # the level-2 entries stay below the writer's digit limit (at 30x30 they pass it)
     unreduced = {"hugeden-unreduced": _grid_doc(rng, 2, 20, 20, lambda r: f"{r.randint(-9, 9)}/{r.randint(1, 10**6)}")}
     # one coordinate and one cell: every level up to the entry budget's 10^7 fits, so the level limit decides
-    single = {"single": {"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", "2"]]]}}
+    single = {
+        "single": {"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", "2"]]]},
+        "single-zero": {"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", "0"]]]},
+        "single-poly": {"kind": "polynomial", "d": 1, "m": 1, "n": 1, "A": [["2"]]},
+    }
     malformed = _malformed_docs()
     docs = {
         **grids, **big_grids, **bound_grids, **node_grids, **specs, **huge_float, **unreduced, **single, **malformed
@@ -273,7 +280,15 @@ def write_battery(work: Path) -> list:
     path = str(work / "single.json")
     for level in (64, 65):
         cases.append((f"sig single L{level}", ["sig", path, "--level", str(level)], None, None))
-    cases.append(("core axis 1x1 L65", ["core", "--kind", "axis", "--m", "1", "--n", "1", "--level", "65"], None, None))
+    cases.append(("sig single L64 float", ["sig", path, "--level", "64", "--float"], None, None))
+    for level in (33, 64):
+        cases.append((f"sig single L{level} congruence", ["sig", path, "--level", str(level), "--method", "congruence"], None, None))
+    cases.append(("sig single-zero L33", ["sig", str(work / "single-zero.json"), "--level", "33"], None, None))
+    for level in (32, 33, 64):
+        cases.append((f"sig single-poly L{level}", ["sig", str(work / "single-poly.json"), "--level", str(level)], None, None))
+    for kind, level in [("moment", 33), ("moment", 64), ("axis", 33), ("axis", 64), ("axis", 65)]:
+        argv = ["core", "--kind", kind, "--m", "1", "--n", "1", "--level", str(level)]
+        cases.append((f"core {kind} 1x1 L{level}", argv, None, None))
     for name in malformed:
         path = str(work / f"{name}.json")
         cases.append((f"sig {name}", ["sig", path], None, None))

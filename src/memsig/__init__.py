@@ -13,8 +13,6 @@ from .fastsig import (
 )
 from .linalg import (
     CongruenceInvariants,
-    GammaBlock,
-    HBlock,
     Matrix,
     cosquare,
     det,
@@ -41,9 +39,6 @@ from .membranes import (
     sig_via_congruence,
 )
 from .paths import (
-    AxisPath,
-    LinearPath,
-    MomentPath,
     PiecewiseLinearPath,
     PolynomialPath,
     axis_path_sig_entry,

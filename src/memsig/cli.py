@@ -75,7 +75,7 @@ def _cmd_invariants(args) -> dict:
         "rank_sym": rank_sym,
         "rank_skew": rank_skew,
         "det": rat_str(det),
-        "blocks": [str(b) for b in blocks.blocks],
+        "blocks": list(blocks.blocks),
     }
 
 

@@ -160,7 +160,7 @@ def rational_texts(a: ExactArray) -> list[str]:
     """
     den = a.den
     if den == 1:
-        return [str(x) for x in a.ints.flat]
+        return [str(x) for x in a.ints.ravel()]
     view = int_view(a.ints, den).ravel()
     g = np.gcd(view, den)
     nums, dens = (view // g).tolist(), (den // g).tolist()
@@ -249,7 +249,7 @@ def tensor_to_doc(t: SigTensor, include_float: bool = False) -> dict:
     }
     if include_float:
         try:
-            doc["entries_float"] = [x / t.den for x in t.ints.flat]  # int / int rounds correctly
+            doc["entries_float"] = [x / t.den for x in t.ints.ravel()]  # int / int rounds correctly
         except OverflowError:
             raise ContractError("an entry is beyond the float range; drop --float") from None
     return doc

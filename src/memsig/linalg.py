@@ -383,32 +383,6 @@ def kron_jordan_structure(sa: Counter, sb: Counter) -> Counter:
     return out
 
 
-@dataclass(frozen=True, order=True)
-class GammaBlock:
-    """Canonical congruence block Gamma_k (size k)."""
-
-    size: int
-
-    def __str__(self) -> str:
-        return f"Gamma{self.size}"
-
-
-@dataclass(frozen=True, order=True)
-class HBlock:
-    """Canonical congruence block H_{2k}(mu) (size 2k, paired eigenvalue mu)."""
-
-    halfsize: int
-    mu: int
-
-    @property
-    def size(self) -> int:
-        return 2 * self.halfsize
-
-    def __str__(self) -> str:
-        sign = "1" if self.mu == 1 else "-1"
-        return f"H{self.size}({sign})"
-
-
 @dataclass(frozen=True)
 class CongruenceInvariants:
     """Congruence class of a nonsingular matrix M whose cosquare C = M^{-T} M has spectrum in {+1, -1}.
@@ -435,12 +409,13 @@ class CongruenceInvariants:
         return mu == (1 if k % 2 else -1)
 
     @property
-    def blocks(self) -> tuple:
-        """The canonical blocks: Gamma_k by size, then H_2k(mu) by (k, mu)."""
-        out = []
-        for (mu, k), cnt in self.structure:
-            out += [GammaBlock(k)] * cnt if self._single(mu, k) else [HBlock(k, mu)] * (cnt // 2)
-        return tuple(sorted(out, key=lambda b: (isinstance(b, HBlock), b)))
+    def blocks(self) -> tuple[str, ...]:
+        """The canonical block names: Gamma_k by size, then H_2k(mu) by (k, mu)."""
+        gammas = sorted((k, cnt) for (mu, k), cnt in self.structure if self._single(mu, k))
+        pairs = sorted((k, mu, cnt // 2) for (mu, k), cnt in self.structure if not self._single(mu, k))
+        return tuple(f"Gamma{k}" for k, cnt in gammas for _ in range(cnt)) + tuple(
+            f"H{2 * k}({mu})" for k, mu, cnt in pairs for _ in range(cnt)
+        )
 
     @property
     def total_size(self) -> int:
@@ -458,4 +433,4 @@ class CongruenceInvariants:
         return self.total_size - at_minus, self.total_size - at_plus
 
     def __str__(self) -> str:
-        return " + ".join(map(str, self.blocks)) or "(empty)"
+        return " + ".join(self.blocks) or "(empty)"

@@ -33,7 +33,7 @@ import numpy as np
 from .linalg import Matrix
 from .paths import axis_path_core, moment_path_core
 from .rational import ExactArray, Rat, ZERO, int_view, rat
-from .tensor import MAX_LEVEL, SigTensor, check_budget, check_entry_count, tucker_apply
+from .tensor import SigTensor, check_budget, check_entry_count, tucker_apply
 
 log = logging.getLogger(__name__)
 
@@ -209,18 +209,12 @@ _PATH_CORES = {"moment": moment_path_core, "axis": axis_path_core}
 
 
 def check_core_args(kind: str, m: int, n: int, k: int) -> None:
-    """Refuse an unknown kind, an order below 1 and a level-k core over the entry budget.
-
-    ``core_tensor`` builds a level-k core from an outer product of 2k axes,
-    so k is refused above MAX_LEVEL // 2 too.
-    """
+    """Refuse an unknown kind, an order below 1, and a level-k core over the entry budget or numpy's axis limit."""
     if kind not in _PATH_CORES:
         raise ValueError(f"unknown core kind {kind!r} (expected 'moment' or 'axis')")
     if min(m, n) < 1:
         raise ValueError(f"need m, n >= 1, got ({m}, {n})")
     check_entry_count(m * n, k)
-    if 2 * k > MAX_LEVEL:
-        raise ValueError(f"a level-{k} core is built from {2 * k} axes, more than numpy's limit of {MAX_LEVEL}")
 
 
 def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
@@ -228,17 +222,20 @@ def core_tensor(kind: str, m: int, n: int, k: int) -> SigTensor:
 
     The entry at (nu(i_1, j_1), ..., nu(i_k, j_k)) is Px[i-word] Py[j-word]
     for the level-k path cores Px, Py, so the core is the outer product of the
-    stored integers of the two path cores, axes reordered to
-    (i_1, j_1, ..., i_k, j_k) and each pair merged by nu, over the product of
-    their denominators.  At level 2 this is the Kronecker product of the two
-    path signature matrices.
+    stored integers of the two flattened path cores, over the product of
+    their denominators, with the pairs (i_r, j_r) merged by nu one per step:
+    before step r the array is (merged prefix, i_r, rest of the i-word, j_r,
+    rest of the j-word), so it never has more than 5 axes and every level up
+    to MAX_LEVEL is built.  At level 2 this is the Kronecker product of the
+    two path signature matrices.
     """
     check_core_args(kind, m, n, k)
     path_core = _PATH_CORES[kind]
     x, y = path_core(m, k), path_core(n, k)
-    outer = np.asarray(np.multiply.outer(x.ints, y.ints), dtype=object)  # a bare int at k = 0
-    arr = outer.transpose([a for r in range(k) for a in (r, k + r)]).reshape((m * n,) * k)
-    return SigTensor.of(arr, x.den * y.den, m * n)
+    arr = np.multiply.outer(x.ints.reshape(-1), y.ints.reshape(-1))
+    for r in range(k):
+        arr = arr.reshape(-1, m, m ** (k - r - 1), n, n ** (k - r - 1)).transpose(0, 1, 3, 2, 4)
+    return SigTensor.of(arr.reshape((m * n,) * k), x.den * y.den, m * n)
 
 
 def core_matrix(kind: str, m: int, n: int) -> Matrix:

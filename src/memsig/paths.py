@@ -1,12 +1,22 @@
 """Signature tensors of one-parameter paths.
 
-Closed forms for the dictionary paths (linear, moment, axis), signatures of
-piecewise-linear paths through the axis dictionary plus the Tucker action, and
-an independent symbolic-integration oracle for polynomial and piecewise
-polynomial paths.  The oracle implements the defining iterated integral by
-iterating exact antiderivatives, so the closed forms can be tested against it.
+Each path family has its own function, and no spec object stands between a
+caller and it:
 
-Words use 1-based letters throughout.
+- linear paths t -> u t: ``linear_path_sig``, the closed form
+  u_{i_1}...u_{i_k} / k!;
+- the moment path: ``moment_path_sig_entry`` and ``moment_path_core``;
+- the axis path: ``axis_path_sig_entry`` and ``axis_path_core``;
+- piecewise-linear paths: ``pw_linear_path_sig``, the axis core pushed
+  through the Tucker action;
+- polynomial and piecewise polynomial paths: ``poly_path_sig_oracle`` and
+  ``pw_poly_path_sig_oracle``, an independent symbolic-integration oracle
+  that iterates exact antiderivatives, so the closed forms can be tested
+  against it.
+
+``PiecewiseLinearPath`` and ``PolynomialPath`` are the validated inputs of
+the piecewise-linear route and of the oracles.  Words use 1-based letters
+throughout.
 """
 
 from __future__ import annotations
@@ -22,43 +32,7 @@ from .tensor import CORE_CACHE_SIZE, SigTensor, tucker_apply
 
 
 # --------------------------------------------------------------------------
-# path specifications
-
-
-@dataclass(frozen=True)
-class LinearPath:
-    """t -> u * t."""
-
-    u: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(rat(x) for x in self.u))
-
-    @property
-    def dim(self) -> int:
-        return len(self.u)
-
-
-@dataclass(frozen=True)
-class MomentPath:
-    """t -> (t, t^2, ..., t^m)."""
-
-    degree: int
-
-    @property
-    def dim(self) -> int:
-        return self.degree
-
-
-@dataclass(frozen=True)
-class AxisPath:
-    """Canonical piecewise-linear dictionary path with m unit steps."""
-
-    order: int
-
-    @property
-    def dim(self) -> int:
-        return self.order
+# validated path inputs
 
 
 @dataclass(frozen=True)
@@ -106,8 +80,13 @@ class PolynomialPath:
 
 
 def linear_path_sig(u, k: int) -> SigTensor:
-    """Level-k tensor of t -> u t: entry (i_1..i_k) = u_{i_1}...u_{i_k} / k!."""
-    return SigTensor.from_function(k, len(u), path_sig_entry_fn(LinearPath(tuple(u))))
+    """Level-k tensor of t -> u t: entry (i_1..i_k) = u_{i_1}...u_{i_k} / k!.
+
+    Each coordinate goes through ``rat``, so a float raises TypeError.
+    """
+    u = [rat(x) for x in u]
+    inv = rat(1, factorial(k))
+    return SigTensor.from_function(k, len(u), lambda w: prod((u[i - 1] for i in w), start=inv))
 
 
 def moment_path_sig_entry(word) -> Rat:
@@ -160,7 +139,7 @@ def pw_linear_path_sig(vertices, k: int) -> SigTensor:
     pushes the axis core tensor through the Tucker action; translation of the
     vertices drops out of the increments.
     """
-    path = vertices if isinstance(vertices, PiecewiseLinearPath) else PiecewiseLinearPath(tuple(vertices))
+    path = PiecewiseLinearPath(tuple(vertices))
     verts = path.vertices
     m = path.segments
     cols = [
@@ -235,34 +214,3 @@ def moment_path_poly(m: int) -> PolynomialPath:
     return PolynomialPath(
         tuple(tuple(ONE if j == i else ZERO for j in range(m)) for i in range(m))
     )
-
-
-def path_sig_entry_fn(path):
-    """Entry function word -> rational for any supported path spec."""
-    if isinstance(path, LinearPath):
-        inv = {0: ONE}
-
-        def linear_entry(word):
-            k = len(word)
-            if k not in inv:
-                inv[k] = rat(1, factorial(k))
-            return prod((path.u[i - 1] for i in word), start=ONE) * inv[k]
-
-        return linear_entry
-    if isinstance(path, MomentPath):
-        return moment_path_sig_entry
-    if isinstance(path, AxisPath):
-        return lambda word: axis_path_sig_entry(word, path.order)
-    if isinstance(path, PiecewiseLinearPath):
-        cache: dict = {}
-
-        def pwl_entry(word):
-            k = len(word)
-            if k not in cache:
-                cache[k] = pw_linear_path_sig(path, k)
-            return cache[k].get(word)
-
-        return pwl_entry
-    if isinstance(path, PolynomialPath):
-        return lambda word: poly_path_sig_oracle(path, word)
-    raise TypeError(f"unsupported path spec: {path!r}")

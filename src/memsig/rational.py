@@ -178,10 +178,10 @@ class ExactArray:
     @property
     def entries(self) -> tuple:
         """The entries in row-major order, as rationals."""
-        return tuple(rat(x, self.den) for x in self.ints.flat)
+        return tuple(rat(x, self.den) for x in self.ints.ravel())
 
     def _key(self) -> tuple:
-        return self.ints.shape, self.den, tuple(self.ints.flat)
+        return self.ints.shape, self.den, tuple(self.ints.ravel())
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()

@@ -25,15 +25,14 @@ from memsig.membranes import (
     sig_via_congruence,
 )
 from memsig.paths import (
-    AxisPath,
-    LinearPath,
-    MomentPath,
-    PiecewiseLinearPath,
     PolynomialPath,
     axis_path_pieces,
+    axis_path_sig_entry,
+    linear_path_sig,
     moment_path_poly,
-    path_sig_entry_fn,
+    moment_path_sig_entry,
     poly_path_sig_oracle,
+    pw_linear_path_sig,
     pw_poly_path_sig_oracle,
 )
 from memsig.rational import rat, rat_str
@@ -286,21 +285,19 @@ def test_c10_relations_and_shuffle():
     assert rep.status == "pass" and rep.samples == 100
     rep = relation_checks(4, 2, 2, 100, rng)
     assert rep.status == "pass" and rep.samples == 100
-    # rank-1 symmetric part of level-2 path signatures (shuffle relation)
+    # rank-1 symmetric part of level-2 path signatures (shuffle relation);
+    # each family as (dimension, entry function on words)
+    u = (rat(3), rat(-2), rat(1, 2))
+    vertices = tuple(tuple(rat(rng.randint(-4, 4)) for _ in range(3)) for _ in range(5))
+    poly = PolynomialPath(tuple(tuple(rat(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2)))
     paths = [
-        LinearPath((rat(3), rat(-2), rat(1, 2))),
-        MomentPath(4),
-        AxisPath(3),
-        PiecewiseLinearPath(
-            tuple(tuple(rat(rng.randint(-4, 4)) for _ in range(3)) for _ in range(5))
-        ),
-        PolynomialPath(
-            tuple(tuple(rat(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2))
-        ),
+        (3, lambda w: linear_path_sig(u, len(w)).get(w)),
+        (4, moment_path_sig_entry),
+        (3, lambda w: axis_path_sig_entry(w, 3)),
+        (3, lambda w: pw_linear_path_sig(vertices, len(w)).get(w)),
+        (2, lambda w: poly_path_sig_oracle(poly, w)),
     ]
-    for spec in paths:
-        entry = path_sig_entry_fn(spec)
-        d = spec.dim
+    for d, entry in paths:
         s = Matrix(d, d, tuple(entry((i, j)) for i in range(1, d + 1) for j in range(1, d + 1)))
         sym, _ = sym_skew_split(s)
         level1 = [entry((i,)) for i in range(1, d + 1)]

@@ -740,12 +740,10 @@ class TestCliCommands:
             (["sig", "GRID", "--level", "65"], "a level-65 tensor has more than 64 axes"),
             (["sig", "GRID", "--level", "1000"], "a level-1000 tensor has more than 64 axes"),
             (["sig", "GRID", "--level", "65", "--method", "congruence"], "a level-65 tensor has more than 64 axes"),
-            (["sig", "GRID", "--level", "33", "--method", "congruence"], "a level-33 core is built from 66 axes"),
             (["core", "--kind", "axis", "--m", "1", "--n", "1", "--level", "65"], "a level-65 tensor has more than 64 axes"),
-            (["core", "--kind", "moment", "--m", "1", "--n", "1", "--level", "33"], "a level-33 core is built from 66 axes"),
             (["bench", "--sizes", "1x1", "--d", "1", "--level", "1000", "--methods", "fast"], "a level-1000 tensor"),
         ],
-        ids=["sig-65", "sig-1000", "sig-congruence-65", "sig-congruence-33", "core-65", "core-33", "bench-1000"],
+        ids=["sig-65", "sig-1000", "sig-congruence-65", "core-65", "bench-1000"],
     )
     def test_a_level_past_numpys_axis_limit_exits_3_before_any_work(
         self, monkeypatch, capsys, single_cell_grid_file, argv, message
@@ -765,6 +763,29 @@ class TestCliCommands:
         # the single cell's mixed difference is 2, so the level-k entry is 2^k / (k!)^2
         code, out = run_cli(["sig", single_cell_grid_file, "--level", "64"])
         assert code == 0 and json.loads(out)["entries"] == [rat_str(rat(2**64, factorial(64) ** 2))]
+
+    @pytest.mark.parametrize("level", [33, 64])
+    def test_the_congruence_route_reaches_the_fast_routes_level(self, tmp_path, single_cell_grid_file, level):
+        # A = [[2]] on the 1x1 moment core and the single cell (mixed difference 2) on the
+        # 1x1 axis core both give 2^k / (k!)^2; either 1x1 core is 1 / (k!)^2
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"kind": "polynomial", "d": 1, "m": 1, "n": 1, "A": [["2"]]}))
+        for argv in (["sig", str(spec)], ["sig", single_cell_grid_file, "--method", "congruence"]):
+            code, out = run_cli([*argv, "--level", str(level)])
+            assert code == 0 and json.loads(out)["entries"] == [rat_str(rat(2**level, factorial(level) ** 2))]
+        for kind in ("moment", "axis"):
+            code, out = run_cli(["core", "--kind", kind, "--m", "1", "--n", "1", "--level", str(level)])
+            assert code == 0 and json.loads(out)["entries"] == [rat_str(rat(1, factorial(level) ** 2))]
+
+    def test_tensors_past_32_axes_are_written(self, tmp_path, single_cell_grid_file):
+        # numpy's flat iterator stops at 32 axes, so the writer must read an integer tensor's
+        # entries and the --float entries off a raveled array
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", "0"]]]}))
+        code, out = run_cli(["sig", str(zero), "--level", "33"])
+        assert code == 0 and json.loads(out)["entries"] == ["0"]
+        code, out = run_cli(["sig", single_cell_grid_file, "--level", "64", "--float"])
+        assert code == 0 and json.loads(out)["entries_float"] == [2**64 / factorial(64) ** 2]
 
     def test_exit_code_polynomial_over_entry_budget(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "poly.json"

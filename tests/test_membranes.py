@@ -25,14 +25,14 @@ from memsig.membranes import (
     sig_via_congruence,
 )
 from memsig.paths import (
-    AxisPath,
-    LinearPath,
-    MomentPath,
+    PiecewiseLinearPath,
     axis_path_core,
     axis_path_pieces,
+    axis_path_sig_entry,
+    linear_path_sig,
     moment_path_core,
     moment_path_poly,
-    path_sig_entry_fn,
+    moment_path_sig_entry,
     poly_path_sig_oracle,
     pw_poly_path_sig_oracle,
 )
@@ -129,15 +129,15 @@ def rational_grid(rng, d, m, n):
 
 class TestProductSigEntry:
     def test_moment_pair(self):
-        e = path_sig_entry_fn(MomentPath(2))
+        e = moment_path_sig_entry
         assert product_sig_entry(e, e, (((1, 1)), (2, 2))) == rat(4, 9)
 
     def test_empty(self):
-        e = path_sig_entry_fn(MomentPath(2))
+        e = moment_path_sig_entry
         assert product_sig_entry(e, e, ()) == 1
 
     def test_level3_first_entry(self):
-        e = path_sig_entry_fn(MomentPath(2))
+        e = moment_path_sig_entry
         assert product_sig_entry(e, e, ((1, 1), (1, 1), (1, 1))) == rat(1, 36)
 
 
@@ -213,8 +213,10 @@ class TestCoreOracle:
 
     def test_cores_match_product_sig_entry(self):
         for m, n in self.SIZES:
-            for kind, path in (("moment", MomentPath), ("axis", AxisPath)):
-                ex, ey = path_sig_entry_fn(path(m)), path_sig_entry_fn(path(n))
+            for kind, ex, ey in (
+                ("moment", moment_path_sig_entry, moment_path_sig_entry),
+                ("axis", lambda w: axis_path_sig_entry(w, m), lambda w: axis_path_sig_entry(w, n)),
+            ):
                 for k in range(4):
                     expected = SigTensor.from_function(
                         k, m * n, lambda w: product_sig_entry(ex, ey, [nu_inv(x, n) for x in w])
@@ -409,9 +411,15 @@ class TestSigViaCongruence:
                 assert t.get(w) == prod_u / (fact * fact)
 
     def test_unknown_spec_raises_type_error(self):
-        for spec in (MomentPath(2), A_EXAMPLE, axis_grid(2, 2).values):
+        for spec in (PiecewiseLinearPath(((0, 0), (1, 2))), A_EXAMPLE, axis_grid(2, 2).values):
             with pytest.raises(TypeError, match="cannot resolve membrane spec"):
                 sig_via_congruence(spec, 2)
+
+    @pytest.mark.parametrize("k", [33, 64])
+    def test_levels_past_32_match_the_fast_route(self, k):
+        # a level-k core is built with at most 5 axes, so the route reaches MAX_LEVEL
+        g = GridData(1, 1, 1, [[[0, 0], [0, 2]]])
+        assert sig_via_congruence(g, k) == sig_tensor_fast(g, k)
 
     @given(matrices(rows=2, cols=2, max_size=2))
     @settings(max_examples=20)
@@ -425,15 +433,13 @@ class TestSigViaCongruence:
     def test_scaling_corollary(self):
         # product with a 1-D linear path of increment c scales level k by c^k/k!
         c = rat(5, 3)
-        y = AxisPath(3)
-        e_lin = path_sig_entry_fn(LinearPath((c,)))
-        e_y = path_sig_entry_fn(y)
         fact = 1
         for k in range(4):
             fact = fact * k if k else 1
+            e_lin, e_y = linear_path_sig((c,), k).get, axis_path_core(3, k).get
             for w in words_iter(3, k):
                 got = product_sig_entry(e_lin, e_y, tuple((1, letter) for letter in w))
-                assert got == c**k / rat(fact) * e_y(w)
+                assert got == c**k / rat(fact) * axis_path_sig_entry(w, 3)
 
     def test_monotone_embedding_by_zero_padding(self, rng):
         m, n, mp, np_ = 2, 2, 3, 4

@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 from conftest import rationals
 from memsig.linalg import Matrix
 from memsig.paths import (
-    AxisPath,
-    LinearPath,
-    MomentPath,
     PiecewiseLinearPath,
     PolynomialPath,
     axis_path_pieces,
@@ -17,7 +14,6 @@ from memsig.paths import (
     linear_path_sig,
     moment_path_poly,
     moment_path_sig_entry,
-    path_sig_entry_fn,
     poly_path_sig_oracle,
     pw_linear_path_pieces,
     pw_linear_path_sig,
@@ -39,6 +35,10 @@ class TestLinearPathSig:
         t = linear_path_sig((1, 0, 0), 3)
         for w in words_iter(3, 3):
             assert t.get(w) == (rat(1, 6) if w == (1, 1, 1) else 0)
+
+    def test_float_increment_is_refused(self):
+        with pytest.raises(TypeError, match="floats are inexact"):
+            linear_path_sig((1, 0.5), 2)
 
 
 class TestMomentEntries:
@@ -121,9 +121,8 @@ class TestPwLinearPathSig:
                 tuple(rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
                 for _ in range(4)
             )
-            path = PiecewiseLinearPath(verts)
-            breaks, derivs = pw_linear_path_pieces(path)
-            t = pw_linear_path_sig(path, 2)
+            breaks, derivs = pw_linear_path_pieces(PiecewiseLinearPath(verts))
+            t = pw_linear_path_sig(verts, 2)
             for w in words_iter(2, 2):
                 assert t.get(w) == pw_poly_path_sig_oracle(breaks, derivs, w)
 
@@ -173,24 +172,18 @@ def _rank1_check(matrix: Matrix, level1: SigTensor):
 
 class TestShuffleRankOne:
     def test_all_path_families(self, rng):
-        specs = [
-            LinearPath((rat(2), rat(-1), rat(1, 3))),
-            MomentPath(3),
-            AxisPath(4),
-            PiecewiseLinearPath(
-                tuple(
-                    tuple(rat(rng.randint(-3, 3)) for _ in range(3)) for _ in range(5)
-                )
-            ),
-            PolynomialPath(
-                tuple(
-                    tuple(rat(rng.randint(-2, 2)) for _ in range(3)) for _ in range(2)
-                )
-            ),
+        # each family as (dimension, entry function on words)
+        u = (rat(2), rat(-1), rat(1, 3))
+        vertices = tuple(tuple(rat(rng.randint(-3, 3)) for _ in range(3)) for _ in range(5))
+        poly = PolynomialPath(tuple(tuple(rat(rng.randint(-2, 2)) for _ in range(3)) for _ in range(2)))
+        families = [
+            (3, lambda w: linear_path_sig(u, len(w)).get(w)),
+            (3, moment_path_sig_entry),
+            (4, lambda w: axis_path_sig_entry(w, 4)),
+            (3, lambda w: pw_linear_path_sig(vertices, len(w)).get(w)),
+            (2, lambda w: poly_path_sig_oracle(poly, w)),
         ]
-        for spec in specs:
-            entry = path_sig_entry_fn(spec)
-            d = spec.dim
+        for d, entry in families:
             s = Matrix(d, d, tuple(entry((i, j)) for i in range(1, d + 1) for j in range(1, d + 1)))
             level1 = SigTensor(1, d, tuple(entry((i,)) for i in range(1, d + 1)))
             _rank1_check(s, level1)

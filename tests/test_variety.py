@@ -10,8 +10,6 @@ from conftest import jordan_rows
 from memsig import linalg, tensor, variety
 from memsig.linalg import (
     CongruenceInvariants,
-    GammaBlock,
-    HBlock,
     Matrix,
     _PRIME,
     cosquare,
@@ -45,35 +43,27 @@ from memsig.variety import (
 )
 
 
-def invariants_of_blocks(blocks) -> CongruenceInvariants:
-    """The class of a block list: Gamma_k is one J_k((-1)^(k+1)), H_2k(mu) two J_k(mu)."""
-    structure: Counter = Counter()
-    for b in blocks:
-        if isinstance(b, GammaBlock):
-            structure[(1 if b.size % 2 else -1, b.size)] += 1
-        else:
-            structure[(b.mu, b.halfsize)] += 2
-    return CongruenceInvariants(structure)
+def gamma(k: int, count: int = 1) -> Counter:
+    """``count`` blocks Gamma_k, each one J_k((-1)^(k+1)) in the cosquare."""
+    return Counter({(1 if k % 2 else -1, k): count})
+
+
+def h(k: int, mu: int, count: int = 1) -> Counter:
+    """``count`` blocks H_2k(mu), each two J_k(mu) in the cosquare."""
+    return Counter({(mu, k): 2 * count})
 
 
 def expected_axis_blocks(m: int, n: int) -> CongruenceInvariants:
     """The three parity-case normal forms of the axis core (m odd / n even by swap)."""
     if m % 2 == 1 and n % 2 == 0:
         m, n = n, m
-    blocks: list = []
     if m % 2 == 0 and n % 2 == 0:
-        blocks += [GammaBlock(3)]
-        blocks += [HBlock(2, 1)] * ((m + n - 4) // 2)
-        blocks += [GammaBlock(1)] * ((m - 2) * (n - 2) + 1)
+        blocks = gamma(3) + h(2, 1, (m + n - 4) // 2) + gamma(1, (m - 2) * (n - 2) + 1)
     elif m % 2 == 0:
-        blocks += [GammaBlock(2)]
-        blocks += [HBlock(2, 1)] * ((n - 1) // 2)
-        blocks += [HBlock(1, -1)] * ((m - 2) // 2)
-        blocks += [GammaBlock(1)] * ((m - 2) * (n - 1))
+        blocks = gamma(2) + h(2, 1, (n - 1) // 2) + h(1, -1, (m - 2) // 2) + gamma(1, (m - 2) * (n - 1))
     else:
-        blocks += [HBlock(1, -1)] * ((m + n - 2) // 2)
-        blocks += [GammaBlock(1)] * ((m - 1) * (n - 1) + 1)
-    return invariants_of_blocks(blocks)
+        blocks = h(1, -1, (m + n - 2) // 2) + gamma(1, (m - 1) * (n - 1) + 1)
+    return CongruenceInvariants(blocks)
 
 
 def expected_rank_profile(m: int, n: int) -> tuple[int, int]:
@@ -106,8 +96,8 @@ class TestCongruenceInvariants:
 
     def test_identity_blocks(self):
         inv = congruence_invariants(Matrix.identity(4))
-        assert inv == invariants_of_blocks([GammaBlock(1)] * 4)
-        assert inv.blocks == (GammaBlock(1),) * 4
+        assert inv == CongruenceInvariants(gamma(1, 4))
+        assert inv.blocks == ("Gamma1",) * 4
 
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
@@ -131,8 +121,11 @@ class TestCongruenceInvariants:
     def test_rank_profile_builds_no_blocks(self, monkeypatch):
         core = core_matrix("axis", 2, 3)
         inv = congruence_invariants(core)
-        monkeypatch.setattr(linalg, "GammaBlock", None)
-        monkeypatch.setattr(linalg, "HBlock", None)
+
+        def no_blocks(self):
+            raise AssertionError("the block names were built")
+
+        monkeypatch.setattr(CongruenceInvariants, "blocks", property(no_blocks))
         assert inv.rank_profile == core_rank_profile(core)
 
 
