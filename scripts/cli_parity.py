@@ -13,24 +13,25 @@ result differs is printed, and the exit status is 1 if any differs, else 0.
 A differing first line of stderr is printed as a note and does not count as
 a difference.
 
-The battery: ``sig`` at levels 0-3 with ``--method fast|congruence|auto``,
-with and without ``--float``, on an integer, a small-rational and a
-huge-rational grid and on a dense and a sparse polynomial spec; ``decompose``
+The battery: ``sig`` at levels 0-3, with and without ``--float``, on an
+integer, a small-rational and a huge-rational grid and on a dense and a
+sparse polynomial spec, and once with ``--method fast`` (an option that
+exits 2 since the input kind picks the route); ``decompose``
 on those grids and on larger ones; ``decompose`` and level-2 ``sig`` on grids
 whose literals have up to 18 or 19 digits (the reader's int64 bound) and on
 two whose cell differences over den 2 stay below 2^62 or reach past it (the
 int64 bound of ``ExactArray.of`` and ``rational_texts``); ``decompose`` and
-``sig`` at level 2, level 3 and by the congruence route on grids with nodes
-up to 2^61 - 1, 2^61 and 2^62 - 1 in magnitude (random, and alternating in
-sign so that every cell difference is 4 times the largest node: the int64
-bound of ``cell_derivatives``), and on rational grids whose ``den`` is just
-below or above 2^62; ``sig`` with and without ``--float`` on a
+``sig`` at levels 2 and 3 on grids with nodes up to 2^61 - 1, 2^61 and
+2^62 - 1 in magnitude (random, and alternating in sign so that every cell
+difference is 4 times the largest node, just inside or past the int64
+range: exact cell differences at any size), and on rational grids whose
+``den`` is just below or above 2^62; ``sig`` with and without ``--float`` on a
 grid whose level-2 entries are beyond the float range; ``decompose`` and
 ``sig`` at levels 1 and 2 on a huge-denominator grid written as unreduced
 ``"p/q"`` texts, whose lcm of the denominators as written is far above the
 lcm of the reduced ones (the reader's two routes); ``sig`` at levels 64 and
-65 on a d=1 1x1 grid, with ``--float`` at 64 and by the congruence route at
-33 and 64, ``sig`` at level 33 on a 1x1 grid of zeros (an integer tensor of
+65 on a d=1 1x1 grid, and with ``--float`` at 64, ``sig`` at level 33 on a
+1x1 grid of zeros (an integer tensor of
 more than 32 axes), ``sig`` at levels 32, 33 and 64 on a 1x1 polynomial
 spec, ``core`` of both kinds at 1x1, levels 33 and 64, and of the axis kind
 at 1x1, level 65 (the tensor level limit, numpy's 64 axes); ``core`` and
@@ -45,8 +46,8 @@ and at larger cores, levels 2 and 3, and ``check-relations`` (2,2,1),
 MEMSIG_SEED "abc"; malformed grid and polynomial documents
 with one fault at each nesting level, and one bad leaf of each kind; and,
 with and without ``--out``, calls that argparse refuses (no or an unknown
-subcommand, and for each subcommand a missing required flag or input, a
-choice outside ``--kind``/``--method``/``--level`` or a non-integer value).
+subcommand, and for each subcommand a missing required flag or input, an
+unknown flag, a choice outside ``--kind``/``--level`` or a non-integer value).
 """
 
 import hashlib
@@ -165,7 +166,7 @@ def _argparse_failures(grid: str) -> dict:
         "no command": [],
         "unknown command": ["signature", grid],
         "sig no input": ["sig"],
-        "sig bad method": ["sig", grid, "--method", "slow"],
+        "sig unknown flag": ["sig", grid, "--method", "slow"],
         "sig level not int": ["sig", grid, "--level", "two"],
         "core no kind": ["core", *size],
         "core no m": ["core", "--kind", "axis", "--n", "2"],
@@ -224,7 +225,7 @@ def write_battery(work: Path) -> list:
         "delta-below": _grid_doc(rng, 3, 4, 4, lambda r: Fraction(r.randint(-(2**59), 2**59), 2)),
         "delta-above": _grid_doc(rng, 3, 4, 4, lambda r: Fraction(r.randint(-(2**61), 2**61), 2)),
     }
-    # nodes on both sides of the int64 bound of cell_derivatives, and dens next to 2^62
+    # nodes whose cell differences reach just inside or past the int64 range, and dens next to 2^62
     node_grids = {}
     for top, label in ((2**61 - 1, "2^61-1"), (2**61, "2^61"), (2**62 - 1, "2^62-1")):
         node_grids[f"nodes-alt-{label}"] = _alternating_doc(3, 4, 3, top)
@@ -253,11 +254,11 @@ def write_battery(work: Path) -> list:
     for name in [*grids, *specs]:
         path = str(work / f"{name}.json")
         for level in range(4):
-            for method in ("fast", "congruence", "auto"):
-                for flt in ([], ["--float"]):
-                    argv = ["sig", path, "--level", str(level), "--method", method, *flt]
-                    cases.append((f"sig {name} L{level} {method}{' float' if flt else ''}", argv, None, None))
+            for flt in ([], ["--float"]):
+                argv = ["sig", path, "--level", str(level), *flt]
+                cases.append((f"sig {name} L{level}{' float' if flt else ''}", argv, None, None))
         cases.append((f"sig {name} --out", ["sig", path], None, "out.json"))
+    cases.append(("sig int --method fast", ["sig", str(work / "int.json"), "--method", "fast"], None, None))
     for name in [*grids, *big_grids]:
         cases.append((f"decompose {name}", ["decompose", str(work / f"{name}.json")], None, "out.json"))
     for name in bound_grids:
@@ -268,7 +269,6 @@ def write_battery(work: Path) -> list:
         path = str(work / f"{name}.json")
         cases.append((f"decompose {name}", ["decompose", path], None, "out.json"))
         cases.append((f"sig {name} L2", ["sig", path], None, None))
-        cases.append((f"sig {name} L2 congruence", ["sig", path, "--method", "congruence"], None, None))
         cases.append((f"sig {name} L3", ["sig", path, "--level", "3"], None, None))
     path = str(work / "hugefloat.json")
     cases.append(("sig hugefloat", ["sig", path], None, None))
@@ -281,8 +281,6 @@ def write_battery(work: Path) -> list:
     for level in (64, 65):
         cases.append((f"sig single L{level}", ["sig", path, "--level", str(level)], None, None))
     cases.append(("sig single L64 float", ["sig", path, "--level", "64", "--float"], None, None))
-    for level in (33, 64):
-        cases.append((f"sig single L{level} congruence", ["sig", path, "--level", str(level), "--method", "congruence"], None, None))
     cases.append(("sig single-zero L33", ["sig", str(work / "single-zero.json"), "--level", "33"], None, None))
     for level in (32, 33, 64):
         cases.append((f"sig single-poly L{level}", ["sig", str(work / "single-poly.json"), "--level", str(level)], None, None))
@@ -292,7 +290,6 @@ def write_battery(work: Path) -> list:
     for name in malformed:
         path = str(work / f"{name}.json")
         cases.append((f"sig {name}", ["sig", path], None, None))
-        cases.append((f"sig {name} congruence", ["sig", path, "--method", "congruence"], None, None))
         cases.append((f"decompose {name}", ["decompose", path], None, "out.json"))
     for kind in ("moment", "axis"):
         for m in range(1, 4):

@@ -18,7 +18,6 @@ from .linalg import (
     det,
     kron,
     kron_jordan_structure,
-    pfaffian,
     pm1_jordan_structure,
     rank,
     sym_skew_split,

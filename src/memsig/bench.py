@@ -134,8 +134,9 @@ def run_bench(
     """Median-of-repeats timings per size and method, plus the fast-method fit.
 
     Every grid size and the level are checked against the entry budget
-    (``tensor.check_budget``, ``tensor.check_entry_count``), and every method
-    name and the level of ``congruence``, before any grid is drawn.
+    (``tensor.check_budget``, ``tensor.check_entry_count``), every method
+    name and the level of ``congruence`` are checked, and a repeated size or
+    method is refused, before any grid is drawn.
     All grids are drawn first, in size order; then each repeat times every
     (size, method) pair once, in that order.
     ``doubling_ratios`` maps each method to median(t at size) / median(t at
@@ -157,6 +158,8 @@ def run_bench(
             raise ValueError(f"unknown method {method!r}")
         if method == "congruence" and level != 2:
             raise ValueError("the congruence baseline benchmarks level 2 only")
+    if len(set(sizes)) < len(sizes) or len(set(methods)) < len(methods):
+        raise ValueError("each size and each method may be given once")
     rng = random.Random(seed)
     grids = [random_integer_grid(d, m, n, rng) for m, n in sizes]
     jobs = [(method, m, n, grid) for (m, n), grid in zip(sizes, grids) for method in methods]

@@ -41,17 +41,10 @@ def _seed() -> int | None:
 
 
 def _cmd_sig(args) -> dict:
+    """A grid takes the linear-time route, a polynomial spec the congruence route, its only one."""
     spec = fileio.membrane_from_doc(fileio.load_json_file(args.input))
-    method = args.method
-    if method == "auto":
-        method = "fast" if isinstance(spec, GridData) else "congruence"
-    if method == "fast":
-        if not isinstance(spec, GridData):
-            raise fileio.ContractError("--method fast needs a grid input")
-        tensor = sig_tensor_fast(spec, args.level)
-    else:
-        tensor = sig_via_congruence(spec, args.level)
-    return fileio.tensor_to_doc(tensor, args.float)
+    route = sig_tensor_fast if isinstance(spec, GridData) else sig_via_congruence
+    return fileio.tensor_to_doc(route(spec, args.level), args.float)
 
 
 def _cmd_core(args) -> dict:
@@ -147,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sig", _cmd_sig, "signature tensor of a grid or polynomial membrane")
     p.add_argument("input", help="JSON grid file or polynomial spec file")
     p.add_argument("--level", type=int, default=2)
-    p.add_argument("--method", choices=["fast", "congruence", "auto"], default="auto")
     p.add_argument("--float", action="store_true", help="append float approximations")
 
     p = command("core", _cmd_core, "dictionary core tensor (dim m*n)", size)

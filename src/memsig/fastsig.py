@@ -12,8 +12,8 @@ second (size n) is t.  Each cell stores its piece in the local coordinates
 x = m u - a, y = n v - b in [0, 1], in the divided-power basis
 x^p/p! * y^q/q!.  In these coordinates d12 X_i du dv = D dx dy, where D is the
 cell's mixed node difference, and after scaling the grid by the lcm L of its
-denominators D becomes an integer Delta (``membranes.cell_derivatives``;
-an int64 array under that function's node bound, else Python ints).
+denominators D becomes an integer Delta (``membranes.cell_derivatives``,
+an object array of Python ints).
 
 Appending a letter integrates f_w * Delta over [0, u] x [0, v], which splits
 per target cell into four regions:
@@ -29,9 +29,7 @@ per target cell into four regions:
 
 Scaling every coefficient by (S!)^2 at the step to word length S turns the
 weights 1/(p+1)! into integers S!/(p+1)!, so the whole recursion runs on Python
-ints in numpy object arrays, vectorized over cells; an int64 Delta enters it
-as Python ints, since numpy computes int64 with object operands on object
-dtype.  One letter costs
+ints in numpy object arrays, vectorized over cells.  One letter costs
 Theta(j^2 m n) and a length-k word costs O(k^3 m n).  Every entry of the
 tensor shares one denominator, the product of the step scales, the
 evaluation weights at (1, 1) and L^k, so the integer results become the
@@ -113,8 +111,8 @@ class CellPolyField:
 def advance_letter(field: CellPolyField, delta: np.ndarray) -> CellPolyField:
     """One recursion step: the double cumulative integral of field * Delta.
 
-    ``delta`` is the (m, n) integer table (int64 or object) of the appended
-    letter, from ``cell_derivatives``.  Work is Theta(word_len^2 m n).
+    ``delta`` is the (m, n) integer table of the appended letter, from
+    ``cell_derivatives``.  Work is Theta(word_len^2 m n).
     """
     m, n, s = field.m, field.n, field.word_len + 1
     if delta.shape != (m, n):

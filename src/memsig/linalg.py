@@ -18,10 +18,7 @@ comes back through ``Matrix.of``.
   the solution.
 - Rank, determinant and solve divide each integer row by its gcd first
   (``_primitive_rows``), so one large common denominator does not inflate
-  the Bareiss entries.
-- The Pfaffian uses fraction-free Pfaffian-preserving congruence pivots on
-  the stored integers (O(n^3), each division exact by the previous pivot),
-  so no elimination here builds a ``Fraction``.
+  the Bareiss entries, and no elimination here builds a ``Fraction``.
 
 ``pm1_jordan_structure`` recovers the Jordan block multiset of a matrix whose
 only eigenvalues are +1 and -1 from the exact rank sequences rank((M -+ I)^j);
@@ -43,7 +40,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .rational import ONE, ZERO, ExactArray, rat
+from .rational import ONE, ExactArray, rat
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -251,52 +248,6 @@ def det(m: Matrix):
     a, gcds = _primitive_rows(m.ints)
     _, sign = _bareiss(a)
     return rat(sign * a[n - 1][n - 1] * prod(gcds), m.den**n)
-
-
-def pfaffian(m: Matrix):
-    """Exact Pfaffian of an even-dimensional skew-symmetric matrix.
-
-    Fraction-free Pfaffian-preserving congruence pivots on ``ints``: with
-    p = a[k][k+1] and prev the pivot of the step before (1 at the start),
-    a[i][j] <- (p a[i][j] - a[k][i] a[k+1][j] + a[k][j] a[k+1][i]) / prev
-    for k + 2 <= i < j.  Each updated entry is the Pfaffian of a principal
-    submatrix (Knuth's overlapping-Pfaffian identity), so every division is
-    exact and the last pivot, negated once per row/column swap, is the
-    Pfaffian of ``ints``; pf(M) = that / den^(n/2).  Satisfies
-    pfaffian(M)^2 == det(M).
-    """
-    if not m.is_square:
-        raise ValueError("Pfaffian needs a square matrix")
-    if m.rows % 2:
-        raise ValueError("Pfaffian needs even dimension")
-    if not (m.ints == -m.ints.T).all():
-        raise ValueError("Pfaffian needs a skew-symmetric matrix")
-    n = m.rows
-    a = m.ints.tolist()
-    sign, prev = 1, 1
-    for k in range(0, n - 1, 2):
-        piv = None
-        for j in range(k + 1, n):
-            if a[k][j]:
-                piv = j
-                break
-        if piv is None:
-            return ZERO
-        if piv != k + 1:
-            # swap index k+1 <-> piv in rows and columns; flips the sign
-            a[k + 1], a[piv] = a[piv], a[k + 1]
-            for row in a:
-                row[k + 1], row[piv] = row[piv], row[k + 1]
-            sign = -sign
-        p = a[k][k + 1]
-        rk, rk1 = a[k], a[k + 1]
-        for i in range(k + 2, n):
-            ai = a[i]
-            for j in range(i + 1, n):
-                ai[j] = (p * ai[j] - rk[i] * rk1[j] + rk[j] * rk1[i]) // prev
-                a[j][i] = -ai[j]
-        prev = p
-    return rat(sign * prev, m.den ** (n // 2))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:

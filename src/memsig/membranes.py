@@ -9,9 +9,8 @@ outer product of the two level-k path cores with their axes interleaved.
 
 A grid, like every exact array here, is an ``ExactArray``: integer nodes
 ``GridData.ints`` over one denominator ``GridData.den``, the form the grid
-kernels read, so a cell's mixed node difference is an integer difference,
-taken in int64 when every node is below 2^61 in magnitude
-(``cell_derivatives``).
+kernels read, so a cell's mixed node difference is an integer difference of
+Python ints (``cell_derivatives``).
 The core tensors, ``reduce_grid`` and ``bilinear_decompose`` compute on
 stored integers too and return their results through ``of``.
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .linalg import Matrix
 from .paths import axis_path_core, moment_path_core
-from .rational import ExactArray, Rat, ZERO, int_view, rat
+from .rational import ExactArray, Rat, ZERO, rat
 from .tensor import SigTensor, check_budget, check_entry_count, tucker_apply
 
 log = logging.getLogger(__name__)
@@ -96,14 +95,10 @@ def cell_derivatives(grid: GridData) -> tuple[np.ndarray, int]:
     difference in a followed by one in b, and L the grid's ``den``, so
     nothing is cleared here and d12 X_i du dv = Delta/L dx dy.  Read
     row-major, Delta[i] lists the cells (a, b) in the column order
-    nu(a + 1, b + 1) of the axis dictionary.
-
-    Delta is a (d, m, n) int64 array when every node is below 2^61 in
-    magnitude, since then |Delta| <= 4 (2^61 - 1) < 2^63, and an object
-    array of Python ints otherwise.  Its consumers stay exact either way:
-    numpy computes int64 with object operands on Python ints.
+    nu(a + 1, b + 1) of the axis dictionary.  Delta is a (d, m, n) object
+    array of Python ints, exact at any node size.
     """
-    v = int_view(grid.ints, 1, bound=2**61)
+    v = grid.ints
     da = v[:, 1:] - v[:, :-1]
     return da[:, :, 1:] - da[:, :, :-1], grid.den
 

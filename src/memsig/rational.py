@@ -19,7 +19,8 @@ writes an array's entries from ``ints`` and ``den`` directly, and
 
 ``int_view`` gives an int64 view of an integer array when ``den`` and
 every entry are below 2^62 in magnitude, where gcds with ``den`` and the
-quotients by divisors of ``den`` are exact.  On that view ``of`` takes one
+quotients by divisors of ``den`` are exact; ``of`` and
+``fileio.rational_texts`` are its only callers.  On that view ``of`` takes one
 reduction, canon = |den| / gcd(|den|, x_1, ..., x_N): the reduced
 denominator of x_i/den is den/g_i with g_i = gcd(x_i, den), and as every
 g_i divides den, lcm_i(den/g_i) = den/gcd_i(g_i).  On object dtype (Python
@@ -68,18 +69,18 @@ def lcm_all(values) -> int:
     return abs(xs[0])
 
 
-def int_view(ints: np.ndarray, den: int, bound: int = 2**62) -> np.ndarray:
-    """The integer array ``ints`` as int64 if |den| and every |entry| are below ``bound``, else as object.
+def int_view(ints: np.ndarray, den: int) -> np.ndarray:
+    """The integer array ``ints`` as int64 if |den| and every |entry| are below 2^62, else as object.
 
-    Under the default bound ``np.gcd(view, den)``, which takes absolute
-    values, and every quotient by a divisor of ``den`` are exact in int64;
-    above it the same numpy calls run on Python ints.
+    Below that bound ``np.gcd(view, den)``, which takes absolute values, and
+    every quotient by a divisor of ``den`` are exact in int64; above it the
+    same numpy calls run on Python ints.
     """
     try:
         view = ints.astype(np.int64, copy=False)
     except OverflowError:  # an entry past the int64 range
         return ints.astype(object, copy=False)
-    fits = abs(den) < bound and -bound < view.min(initial=0) and view.max(initial=0) < bound
+    fits = abs(den) < 2**62 and -(2**62) < view.min(initial=0) and view.max(initial=0) < 2**62
     return view if fits else ints.astype(object, copy=False)
 
 

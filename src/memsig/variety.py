@@ -67,7 +67,6 @@ from .linalg import (
     cosquare,
     det,
     kron_jordan_structure,
-    pfaffian,
     pm1_jordan_structure,
     rank,
     sym_skew_split,
@@ -436,6 +435,12 @@ class RelationReport:
     detail: str = ""
 
 
+def _pf4(s: Matrix) -> Rat:
+    """Pfaffian of a 4 x 4 skew-symmetric matrix: s01 s23 - s02 s13 + s03 s12 (0-based)."""
+    x = s.at
+    return x(0, 1) * x(2, 3) - x(0, 2) * x(1, 3) + x(0, 3) * x(1, 2)
+
+
 def relation_checks(
     d: int,
     m: int,
@@ -447,8 +452,8 @@ def relation_checks(
 
     (2, 2, 1): 4 X11 X22 - X21^2 - 2 X21 X12 - X12^2 = 0 (the determinant of
     the symmetric part).  (4, 2, 2): the Pfaffian of the skew part vanishes
-    and det(X) det(C^sym) = det(C) det(X^sym).  Other triples carry no
-    built-in relations.
+    (``_pf4``, its 4 x 4 closed form) and det(X) det(C^sym) = det(C)
+    det(X^sym).  Other triples carry no built-in relations.
     """
     if min(d, m, n) < 1:
         raise ValueError(f"need d, m, n >= 1, got ({d}, {m}, {n})")
@@ -475,7 +480,7 @@ def relation_checks(
 
         def check(x: Matrix) -> tuple[bool, str]:
             x_sym, x_skew = sym_skew_split(x)
-            pf = pfaffian(x_skew)
+            pf = _pf4(x_skew)
             if pf != 0:
                 return False, f"pfaffian(X^sk) = {pf}"
             lhs = det(x) * det_c_sym

@@ -157,7 +157,7 @@ class TestOfReducer:
         return Matrix.of(ints, den)
 
     def test_equals_the_elementwise_route_and_the_fraction_oracle(self, monkeypatch, rng):
-        def object_view(ints, den, bound=2**62):
+        def object_view(ints, den):
             return ints.astype(object)
 
         routes = {"int64": 0, "object": 0}

@@ -45,6 +45,11 @@ def grid_doc(grid: GridData) -> dict:
     }
 
 
+def congruence_text(spec, level: int, with_float: bool = False) -> str:
+    """``sig``'s output for ``spec`` through the congruence route, the independent oracle of the grid route."""
+    return fileio.dump_json(fileio.tensor_to_doc(membranes.sig_via_congruence(spec, level), with_float))
+
+
 @pytest.fixture
 def single_cell_grid_file(tmp_path):
     doc = {"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", "2"]]]}
@@ -475,9 +480,8 @@ class TestCliCommands:
             path = tmp_path / f"g{trial}.json"
             path.write_text(json.dumps(grid_doc(grid)))
             level = rng.randint(0, 3)
-            _, fast = run_cli(["sig", str(path), "--level", str(level), "--method", "fast"])
-            _, cong = run_cli(["sig", str(path), "--level", str(level), "--method", "congruence"])
-            assert fast == cong
+            _, fast = run_cli(["sig", str(path), "--level", str(level)])
+            assert fast == congruence_text(grid, level)
 
     def test_sig_single_cell(self, single_cell_grid_file):
         code, out = run_cli(["sig", single_cell_grid_file, "--level", "2"])
@@ -497,12 +501,31 @@ class TestCliCommands:
         assert code == 0
         assert json.loads(out)["entries"][:4] == ["1/4", "1/3", "1/3", "4/9"]
 
-    def test_sig_fast_on_polynomial_is_contract_error(self, tmp_path):
-        doc = {"kind": "polynomial", "d": 1, "m": 1, "n": 1, "A": [["1"]]}
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(doc))
-        code, _ = run_cli(["sig", str(path), "--method", "fast"])
-        assert code == 3
+    @pytest.mark.parametrize("kind", ["grid", "polynomial"])
+    def test_sig_takes_one_route_per_input_kind(self, monkeypatch, tmp_path, single_cell_grid_file, kind):
+        # a grid never reaches the congruence route, and a polynomial spec never the grid route
+        def unused(*args):
+            raise AssertionError("the other input kind's route was taken")
+
+        monkeypatch.setattr(cli, "sig_via_congruence" if kind == "grid" else "sig_tensor_fast", unused)
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"kind": "polynomial", "d": 1, "m": 1, "n": 1, "A": [["2"]]}))
+        code, out = run_cli(["sig", single_cell_grid_file if kind == "grid" else str(spec)])
+        assert code == 0 and json.loads(out)["entries"] == ["1"]  # 2^2 / (2!)^2 on either input
+
+    def test_sig_has_no_method_option(self, capsys, single_cell_grid_file):
+        # the input kind picks the route, so --method is an unknown argument and argparse exits 2
+        def exit_code(argv):
+            out = io.StringIO()
+            with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            return exc.value.code, out.getvalue()
+
+        code, help_text = exit_code(["sig", "--help"])
+        assert code == 0 and "--level" in help_text and "--method" not in help_text
+        code, out = exit_code(["sig", single_cell_grid_file, "--method", "fast"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --method fast" in capsys.readouterr().err
 
     def test_sig_float_output(self, single_cell_grid_file):
         code, out = run_cli(["sig", single_cell_grid_file, "--float"])
@@ -604,10 +627,9 @@ class TestCliCommands:
                                    for a in range(m + 1)] for i in range(d)])
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid_doc(grid)))
-        for level in ("1", "2", "3"):
-            _, fast = run_cli(["sig", str(path), "--level", level, "--method", "fast"])
-            code, cong = run_cli(["sig", str(path), "--level", level, "--method", "congruence"])
-            assert code == 0 and fast == cong
+        for level in (1, 2, 3):
+            code, fast = run_cli(["sig", str(path), "--level", str(level)])
+            assert code == 0 and fast == congruence_text(grid, level)
         code, out = run_cli(["decompose", str(path)])
         signs = [(-1) ** (a + b + i) for i in range(d) for a in range(m) for b in range(n)]
         assert code == 0 and json.loads(out)["entries"] == [rat_str(rat(4 * s * top, den)) for s in signs]
@@ -730,7 +752,7 @@ class TestCliCommands:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid_doc(random_integer_grid(2, 1, 1, rng))))
         monkeypatch.setattr(tensor, "MAX_ENTRIES", 4)
-        code, out = run_cli(["sig", str(path), "--level", "3", "--method", "fast"])
+        code, out = run_cli(["sig", str(path), "--level", "3"])
         assert code == 3 and out == ""
         assert "more than 4 entries" in capsys.readouterr().err
 
@@ -739,14 +761,14 @@ class TestCliCommands:
         [
             (["sig", "GRID", "--level", "65"], "a level-65 tensor has more than 64 axes"),
             (["sig", "GRID", "--level", "1000"], "a level-1000 tensor has more than 64 axes"),
-            (["sig", "GRID", "--level", "65", "--method", "congruence"], "a level-65 tensor has more than 64 axes"),
+            (["sig", "SPEC", "--level", "65"], "a level-65 tensor has more than 64 axes"),
             (["core", "--kind", "axis", "--m", "1", "--n", "1", "--level", "65"], "a level-65 tensor has more than 64 axes"),
             (["bench", "--sizes", "1x1", "--d", "1", "--level", "1000", "--methods", "fast"], "a level-1000 tensor"),
         ],
         ids=["sig-65", "sig-1000", "sig-congruence-65", "core-65", "bench-1000"],
     )
     def test_a_level_past_numpys_axis_limit_exits_3_before_any_work(
-        self, monkeypatch, capsys, single_cell_grid_file, argv, message
+        self, monkeypatch, capsys, tmp_path, single_cell_grid_file, argv, message
     ):
         def no_work(*args):
             raise AssertionError("no letter or path core may be computed")
@@ -754,7 +776,10 @@ class TestCliCommands:
         monkeypatch.setattr(fastsig, "advance_letter", no_work)
         for kind in ("moment", "axis"):
             monkeypatch.setitem(membranes._PATH_CORES, kind, no_work)
-        code, out = run_cli([single_cell_grid_file if a == "GRID" else a for a in argv])
+        spec = tmp_path / "poly.json"  # a polynomial spec takes the congruence route
+        spec.write_text(json.dumps({"kind": "polynomial", "d": 1, "m": 1, "n": 1, "A": [["2"]]}))
+        files = {"GRID": single_cell_grid_file, "SPEC": str(spec)}
+        code, out = run_cli([files.get(a, a) for a in argv])
         err = capsys.readouterr().err
         assert code == 3 and out == ""
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
@@ -770,9 +795,11 @@ class TestCliCommands:
         # 1x1 axis core both give 2^k / (k!)^2; either 1x1 core is 1 / (k!)^2
         spec = tmp_path / "poly.json"
         spec.write_text(json.dumps({"kind": "polynomial", "d": 1, "m": 1, "n": 1, "A": [["2"]]}))
-        for argv in (["sig", str(spec)], ["sig", single_cell_grid_file, "--method", "congruence"]):
-            code, out = run_cli([*argv, "--level", str(level)])
-            assert code == 0 and json.loads(out)["entries"] == [rat_str(rat(2**level, factorial(level) ** 2))]
+        want = [rat_str(rat(2**level, factorial(level) ** 2))]
+        code, out = run_cli(["sig", str(spec), "--level", str(level)])
+        assert code == 0 and json.loads(out)["entries"] == want
+        grid = fileio.grid_from_doc(json.loads(Path(single_cell_grid_file).read_text()))
+        assert json.loads(congruence_text(grid, level))["entries"] == want
         for kind in ("moment", "axis"):
             code, out = run_cli(["core", "--kind", kind, "--m", "1", "--n", "1", "--level", str(level)])
             assert code == 0 and json.loads(out)["entries"] == [rat_str(rat(1, factorial(level) ** 2))]
@@ -805,8 +832,7 @@ class TestCliCommands:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         code, out = run_cli(["sig", str(path)])
-        _, cong = run_cli(["sig", str(path), "--method", "congruence"])
-        assert code == 0 and out == cong
+        assert code == 0 and out == congruence_text(fileio.grid_from_doc(json.loads(path.read_text())), 2)
         assert "entries_float" not in json.loads(out)
 
     @pytest.mark.parametrize("out", [False, True])
@@ -907,6 +933,9 @@ class TestCliCommands:
         [
             (["--methods", "fast,fsat"], "unknown method 'fsat'"),
             (["--level", "3", "--methods", "congruence"], "level 2 only"),
+            # a repeat would print duplicate CSV rows, and the exponent fit would read one of them
+            (["--methods", "fast,congruence,fast"], "each size and each method may be given once"),
+            (["--sizes", "1x1,2x2,1x1"], "each size and each method may be given once"),  # the last --sizes counts
         ],
     )
     def test_bench_bad_method_or_level_is_refused_before_any_draw(self, monkeypatch, capsys, argv, message):
@@ -1021,8 +1050,8 @@ _COMMANDS = [
     ["sig", "--level", "2"],
     ["sig", "--level", "0"],
     ["sig", "--level", "-1"],
-    ["sig", "--level", "3", "--method", "fast"],
-    ["sig", "--method", "congruence", "--float"],
+    ["sig", "--level", "3"],
+    ["sig", "--float"],
     ["decompose"],
 ]
 
@@ -1043,7 +1072,12 @@ class TestCliFuzz:
                 argv += ["--out", str(Path(tmp) / out) if out else out]
             err = io.StringIO()
             with redirect_stderr(err):
-                code, _ = run_cli(argv)
+                code, written = run_cli(argv)
+            if code == 0 and command[0] == "sig" and not out:
+                # a grid takes the fast route, so its output must equal the congruence route's
+                level = int(command[command.index("--level") + 1]) if "--level" in command else 2
+                spec = fileio.membrane_from_doc(fileio.load_json_file(str(path)))
+                assert written == congruence_text(spec, level, "--float" in command)
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
         if code:

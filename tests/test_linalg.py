@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jordan_rows, matrices, rationals, skew_matrices, square_matrices
+from conftest import jordan_rows, matrices, rationals, square_matrices
 from memsig.linalg import (
     Matrix,
     SpectrumError,
@@ -13,7 +13,6 @@ from memsig.linalg import (
     cosquare,
     det,
     kron,
-    pfaffian,
     pm1_jordan_structure,
     rank,
     rank_int_rows,
@@ -208,55 +207,6 @@ class TestDet:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             det(Matrix.zeros(2, 3))
-
-
-class TestPfaffian:
-    def test_zero(self):
-        assert pfaffian(Matrix.zeros(4, 4)) == 0
-
-    def test_base_case(self):
-        assert pfaffian(Matrix.from_rows([[0, 1], [-1, 0]])) == 1
-
-    def test_vanishes_on_congruence_orbit_skew_part(self, rng):
-        # the (4,2,2) core has skew rank 2, so every B C B^T has singular skew part
-        c = core_matrix("axis", 2, 2)
-        for _ in range(5):
-            b = random_integer_matrix(4, 4, rng, 9)
-            _, skew = sym_skew_split(b @ c @ b.transpose())
-            assert pfaffian(skew) == 0
-
-    @given(skew_matrices())
-    def test_square_is_determinant(self, m):
-        assert pfaffian(m) ** 2 == det(m)
-
-    @given(skew_matrices(max_half=3), st.data())
-    def test_congruence_scales_by_the_determinant(self, m, data):
-        # pf(B^T M B) = det(B) pf(M) sees the sign, which pf^2 == det does not
-        b = data.draw(matrices(rows=m.rows, cols=m.rows))
-        assert pfaffian(b.transpose() @ m @ b) == det(b) * pfaffian(m)
-
-    @pytest.mark.parametrize("n", [4, 6])
-    def test_zero_first_pivot_keeps_the_sign(self, rng, n):
-        # M[0][1] = 0 forces a row/column swap before the first pivot
-        for _ in range(20):
-            rows = [[rat(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    x = 0 if (i, j) == (0, 1) else rat(rng.randint(-9, 9), rng.randint(1, 4))
-                    rows[i][j], rows[j][i] = x, -x
-            m = Matrix.from_rows(rows)
-            if n == 4:
-                assert pfaffian(m) == rows[0][3] * rows[1][2] - rows[0][2] * rows[1][3]
-            b = random_integer_matrix(n, n, rng, 5)
-            assert pfaffian(b.transpose() @ m @ b) == det(b) * pfaffian(m)
-
-    def test_rejects_odd_dimension(self):
-        with pytest.raises(ValueError):
-            pfaffian(Matrix.zeros(3, 3))
-
-    def test_rejects_non_skew(self):
-        with pytest.raises(ValueError):
-            pfaffian(Matrix.identity(2))
 
 
 class TestJordanStructure:

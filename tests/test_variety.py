@@ -5,8 +5,10 @@ from math import factorial, prod
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import jordan_rows
+from conftest import jordan_rows, matrices, skew_4x4_matrices
 from memsig import linalg, tensor, variety
 from memsig.linalg import (
     CongruenceInvariants,
@@ -19,12 +21,14 @@ from memsig.linalg import (
     pm1_jordan_structure,
     rank_int_rows,
     solve,
+    sym_skew_split,
 )
 from memsig.membranes import _PATH_CORES, core_matrix, core_tensor
 from memsig.rational import rat
 from memsig.tensor import SigTensor
 from memsig.variety import (
     _check_jacobian_size,
+    _pf4,
     _jacobian_mod_p,
     _path_core_det_den,
     _path_core_structure,
@@ -429,6 +433,45 @@ class TestDegreeFormula:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             degree_formula(5, 3, 3)
+
+
+class TestPfaffian:
+    """``_pf4``, the closed-form Pfaffian of the (4, 2, 2) relation."""
+
+    def test_zero_and_the_standard_form(self):
+        assert _pf4(Matrix.zeros(4, 4)) == 0
+        assert _pf4(Matrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])) == 1
+
+    def test_vanishes_on_congruence_orbit_skew_part(self, rng):
+        # the (4,2,2) core has skew rank 2, so every B C B^T has singular skew part
+        c = core_matrix("axis", 2, 2)
+        for _ in range(5):
+            b = random_integer_matrix(4, 4, rng, 9)
+            _, skew = sym_skew_split(b @ c @ b.transpose())
+            assert _pf4(skew) == 0
+
+    @given(skew_4x4_matrices())
+    def test_square_is_determinant(self, m):
+        assert _pf4(m) ** 2 == det(m)
+
+    @given(skew_4x4_matrices(), st.data())
+    def test_congruence_scales_by_the_determinant(self, m, data):
+        # pf(B^T M B) = det(B) pf(M) sees the sign, which pf^2 == det does not
+        b = data.draw(matrices(rows=4, cols=4))
+        assert _pf4(b.transpose() @ m @ b) == det(b) * _pf4(m)
+
+    def test_zero_first_pivot_keeps_the_sign(self, rng):
+        # M[0][1] = 0: the pairs (0, 2), (1, 3) are the standard form with indices 1 and 2 swapped
+        assert _pf4(Matrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])) == -1
+        for _ in range(20):
+            rows = [[rat(0)] * 4 for _ in range(4)]
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    x = 0 if (i, j) == (0, 1) else rat(rng.randint(-9, 9), rng.randint(1, 4))
+                    rows[i][j], rows[j][i] = x, -x
+            m = Matrix.from_rows(rows)
+            b = random_integer_matrix(4, 4, rng, 5)
+            assert _pf4(b.transpose() @ m @ b) == det(b) * _pf4(m)
 
 
 class TestRelationChecks:
