@@ -43,7 +43,10 @@ dets of the last two exceed the writer's 4300-digit limit, and that of
 ``dim`` of both kinds at the sizes of the variety-dims benchmark workload
 and at larger cores, levels 2 and 3, and ``check-relations`` (2,2,1),
 (4,2,2), (3,1,1), at MEMSIG_SEED 1-3, and ``dim`` at the non-integer
-MEMSIG_SEED "abc"; malformed grid and polynomial documents
+MEMSIG_SEED "abc"; integers in and outside the ASCII grammar [+-]?[0-9]+
+that ``int()`` reads ("1_0", an Arabic-Indic digit, " 2"; "+2", "02") as
+``sig --level``, ``core --m``, a ``bench --sizes`` number and
+MEMSIG_SEED; malformed grid and polynomial documents
 with one fault at each nesting level, and one bad leaf of each kind; and,
 with and without ``--out``, calls that argparse refuses (no or an unknown
 subcommand, and for each subcommand a missing required flag or input, an
@@ -323,6 +326,14 @@ def write_battery(work: Path) -> list:
             argv = ["check-relations", "--d", str(d), "--m", str(m), "--n", str(n)]
             cases.append((f"check-relations {d},{m},{n} seed {seed}", argv, seed, None))
     cases.append(("dim seed abc", ["dim", "--d", "2", "--m", "1", "--n", "1"], "abc", None))
+    # integers that int() reads but the ASCII grammar [+-]?[0-9]+ refuses, and signed or zero-padded ones it reads
+    path = str(work / "single.json")
+    for text in ("1_0", "\u0662", " 2", "+2", "02"):
+        cases.append((f"sig single --level {text!r}", ["sig", path, "--level", text], None, None))
+    cases.append(("core axis --m 1_0", ["core", "--kind", "axis", "--m", "1_0", "--n", "1"], None, None))
+    cases.append(("bench --sizes 1_0x2 --repeats 0", ["bench", "--sizes", "1_0x2", "--repeats", "0"], None, None))
+    for seed in (" 1_0", "\u0662", "+1", "01"):
+        cases.append((f"dim seed {seed!r}", ["dim", "--d", "2", "--m", "1", "--n", "1"], seed, None))
     return cases
 
 

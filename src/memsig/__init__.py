@@ -38,8 +38,6 @@ from .membranes import (
     sig_via_congruence,
 )
 from .paths import (
-    PiecewiseLinearPath,
-    PolynomialPath,
     axis_path_sig_entry,
     linear_path_sig,
     moment_path_sig_entry,

@@ -4,10 +4,13 @@ Subcommands: sig, core, dim, invariants, check-relations, bench, decompose.
 Each command returns its output, a JSON document (CSV text for bench), and
 ``main`` is the only code that serializes it, writes it to stdout or --out
 and maps exceptions to exit codes.  MEMSIG_SEED fixes the RNG seed for
-generic-point sampling.  Exit codes: 0 success, 2 parse error (a malformed
-file or a non-integer MEMSIG_SEED) or unreadable/unwritable file, 3
-shape/contract error (also arguments that measure nothing, such as d = 0 or
-zero samples), 4 relation-check failure (the report is still written).
+generic-point sampling.  Every integer option, each number of --sizes and
+MEMSIG_SEED is read by ``fileio.parse_int``, in the ASCII grammar
+[+-]?[0-9]+ of the file reader.  Exit codes: 0 success, 2 parse error (a
+malformed file, an integer outside that grammar) or unreadable/unwritable
+file, 3 shape/contract error (also arguments that measure nothing, such as
+d = 0, a negative size or zero samples), 4 relation-check failure (the
+report is still written).
 """
 
 from __future__ import annotations
@@ -34,10 +37,7 @@ EXIT_RELATION = 4
 def _seed() -> int | None:
     """MEMSIG_SEED as an int, or None when it is unset; a non-integer is a parse error."""
     seed = os.environ.get("MEMSIG_SEED")
-    try:
-        return int(seed) if seed is not None else None
-    except ValueError:
-        raise fileio.FileFormatError(f"MEMSIG_SEED must be an integer, got {seed!r}") from None
+    return fileio.parse_int(seed, "MEMSIG_SEED") if seed is not None else None
 
 
 def _cmd_sig(args) -> dict:
@@ -95,7 +95,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
         chunk = chunk.strip()
         try:
             m_str, n_str = chunk.split("x")
-            sizes.append((int(m_str), int(n_str)))
+            sizes.append((fileio.parse_int(m_str, "--sizes"), fileio.parse_int(n_str, "--sizes")))
         except ValueError:
             raise fileio.FileFormatError(f"--sizes entries look like MxN, got {chunk!r}") from None
     return sizes
@@ -120,6 +120,14 @@ def _cmd_decompose(args) -> dict:
     )
 
 
+def _int(text: str) -> int:
+    """argparse's type for integer options: ``fileio.parse_int``, with the message of ``type=int``."""
+    try:
+        return fileio.parse_int(text, "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memsig",
@@ -128,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     size = argparse.ArgumentParser(add_help=False)
-    size.add_argument("--m", type=int, required=True)
-    size.add_argument("--n", type=int, required=True)
+    size.add_argument("--m", type=_int, required=True)
+    size.add_argument("--n", type=_int, required=True)
 
     def command(name, fn, help, *parents):
         p = sub.add_parser(name, help=help, parents=parents)
@@ -139,32 +147,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sig", _cmd_sig, "signature tensor of a grid or polynomial membrane")
     p.add_argument("input", help="JSON grid file or polynomial spec file")
-    p.add_argument("--level", type=int, default=2)
+    p.add_argument("--level", type=_int, default=2)
     p.add_argument("--float", action="store_true", help="append float approximations")
 
     p = command("core", _cmd_core, "dictionary core tensor (dim m*n)", size)
     p.add_argument("--kind", choices=["moment", "axis"], required=True)
-    p.add_argument("--level", type=int, default=2)
+    p.add_argument("--level", type=_int, default=2)
     p.add_argument("--float", action="store_true")
 
     p = command("dim", _cmd_dim, "variety dimension via generic Jacobian rank", size)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--level", type=int, choices=[2, 3], default=2)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--level", type=_int, choices=[2, 3], default=2)
+    p.add_argument("--trials", type=_int, default=3)
     p.add_argument("--kind", choices=["axis", "moment"], default="axis")
 
     p = command("invariants", _cmd_invariants, "rank profile, det and congruence blocks of a core", size)
     p.add_argument("--kind", choices=["moment", "axis"], required=True)
 
     p = command("check-relations", _cmd_check_relations, "test the built-in orbit relations", size)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--samples", type=_int, default=100)
 
     p = command("bench", _cmd_bench, "wall-clock scaling of the two backends")
     p.add_argument("--sizes", required=True, help="comma list of MxN, e.g. 100x100,200x200")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--level", type=int, default=2)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--d", type=_int, default=2)
+    p.add_argument("--level", type=_int, default=2)
+    p.add_argument("--repeats", type=_int, default=3)
     p.add_argument("--methods", default="fast,congruence")
 
     p = command("decompose", _cmd_decompose, "grid -> axis-dictionary transform matrix")

@@ -1,4 +1,4 @@
-"""JSON file formats for grids, membrane specs, tensors and matrices.
+"""JSON file formats: grids and membrane specs are read, tensors and matrices written.
 
 Rationals travel as decimal strings "p" or "p/q" in canonical lowest terms;
 JSON numbers cannot hold big rationals and floats would break exactness.
@@ -7,9 +7,10 @@ Optional float fields are additive.  Indices are 0-based inside files and the
 documentation stays 1-based.
 
 Every rational array goes through one reader and one writer.  ``_parsed``
-reads a grid's ``values``, a dense ``A`` or a tensor's ``entries`` and
-builds the array on one of the two routes of the ``ExactArray`` contract,
-``of`` or ``cleared``; its docstring says which route runs when.  A
+reads a grid's ``values`` or a dense ``A`` and builds the array on one of
+the two routes of the ``ExactArray`` contract, ``of`` or ``cleared``; its
+docstring says which route runs when.  A tensor or matrix document is only
+written: no command reads one back, and ``json.loads`` re-reads its text.  A
 location is computed only on failure: ``_locate`` walks the array again and
 raises the error of its first fault, so messages do not depend on the
 route.  ``rational_texts`` formats an array's entries straight from its
@@ -21,8 +22,11 @@ loop used for the first time pages about 1-1.5 MB into the job's RSS, and
 the first call of the default (hash-based) ``np.unique`` costs 11-26 ms, so
 distinct denominators are taken with ``set(....tolist())``.
 
-Errors: FileFormatError for malformed input (CLI exit 2), ContractError for
-shape or contract violations (CLI exit 3).
+Integers outside a document (CLI options, ``MEMSIG_SEED``) are read by
+``parse_int`` in the grammar of a rational's numerator, ``[+-]?[0-9]+``.
+
+Errors: FileFormatError for malformed input (CLI exit 2); a plain ValueError
+for well-formed input that breaks a shape or a contract (CLI exit 3).
 """
 
 from __future__ import annotations
@@ -35,18 +39,14 @@ import numpy as np
 from .linalg import Matrix
 from .membranes import GridData, PolynomialMembrane
 from .rational import ExactArray, int_view, lcm_all, rat
-from .tensor import SigTensor, check_entry_count
+from .tensor import SigTensor
 
 TENSOR_ORDER = "row-major-1-based-words"
 MATRIX_ORDER = "row-major"
 
 
 class FileFormatError(ValueError):
-    """Malformed input file (parse-level problem)."""
-
-
-class ContractError(ValueError):
-    """Well-formed input violating a shape or method contract."""
+    """Malformed input (a parse-level problem): CLI exit 2."""
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -69,18 +69,31 @@ def parse_rational(text, where: str):
     raise FileFormatError(f"{where}: {text!r} is not a rational 'p' or 'p/q'") from None
 
 
+def parse_int(text: str, where: str) -> int:
+    """Exactly the ASCII grammar [+-]?[0-9]+ of ``parse_rational``'s ``"p"``, as an int.
+
+    Any other text raises FileFormatError, which names ``where`` and the text.
+    """
+    match = _RATIONAL.fullmatch(text)
+    if match is not None and match[2] is None:  # no "/q"
+        try:
+            return int(text)
+        except ValueError:  # past int's digit limit
+            pass
+    raise FileFormatError(f"{where} must be an integer, got {text!r}")
+
+
 # the leaves joined by "," with a trailing ",", each number of at most 18 digits, so below 10^18 < 2^63;
 # possessive, so the match keeps no backtracking stack
 _BOUNDED = re.compile(r"(?:[+-]?[0-9]{1,18}(?:/[0-9]{1,18})?,)*+")
 
 
-def _parsed(cls, value, nesting: tuple, where: str, shape: tuple | None = None, *args) -> ExactArray:
+def _parsed(cls, value, nesting: tuple, where: str) -> ExactArray:
     """The ``cls`` array of ``value``, which nests as ``nesting`` with rational leaves.
 
-    The array has shape ``shape`` (by default ``nesting``), and ``args`` go
-    on to ``cls.of`` and ``cls.cleared`` (a tensor's ``dim``).  The nesting
-    is checked level by level, and then one of two routes reads the leaves,
-    each making the array canonical once:
+    The array has shape ``nesting``.  The nesting is checked level by level,
+    and then one of two routes reads the leaves, each making the array
+    canonical once:
 
     - Bulk, in int64, when the bound is proved: the leaves, joined with
       commas, match ``_BOUNDED`` once, and ``den * max|p| < 2^63`` for
@@ -106,7 +119,6 @@ def _parsed(cls, value, nesting: tuple, where: str, shape: tuple | None = None, 
     wrong nesting, a non-string leaf, a leaf outside the grammar, an int
     past the digit limit or q = 0) ``_locate`` raises the located error.
     """
-    shape = nesting if shape is None else shape
     try:
         leaves = [value]
         for size in nesting:
@@ -118,7 +130,7 @@ def _parsed(cls, value, nesting: tuple, where: str, shape: tuple | None = None, 
         if text.count(",") == len(leaves) and _BOUNDED.fullmatch(text):
             flat = np.fromstring(text[:-1].replace("/", ","), dtype=np.int64, sep=",")
             if "/" not in text:  # skip the index work: each numpy call costs tens of us cold, as in a forked job
-                return cls.of(flat.reshape(shape), 1, *args)
+                return cls.of(flat.reshape(nesting), 1)
             # the separator mask: deleting the signs and digits leaves the separators in order
             slash = np.frombuffer(("," + text).encode().translate(None, b"+-0123456789"), "u1") == 47
             is_p = ~slash[:-1]
@@ -127,8 +139,8 @@ def _parsed(cls, value, nesting: tuple, where: str, shape: tuple | None = None, 
             if 0 < den * max(-int(nums.min()), int(nums.max()), 1) < 2**63:
                 ints = nums * den
                 ints[slash[1:].compress(is_p).nonzero()[0]] //= qs  # exact: q divides den
-                return cls.of(ints.reshape(shape), den, *args)
-        return cls.cleared([parse_rational(x, where) for x in leaves], shape, *args)
+                return cls.of(ints.reshape(nesting), den)
+        return cls.cleared([parse_rational(x, where) for x in leaves], nesting)
     except (TypeError, ValueError):
         _locate(value, nesting, where)
         raise
@@ -137,7 +149,7 @@ def _parsed(cls, value, nesting: tuple, where: str, shape: tuple | None = None, 
 def _locate(value, shape: tuple, where: str) -> None:
     """Raise the error of the first fault of ``value`` in row-major order.
 
-    A non-list or a list of the wrong length raises ContractError, and a leaf
+    A non-list or a list of the wrong length raises ValueError, and a leaf
     outside the grammar FileFormatError; both name the location, ``where``
     followed by the indices.  It runs while ``_parsed`` handles the bulk
     path's exception, so its errors are raised ``from None``.
@@ -145,7 +157,7 @@ def _locate(value, shape: tuple, where: str) -> None:
     if not shape:
         return parse_rational(value, where)
     if not isinstance(value, list) or len(value) != shape[0]:
-        raise ContractError(f"{where} must be a list of length {shape[0]}") from None
+        raise ValueError(f"{where} must be a list of length {shape[0]}") from None
     for i, x in enumerate(value):
         _locate(x, shape[1:], f"{where}[{i}]")
 
@@ -221,10 +233,7 @@ def polynomial_from_doc(doc: dict) -> PolynomialMembrane:
                 if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise FileFormatError(f"terms[{t}].{name} must be a nonnegative integer")
             parsed.append((i, j, dim, parse_rational(coeff, f"terms[{t}].coeff")))
-        try:
-            return PolynomialMembrane.from_terms(d, m, n, parsed)
-        except ValueError as exc:
-            raise ContractError(str(exc)) from None
+        return PolynomialMembrane.from_terms(d, m, n, parsed)
     raise FileFormatError("polynomial spec needs either 'A' or 'terms'")
 
 
@@ -251,23 +260,8 @@ def tensor_to_doc(t: SigTensor, include_float: bool = False) -> dict:
         try:
             doc["entries_float"] = [x / t.den for x in t.ints.ravel()]  # int / int rounds correctly
         except OverflowError:
-            raise ContractError("an entry is beyond the float range; drop --float") from None
+            raise ValueError("an entry is beyond the float range; drop --float") from None
     return doc
-
-
-def tensor_from_doc(doc: dict) -> SigTensor:
-    level = _require_int(doc, "level", 0)
-    dim = _require_int(doc, "dim", 1)
-    entries = doc.get("entries")
-    if not isinstance(entries, list):
-        raise FileFormatError("'entries' must be a list of rational strings")
-    if doc.get("order", TENSOR_ORDER) != TENSOR_ORDER:
-        raise ContractError(f"unsupported tensor order {doc.get('order')!r}")
-    try:
-        check_entry_count(dim, level)
-    except ValueError as exc:
-        raise ContractError(str(exc)) from None
-    return _parsed(SigTensor, entries, (dim**level,), "entries", (dim,) * level, dim)
 
 
 def matrix_to_doc(m: Matrix, note: str | None = None) -> dict:
@@ -309,7 +303,7 @@ def _encoded(value) -> str:
 
 
 def dump_json(doc: dict) -> str:
-    """Canonical serialization: re-parsing and re-dumping is byte-identical.
+    """Canonical serialization: ``dump_json(json.loads(text))`` gives ``text`` back byte for byte.
 
     The bytes of ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"`` for
     an object of scalars and flat lists of scalars, made by json's C encoder

@@ -22,7 +22,8 @@ comes back through ``Matrix.of``.
 
 ``pm1_jordan_structure`` recovers the Jordan block multiset of a matrix whose
 only eigenvalues are +1 and -1 from the exact rank sequences rank((M -+ I)^j);
-this is all the spectral information the congruence normal forms need.  The
+this is all the spectral information the congruence normal forms need, and
+any other eigenvalue raises a plain ValueError, as every refusal here does.  The
 ranks are taken of integer powers (ints -+ den I)^j, since scaling by den^j
 changes no rank.  ``kron_jordan_structure`` gives the structure of a
 Kronecker product from its factors' structures, and ``pm1_jordan_structure``
@@ -275,17 +276,13 @@ def cosquare(m: Matrix) -> Matrix:
     return solve(m.transpose(), m)
 
 
-class SpectrumError(ValueError):
-    """Raised when a matrix has an eigenvalue other than +1 / -1."""
-
-
 def pm1_jordan_structure(m: Matrix) -> Counter:
     """Jordan block multiset of a matrix with spectrum contained in {+1, -1}.
 
     Returns a Counter mapping (eigenvalue, block size) -> multiplicity, where
     the size-j block count at mu is r_{j-1} - 2 r_j + r_{j+1} for the rank
     sequence r_j = rank((M - mu I)^j).  Power indices are capped at the matrix
-    dimension.  Raises SpectrumError if the generalized eigenspaces of +1 and
+    dimension.  Raises ValueError if the generalized eigenspaces of +1 and
     -1 do not fill the whole space, i.e. some other eigenvalue is present.
     """
     if not m.is_square:
@@ -312,7 +309,7 @@ def pm1_jordan_structure(m: Matrix) -> Counter:
             if cnt:
                 blocks[(mu, j)] += cnt
     if total != n:
-        raise SpectrumError(
+        raise ValueError(
             "matrix has an eigenvalue other than +1/-1: rank sequences "
             f"stabilize at combined multiplicity {total} < {n}"
         )
@@ -382,6 +379,3 @@ class CongruenceInvariants:
         at_minus = sum(cnt for (mu, _), cnt in self.structure if mu == -1)
         at_plus = sum(cnt for (mu, _), cnt in self.structure if mu == 1)
         return self.total_size - at_minus, self.total_size - at_plus
-
-    def __str__(self) -> str:
-        return " + ".join(self.blocks) or "(empty)"

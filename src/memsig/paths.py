@@ -14,14 +14,16 @@ caller and it:
   that iterates exact antiderivatives, so the closed forms can be tested
   against it.
 
-``PiecewiseLinearPath`` and ``PolynomialPath`` are the validated inputs of
-the piecewise-linear route and of the oracles.  Words use 1-based letters
-throughout.
+Paths are plain data.  A piecewise-linear path is its vertices, which
+``_vertices`` checks: at least 2, of one shared dimension, and every
+coordinate goes through ``rat``, so a float raises TypeError.  A polynomial
+path X_i(t) = sum_j rows[i][j-1] t^j is its coefficient rows; signatures are
+translation invariant, so there is no constant term.  Words use 1-based
+letters throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
@@ -29,50 +31,6 @@ from .linalg import Matrix
 from .polyops import padd, peval, pint, pmul
 from .rational import ONE, Rat, ZERO, rat
 from .tensor import CORE_CACHE_SIZE, SigTensor, tucker_apply
-
-
-# --------------------------------------------------------------------------
-# validated path inputs
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearPath:
-    vertices: tuple  # (m+1) points, each a tuple of rationals
-
-    def __post_init__(self):
-        verts = tuple(tuple(rat(x) for x in v) for v in self.vertices)
-        if len(verts) < 2:
-            raise ValueError("need at least 2 vertices")
-        if len({len(v) for v in verts}) != 1:
-            raise ValueError("vertices must share a dimension")
-        object.__setattr__(self, "vertices", verts)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices[0])
-
-    @property
-    def segments(self) -> int:
-        return len(self.vertices) - 1
-
-
-@dataclass(frozen=True)
-class PolynomialPath:
-    """X_i(t) = sum_j coeffs[i][j-1] t^j.
-
-    Signatures are translation invariant, so there is no constant term.
-    """
-
-    coeffs: tuple  # d rows, each the coefficients of t^1..t^m
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(tuple(rat(x) for x in row) for row in self.coeffs)
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -132,6 +90,16 @@ def axis_path_core(m: int, k: int) -> SigTensor:
     return SigTensor.from_function(k, m, lambda w: axis_path_sig_entry(w, m))
 
 
+def _vertices(vertices) -> tuple:
+    """The vertices as tuples of rationals; fewer than 2 or mixed dimensions raise ValueError."""
+    verts = tuple(tuple(rat(x) for x in v) for v in vertices)
+    if len(verts) < 2:
+        raise ValueError("need at least 2 vertices")
+    if len({len(v) for v in verts}) != 1:
+        raise ValueError("vertices must share a dimension")
+    return verts
+
+
 def pw_linear_path_sig(vertices, k: int) -> SigTensor:
     """Level-k tensor of the piecewise linear path through the given vertices.
 
@@ -139,29 +107,24 @@ def pw_linear_path_sig(vertices, k: int) -> SigTensor:
     pushes the axis core tensor through the Tucker action; translation of the
     vertices drops out of the increments.
     """
-    path = PiecewiseLinearPath(tuple(vertices))
-    verts = path.vertices
-    m = path.segments
-    cols = [
-        [b - a for a, b in zip(verts[s], verts[s + 1])]
-        for s in range(m)
-    ]
-    a = Matrix.from_rows([[cols[s][i] for s in range(m)] for i in range(path.dim)])
-    return tucker_apply(axis_path_core(m, k), a)
+    verts = _vertices(vertices)
+    steps = [[b - a for a, b in zip(u, v)] for u, v in zip(verts, verts[1:])]
+    return tucker_apply(axis_path_core(len(steps), k), Matrix.from_rows(zip(*steps)))
 
 
 # --------------------------------------------------------------------------
 # symbolic integration oracles (independent of the closed forms)
 
 
-def poly_path_sig_oracle(path: PolynomialPath, word) -> Rat:
+def poly_path_sig_oracle(rows, word) -> Rat:
     """Iterated integral of a polynomial path: the one-piece case of the piecewise oracle.
 
-    F_empty = 1 and F_{w.i}(t) = integral_0^t F_w(s) X_i'(s) ds; the signature
-    entry is F_word(1).
+    ``rows`` are the path's coefficient rows (module docstring), and each
+    coefficient goes through ``rat``.  F_empty = 1 and F_{w.i}(t) =
+    integral_0^t F_w(s) X_i'(s) ds; the signature entry is F_word(1).
     """
     # d/dt sum_j c_j t^j = sum_j j c_j t^{j-1}
-    derivs = [[[rat(j + 1) * c for j, c in enumerate(row)]] for row in path.coeffs]
+    derivs = [[[(j + 1) * rat(c) for j, c in enumerate(row)]] for row in rows]
     return pw_poly_path_sig_oracle([ZERO, ONE], derivs, word)
 
 
@@ -194,23 +157,18 @@ def pw_poly_path_sig_oracle(breaks, derivs, word) -> Rat:
 
 def axis_path_pieces(m: int) -> tuple[list, list]:
     """(breaks, derivative pieces) of the canonical axis path of order m."""
-    vertices = tuple(tuple(int(c < s) for c in range(m)) for s in range(m + 1))
-    return pw_linear_path_pieces(PiecewiseLinearPath(vertices))
+    return pw_linear_path_pieces([[int(c < s) for c in range(m)] for s in range(m + 1)])
 
 
-def pw_linear_path_pieces(path: PiecewiseLinearPath) -> tuple[list, list]:
-    """(breaks, derivative pieces) of a piecewise linear path, uniform knots."""
-    m = path.segments
+def pw_linear_path_pieces(vertices) -> tuple[list, list]:
+    """(breaks, derivative pieces) of the piecewise linear path through ``vertices``, uniform knots."""
+    verts = _vertices(vertices)
+    m = len(verts) - 1
     breaks = [rat(s, m) for s in range(m + 1)]
-    derivs = [
-        [[rat(m) * (path.vertices[seg + 1][coord] - path.vertices[seg][coord])] for seg in range(m)]
-        for coord in range(path.dim)
-    ]
+    derivs = [[[m * (v[i] - u[i])] for u, v in zip(verts, verts[1:])] for i in range(len(verts[0]))]
     return breaks, derivs
 
 
-def moment_path_poly(m: int) -> PolynomialPath:
-    """The moment path as a PolynomialPath (X_i(t) = t^i)."""
-    return PolynomialPath(
-        tuple(tuple(ONE if j == i else ZERO for j in range(m)) for i in range(m))
-    )
+def moment_path_poly(m: int) -> tuple:
+    """The coefficient rows of the moment path, X_i(t) = t^i."""
+    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))

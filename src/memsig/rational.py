@@ -9,7 +9,8 @@ form, ``ExactArray``: a read-only numpy object array ``ints`` of Python ints
 over one denominator ``den``, the lcm of the reduced denominators of the
 entries.  Its docstring states the contract: the shape is read off ``ints``,
 and each array is made canonical exactly once, by ``_clear`` from rationals
-or by ``of`` from an integer pair.  The file reader takes one route or the
+(through ``cleared_array``, the one place that clears denominators) or by
+``of`` from an integer pair.  The file reader takes one route or the
 other (``fileio._parsed``).
 
 Serialization convention (shared with the CLI file formats): decimal-integer
@@ -84,18 +85,14 @@ def int_view(ints: np.ndarray, den: int) -> np.ndarray:
     return view if fits else ints.astype(object, copy=False)
 
 
-def clear_denominators(values) -> tuple[list[int], int]:
+def cleared_array(values, shape) -> tuple[np.ndarray, int]:
     """(ints, L): L is the lcm of the denominators and ints[i] = L * values[i].
 
     ``values`` is a sequence of rationals (or ints); an empty one gives L = 1.
+    ``ints`` is a numpy object array of Python ints of the given shape.
     """
     scale = lcm_all({x.denominator for x in values})
-    return [x.numerator * (scale // x.denominator) for x in values], scale
-
-
-def cleared_array(values, shape) -> tuple[np.ndarray, int]:
-    """``clear_denominators`` as a numpy object array of Python ints of the given shape."""
-    ints, scale = clear_denominators(values)
+    ints = [x.numerator * (scale // x.denominator) for x in values]
     return np.array(ints, dtype=object).reshape(shape), scale
 
 

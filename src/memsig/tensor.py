@@ -87,11 +87,6 @@ class SigTensor(ExactArray):
         """``ExactArray.of``; ``dim`` defaults to the length of the axes, and level 0 needs it."""
         return super().of(ints, den)._set_dim(dim)
 
-    @classmethod
-    def cleared(cls, values, shape: tuple, dim: int | None = None) -> "SigTensor":
-        """``ExactArray.cleared``, with ``dim`` as in ``of``."""
-        return super().cleared(values, shape)._set_dim(dim)
-
     def _set_dim(self, dim: int | None) -> "SigTensor":
         shape = self.ints.shape
         dim = shape[0] if dim is None and shape else dim

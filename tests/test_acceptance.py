@@ -25,7 +25,6 @@ from memsig.membranes import (
     sig_via_congruence,
 )
 from memsig.paths import (
-    PolynomialPath,
     axis_path_pieces,
     axis_path_sig_entry,
     linear_path_sig,
@@ -289,7 +288,7 @@ def test_c10_relations_and_shuffle():
     # each family as (dimension, entry function on words)
     u = (rat(3), rat(-2), rat(1, 2))
     vertices = tuple(tuple(rat(rng.randint(-4, 4)) for _ in range(3)) for _ in range(5))
-    poly = PolynomialPath(tuple(tuple(rat(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2)))
+    poly = tuple(tuple(rat(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2))
     paths = [
         (3, lambda w: linear_path_sig(u, len(w)).get(w)),
         (4, moment_path_sig_entry),

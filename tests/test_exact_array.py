@@ -109,8 +109,12 @@ class TestStoredForm:
     def test_a_tensor_whose_axes_are_not_its_dim_is_refused(self, shape, dim):
         with pytest.raises(ValueError, match="no tensor over dimension"):
             SigTensor.of(np.zeros(shape, dtype=object), 1, dim)
-        with pytest.raises(ValueError, match="no tensor over dimension"):
-            SigTensor.cleared([0] * prod(shape), shape, dim)
+
+    @pytest.mark.parametrize("level, dim", [(-1, 2), (0, 0), (2, 0), (1, -1)])
+    def test_the_constructor_refuses_a_negative_level_or_a_dim_below_1(self, level, dim):
+        # the constructor's shape is (dim,) * level, so only these reach no tensor
+        with pytest.raises(ValueError, match="need level >= 0 and dim >= 1"):
+            SigTensor(level, dim, [0] * max(dim, 1) ** max(level, 0))
 
     @pytest.mark.parametrize(
         "cls, shape",

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
 
@@ -63,18 +64,26 @@ class TestFileFormats:
         t = SigTensor(2, 2, (rat(1, 2), rat(-2, 3), rat(0), rat(5)))
         text = fileio.dump_json(fileio.tensor_to_doc(t))
         doc = json.loads(text)
-        assert fileio.tensor_from_doc(doc) == t
+        assert (doc["level"], doc["dim"], doc["order"]) == (2, 2, fileio.TENSOR_ORDER)
+        assert [Fraction(x) for x in doc["entries"]] == list(t.entries)
         assert fileio.dump_json(doc) == text
 
     @pytest.mark.parametrize("level", [100_000, 10**100])
-    def test_tensor_size_checked_before_the_power(self, level):
-        with pytest.raises(fileio.ContractError, match="more than"):
-            fileio.tensor_from_doc({"level": level, "dim": 3, "entries": []})
+    def test_tensor_size_checked_before_the_power(self, tmp_path, capsys, level):
+        # on a d=3 grid, 3^level would not finish: the level is refused before it is formed
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid_doc(GridData(3, 1, 1, [[[0, 0], [0, 1]]] * 3))))
+        code, out = run_cli(["sig", str(path), "--level", str(level)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == f"error: a level-{level} tensor has more than 64 axes, numpy's limit\n"
 
     def test_tensor_level_past_numpys_axis_limit_is_refused(self):
-        with pytest.raises(fileio.ContractError, match="a level-65 tensor has more than 64 axes"):
-            fileio.tensor_from_doc({"level": 65, "dim": 1, "entries": ["1"]})
-        assert fileio.tensor_from_doc({"level": 64, "dim": 1, "entries": ["1"]}).level == 64
+        with pytest.raises(ValueError, match="a level-65 tensor has more than 64 axes") as info:
+            tensor.check_entry_count(1, 65)
+        assert type(info.value) is ValueError
+        text = fileio.dump_json(fileio.tensor_to_doc(SigTensor(64, 1, [rat(1, 3)])))
+        doc = json.loads(text)
+        assert (doc["level"], doc["entries"]) == (64, ["1/3"]) and fileio.dump_json(doc) == text
 
     def test_rational_strings_canonical(self):
         assert rat_str(rat(-4, 6)) == "-2/3"
@@ -84,8 +93,9 @@ class TestFileFormats:
         good = {"d": 1, "m": 1, "n": 1, "values": [[["0", "1"], ["2", "1/2"]]]}
         grid = fileio.grid_from_doc(good)
         assert grid.values[0][1][1] == rat(1, 2)
-        with pytest.raises(fileio.ContractError):
+        with pytest.raises(ValueError) as info:
             fileio.grid_from_doc({"d": 1, "m": 1, "n": 1, "values": [[["0"], ["2"]]]})
+        assert type(info.value) is ValueError
         with pytest.raises(fileio.FileFormatError):
             fileio.grid_from_doc({"d": 1, "m": 1, "n": 1, "values": [[["0", "x"], ["2", "1"]]]})
         with pytest.raises(fileio.FileFormatError):
@@ -185,31 +195,25 @@ def _nest(leaves, shape):
 
 @st.composite
 def _documents(draw):
-    """(field, shape fields, leaf texts): a grid's values, a dense A or a tensor's entries."""
-    reader = draw(st.sampled_from(["values", "A", "entries"]))
+    """(field, shape, leaf texts): a grid's values or a dense A."""
+    reader = draw(st.sampled_from(["values", "A"]))
     if reader == "values":
         shape = (draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(2, 4)))
-        size = prod(shape)
-    elif reader == "A":
-        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)))
-        size = prod(shape)
     else:
-        shape = (draw(st.integers(0, 3)), draw(st.integers(1, 3)))
-        size = shape[1] ** shape[0]
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)))
     texts = draw(st.sampled_from([_LEAF_TEXTS, _INTEGER_TEXTS]))
-    return reader, shape, draw(st.lists(texts, min_size=size, max_size=size))
+    return reader, shape, draw(st.lists(texts, min_size=prod(shape), max_size=prod(shape)))
 
 
 class TestReaderAndWriter:
     def test_integer_documents_parse_without_rat(self, monkeypatch):
         grid_doc_ = {"d": 2, "m": 1, "n": 1, "values": [[["0", "-3"], ["+7", "12"]], [["5", "0"], ["-0", "9"]]]}
-        tensor_doc = {"level": 2, "dim": 2, "entries": ["1", "-2", "0", "10000000000000000000000"]}
-        poly_doc = {"kind": "polynomial", "d": 2, "m": 2, "n": 1, "A": [["1", "0"], ["-4", "3"]]}
+        # 10^22 has too many digits for the int64 route, so A is read leaf by leaf
+        poly_doc = {"kind": "polynomial", "d": 2, "m": 2, "n": 1, "A": [["1", "0"], ["-4", "10000000000000000000000"]]}
         monkeypatch.setattr(fileio, "rat", _fail)
         assert fileio.grid_from_doc(grid_doc_) == GridData(2, 1, 1, [[[0, -3], [7, 12]], [[5, 0], [0, 9]]])
-        assert fileio.tensor_from_doc(tensor_doc) == SigTensor(2, 2, [1, -2, 0, 10**22])
         spec = fileio.membrane_from_doc(poly_doc)
-        assert spec.coeffs == Matrix.from_rows([[1, 0], [-4, 3]])
+        assert spec.coeffs == Matrix.from_rows([[1, 0], [-4, 10**22]])
         with pytest.raises(AssertionError, match="through rat"):
             fileio.parse_rational("1/2", "x")
 
@@ -224,34 +228,31 @@ class TestReaderAndWriter:
         "doc, error, where",
         [
             ({"values": "1"}, fileio.FileFormatError, "values"),
-            ({"values": [[["0", "1"], ["2", "3"]]]}, fileio.ContractError, "values"),
-            ({"values": ["1", [["0", "0"], ["0", "0"]]]}, fileio.ContractError, r"values\[0\]"),
-            ({"values": [[["0", "1"]], [["0", "0"], ["0", "0"]]]}, fileio.ContractError, r"values\[0\]"),
-            ({"values": [[["0", "1"], "2"], [["0", "0"], ["0", "0"]]]}, fileio.ContractError, r"values\[0\]\[1\]"),
-            ({"values": [[["0", "1"], ["2", "3", "4"]], [["0", "0"], ["0", "0"]]]}, fileio.ContractError, r"values\[0\]\[1\]"),
+            ({"values": [[["0", "1"], ["2", "3"]]]}, ValueError, "values"),
+            ({"values": ["1", [["0", "0"], ["0", "0"]]]}, ValueError, r"values\[0\]"),
+            ({"values": [[["0", "1"]], [["0", "0"], ["0", "0"]]]}, ValueError, r"values\[0\]"),
+            ({"values": [[["0", "1"], "2"], [["0", "0"], ["0", "0"]]]}, ValueError, r"values\[0\]\[1\]"),
+            ({"values": [[["0", "1"], ["2", "3", "4"]], [["0", "0"], ["0", "0"]]]}, ValueError, r"values\[0\]\[1\]"),
             ({"values": [[["0", "1"], ["2", "3"]], [["0", "0"], ["0", "x"]]]}, fileio.FileFormatError, r"values\[1\]\[1\]\[1\]"),
             ({"values": [[["0", "1"], ["2", 3]], [["0", "0"], ["0", "0"]]]}, fileio.FileFormatError, r"values\[0\]\[1\]\[1\]"),
             ({"values": [[["0", "1"], ["2", ["3"]]], [["0", "0"], ["0", "0"]]]}, fileio.FileFormatError, r"values\[0\]\[1\]\[1\]"),
-            ({"A": {"0": "1"}}, fileio.ContractError, "A"),
-            ({"A": [["1", "0"]]}, fileio.ContractError, "A"),
-            ({"A": [["1", "0"], "3"]}, fileio.ContractError, r"A\[1\]"),
-            ({"A": [["1", "0"], ["3"]]}, fileio.ContractError, r"A\[1\]"),
+            ({"A": {"0": "1"}}, ValueError, "A"),
+            ({"A": [["1", "0"]]}, ValueError, "A"),
+            ({"A": [["1", "0"], "3"]}, ValueError, r"A\[1\]"),
+            ({"A": [["1", "0"], ["3"]]}, ValueError, r"A\[1\]"),
             ({"A": [["1", "0"], ["3", "1.5"]]}, fileio.FileFormatError, r"A\[1\]\[1\]"),
             ({"A": [["1", None], ["3", "4"]]}, fileio.FileFormatError, r"A\[0\]\[1\]"),
-            ({"entries": "1"}, fileio.FileFormatError, "entries"),
-            ({"entries": ["1", "2", "3"]}, fileio.ContractError, "entries"),
-            ({"entries": ["1", "2", "3", "4", "5"]}, fileio.ContractError, "entries"),
-            ({"entries": ["1", "2", "1/0", "4"]}, fileio.FileFormatError, r"entries\[2\]"),
-            ({"entries": ["1", "2", "3", ["4"]]}, fileio.FileFormatError, r"entries\[3\]"),
+            ({"A": "1"}, ValueError, "A"),
+            ({"A": [["1", "0"], ["3", "4"], ["5", "6"]]}, ValueError, "A"),
+            ({"A": [["1", "0"], ["1/0", "4"]]}, fileio.FileFormatError, r"A\[1\]\[0\]"),
+            ({"A": [["1", "0"], ["3", ["4"]]]}, fileio.FileFormatError, r"A\[1\]\[1\]"),
         ],
     )
     def test_each_nesting_level_raises_its_error(self, doc, error, where):
         if "values" in doc:
             read, doc = fileio.grid_from_doc, {"d": 2, "m": 1, "n": 1, **doc}
-        elif "A" in doc:
-            read, doc = fileio.polynomial_from_doc, {"kind": "polynomial", "d": 2, "m": 2, "n": 1, **doc}
         else:
-            read, doc = fileio.tensor_from_doc, {"level": 2, "dim": 2, **doc}
+            read, doc = fileio.polynomial_from_doc, {"kind": "polynomial", "d": 2, "m": 2, "n": 1, **doc}
         with pytest.raises(error, match=f"^'?{where}'?[ :]") as info:
             read(doc)
         assert type(info.value) is error
@@ -264,14 +265,10 @@ class TestReaderAndWriter:
             d, m1, n1 = shape
             got = fileio.grid_from_doc({"d": d, "m": m1 - 1, "n": n1 - 1, "values": _nest(leaves, shape)})
             want = GridData(d, m1 - 1, n1 - 1, _nest(xs, shape))
-        elif reader == "A":
+        else:
             rows, cols = shape
             got = fileio.polynomial_from_doc({"d": rows, "m": cols, "n": 1, "A": _nest(leaves, shape)}).coeffs
             want = Matrix(rows, cols, xs)
-        else:
-            level, dim = shape
-            got = fileio.tensor_from_doc({"level": level, "dim": dim, "entries": leaves})
-            want = SigTensor(level, dim, xs)
         assert got == want and got.den == want.den
 
     def test_rational_documents_parse_without_rat(self, monkeypatch):
@@ -279,7 +276,7 @@ class TestReaderAndWriter:
         monkeypatch.setattr(fileio, "rat", _fail)
         assert fileio.grid_from_doc(doc) == GridData(1, 1, 1, [[[rat(1, 2), rat(-2, 3)], [0, 3]]])
 
-    @pytest.mark.parametrize("reader", ["values", "A", "entries"])
+    @pytest.mark.parametrize("reader", ["values", "A"])
     @pytest.mark.parametrize(
         "bad",
         ["1,2", "1_0", " 1", "1 ", "١", "+-1", "1/", "/2", "", "1.5", "1/0", "1" * 4301, 3, True, None, ["1"]],
@@ -291,7 +288,6 @@ class TestReaderAndWriter:
         shape, read, doc = {
             "values": ((2, 3, 4), fileio.grid_from_doc, {"d": 2, "m": 2, "n": 3}),
             "A": ((2, 6), fileio.polynomial_from_doc, {"d": 2, "m": 3, "n": 2}),
-            "entries": ((9,), fileio.tensor_from_doc, {"level": 2, "dim": 3}),
         }[reader]
         leaves = data.draw(st.lists(_LEAF_TEXTS, min_size=prod(shape), max_size=prod(shape)))
         at = data.draw(st.integers(0, prod(shape) - 1))
@@ -317,18 +313,18 @@ class TestReaderAndWriter:
     )
     def test_literals_at_the_digit_bound_read_as_per_leaf(self, leaves):
         xs = [fileio.parse_rational(t, "x") for t in leaves]
-        got = fileio.tensor_from_doc({"level": 1, "dim": len(leaves), "entries": leaves})
-        want = SigTensor(1, len(leaves), xs)
+        got = fileio.polynomial_from_doc({"d": 1, "m": len(leaves), "n": 1, "A": [leaves]}).coeffs
+        want = Matrix(1, len(leaves), xs)
         assert got == want and got.den == want.den
         assert fileio.rational_texts(got) == [rat_str(x) for x in xs]
 
     @pytest.mark.parametrize("big", ["", "12345678901234567890"])
     @pytest.mark.parametrize("zero", ["5/0", "0/0", "-7/000"])
     def test_a_zero_denominator_keeps_its_located_error(self, big, zero):
-        leaves = ["1/2", big or "3", zero, "4/0"]
+        leaves = [["1/2", big or "3"], [zero, "4/0"]]
         with pytest.raises(fileio.FileFormatError) as info:
-            fileio.tensor_from_doc({"level": 2, "dim": 2, "entries": leaves})
-        assert str(info.value) == f"entries[2]: {zero!r} is not a rational 'p' or 'p/q'"
+            fileio.polynomial_from_doc({"d": 2, "m": 2, "n": 1, "A": leaves})
+        assert str(info.value) == f"A[1][0]: {zero!r} is not a rational 'p' or 'p/q'"
 
     @staticmethod
     def _spy_routes(monkeypatch) -> dict:
@@ -349,13 +345,13 @@ class TestReaderAndWriter:
     def test_the_int64_product_bound_is_den_times_max_p(self, monkeypatch, p):
         leaves = [str(p), f"1/{2**31}", f"{p}/2", f"-3/{2**30}"]  # den = 2^31, so den * max|p| is 2^63 at |p| = 2^32
         calls = self._spy_routes(monkeypatch)
-        got = fileio._parsed(SigTensor, leaves, (4,), "entries")
+        got = fileio._parsed(Matrix, [leaves], (1, 4), "A")
         bulk = abs(p) < 2**32
         assert (len(calls["of"]), len(calls["cleared"])) == ((1, 0) if bulk else (0, 1))
         if bulk:
             (ints, den), = calls["of"]
             assert ints.dtype == np.int64 and den == 2**31
-            assert [int(x) for x in ints] == [fileio.parse_rational(t, "x") * den for t in leaves]
+            assert [int(x) for x in ints.ravel()] == [fileio.parse_rational(t, "x") * den for t in leaves]
         assert got.den == 2**31 and list(got.entries) == [fileio.parse_rational(t, "x") for t in leaves]
 
     # 60247241209 * 153092023 = 2^63 - 1, so the last two documents sit on either side of the product bound
@@ -371,7 +367,7 @@ class TestReaderAndWriter:
     )
     def test_parse_rational_runs_only_where_the_bound_fails(self, monkeypatch, leaves, bulk):
         calls = self._spy_routes(monkeypatch)
-        got = fileio._parsed(SigTensor, leaves, (len(leaves),), "entries")
+        got = fileio._parsed(Matrix, [leaves], (1, len(leaves)), "A")
         assert calls["parse_rational"] == ([] if bulk else leaves)
         assert (len(calls["of"]), len(calls["cleared"])) == ((1, 0) if bulk else (0, 1))
         if bulk:
@@ -403,10 +399,8 @@ class TestReaderAndWriter:
         [
             (fileio.grid_from_doc, {"d": 1, "m": 1, "n": 1, "values": [[["LEAF", "1/3"], ["-2/4", "5"]]]}),
             (lambda doc: fileio.polynomial_from_doc(doc).coeffs, {"d": 2, "m": 1, "n": 1, "A": [["LEAF"], ["-2/4"]]}),
-            (fileio.tensor_from_doc, {"level": 2, "dim": 2, "entries": ["LEAF", "1/3", "-2/4", "5"]}),
-            (fileio.tensor_from_doc, {"level": 0, "dim": 3, "entries": ["LEAF"]}),
         ],
-        ids=["grid", "A", "tensor", "tensor-level-0"],
+        ids=["grid", "A"],
     )
     @pytest.mark.parametrize("leaf", ["7/6", "70000000000000000001/6"])
     def test_each_reader_makes_its_array_canonical_once(self, monkeypatch, read, doc, leaf):
@@ -414,7 +408,6 @@ class TestReaderAndWriter:
         got = read(json.loads(json.dumps(doc).replace("LEAF", leaf)))
         assert (len(calls["of"]), len(calls["cleared"])) == ((1, 0) if len(leaf) <= 18 else (0, 1))
         assert got.den == 6 and got.entries[0] == rat(int(leaf[:-2]), 6)
-        assert getattr(got, "dim", None) == doc.get("dim")
 
     @pytest.mark.parametrize("x", [2**62 - 1, -(2**62 - 1), 2**62, -(2**62), -(2**63)])
     @pytest.mark.parametrize("den", [1, 6, 2**62 - 1, 2**62, -(2**62)])
@@ -975,12 +968,67 @@ class TestCliCommands:
         assert code == 3 and out == ""
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sig", "GRID", "--level"],
+            ["core", "--kind", "axis", "--n", "1", "--m"],
+            ["core", "--kind", "axis", "--m", "1", "--n"],
+            ["core", "--kind", "axis", "--m", "1", "--n", "1", "--level"],
+            ["dim", "--m", "1", "--n", "1", "--d"],
+            ["dim", "--d", "2", "--n", "1", "--m"],
+            ["dim", "--d", "2", "--m", "1", "--n"],
+            ["dim", "--d", "2", "--m", "1", "--n", "1", "--level"],
+            ["dim", "--d", "2", "--m", "1", "--n", "1", "--trials"],
+            ["invariants", "--kind", "axis", "--n", "1", "--m"],
+            ["invariants", "--kind", "axis", "--m", "1", "--n"],
+            ["check-relations", "--m", "1", "--n", "1", "--d"],
+            ["check-relations", "--d", "2", "--n", "1", "--m"],
+            ["check-relations", "--d", "2", "--m", "1", "--n"],
+            ["check-relations", "--d", "2", "--m", "1", "--n", "1", "--samples"],
+            ["bench", "--sizes", "1x1", "--d"],
+            ["bench", "--sizes", "1x1", "--level"],
+            ["bench", "--sizes", "1x1", "--repeats"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-1]}",
+    )
+    def test_an_integer_option_outside_the_ascii_grammar_exits_2(self, capsys, single_cell_grid_file, argv):
+        # int() reads "1_0" as 10, "٢" (Arabic-Indic two) as 2 and " 2" as 2; the file reader refuses each
+        for text in ["1_0", "٢", " 2", "2 ", "+-2", "2.0", "", "1" * 4301]:
+            out = io.StringIO()
+            with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+                cli.main([single_cell_grid_file if a == "GRID" else a for a in argv] + [text])
+            assert exc.value.code == 2 and out.getvalue() == ""
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1] == f"memsig {argv[0]}: error: argument {argv[-1]}: invalid int value: {text!r}"
+
+    @pytest.mark.parametrize("text", ["+2", "02", "+002"])
+    def test_a_signed_or_zero_padded_level_is_read_as_its_value(self, single_cell_grid_file, text):
+        want = run_cli(["sig", single_cell_grid_file, "--level", "2"])
+        assert run_cli(["sig", single_cell_grid_file, "--level", text]) == want and want[0] == 0
+
+    @pytest.mark.parametrize("sizes", ["1_0x2", "٢x2", "2x 2", "2 x2", "2x2.0", "2x+-2", "2x"])
+    def test_sizes_outside_the_ascii_grammar_exit_2(self, monkeypatch, capsys, sizes):
+        from memsig import bench
+
+        drawn = []
+        monkeypatch.setattr(bench, "random_integer_grid", lambda *a, **k: drawn.append(a))
+        code, out = run_cli(["bench", "--sizes", f"1x1,{sizes}", "--methods", "fast"])
+        assert code == 2 and out == "" and drawn == []
+        assert capsys.readouterr().err == f"error: --sizes entries look like MxN, got {sizes!r}\n"
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "", " 1_0", "1_0", "٢", " 1", "1 ", "+-1"])
     def test_a_non_integer_seed_exits_2(self, monkeypatch, capsys, seed):
         code, out = run_cli(["dim", "--d", "2", "--m", "1", "--n", "1"], {"MEMSIG_SEED": seed}, monkeypatch)
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err == f"error: MEMSIG_SEED must be an integer, got {seed!r}\n"
+
+    @pytest.mark.parametrize("seed", ["+11", "011"])
+    def test_a_signed_or_zero_padded_seed_is_read_as_its_value(self, monkeypatch, seed):
+        argv = ["dim", "--d", "4", "--m", "2", "--n", "2", "--trials", "1"]
+        want = run_cli(argv, {"MEMSIG_SEED": "11"}, monkeypatch)
+        assert run_cli(argv, {"MEMSIG_SEED": seed}, monkeypatch) == want and want[0] == 0
 
     def test_seed_reproducibility(self, monkeypatch):
         _, out1 = run_cli(["dim", "--d", "4", "--m", "2", "--n", "2", "--trials", "1"], {"MEMSIG_SEED": "11"}, monkeypatch)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import jordan_rows, matrices, rationals, square_matrices
 from memsig.linalg import (
     Matrix,
-    SpectrumError,
     _bareiss,
     _rank_mod_p,
     cosquare,
@@ -222,8 +221,9 @@ class TestJordanStructure:
         assert pm1_jordan_structure(q) == Counter({(1, 1): 5, (-1, 1): 4})
 
     def test_rejects_other_eigenvalues(self):
-        with pytest.raises(SpectrumError):
+        with pytest.raises(ValueError, match="eigenvalue other than") as info:
             pm1_jordan_structure(Matrix.from_rows([[2]]))
+        assert type(info.value) is ValueError
 
     @pytest.mark.parametrize(
         "blocks",

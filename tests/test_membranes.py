@@ -25,7 +25,6 @@ from memsig.membranes import (
     sig_via_congruence,
 )
 from memsig.paths import (
-    PiecewiseLinearPath,
     axis_path_core,
     axis_path_pieces,
     axis_path_sig_entry,
@@ -411,7 +410,7 @@ class TestSigViaCongruence:
                 assert t.get(w) == prod_u / (fact * fact)
 
     def test_unknown_spec_raises_type_error(self):
-        for spec in (PiecewiseLinearPath(((0, 0), (1, 2))), A_EXAMPLE, axis_grid(2, 2).values):
+        for spec in (((0, 0), (1, 2)), A_EXAMPLE, axis_grid(2, 2).values):
             with pytest.raises(TypeError, match="cannot resolve membrane spec"):
                 sig_via_congruence(spec, 2)
 

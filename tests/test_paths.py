@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from conftest import rationals
 from memsig.linalg import Matrix
 from memsig.paths import (
-    PiecewiseLinearPath,
-    PolynomialPath,
     axis_path_pieces,
     axis_path_sig_entry,
     linear_path_sig,
@@ -98,6 +96,12 @@ class TestAxisEntries:
             pw_poly_path_sig_oracle(*axis_path_pieces(3), word)
 
 
+# the two functions that take vertices, each through the same checks
+_BOTH_ROUTES = pytest.mark.parametrize(
+    "route", [lambda vertices: pw_linear_path_sig(vertices, 2), pw_linear_path_pieces], ids=["sig", "pieces"]
+)
+
+
 class TestPwLinearPathSig:
     def test_single_segment_is_linear_path(self):
         u = (rat(2), rat(-1, 3))
@@ -121,10 +125,28 @@ class TestPwLinearPathSig:
                 tuple(rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
                 for _ in range(4)
             )
-            breaks, derivs = pw_linear_path_pieces(PiecewiseLinearPath(verts))
+            breaks, derivs = pw_linear_path_pieces(verts)
             t = pw_linear_path_sig(verts, 2)
             for w in words_iter(2, 2):
                 assert t.get(w) == pw_poly_path_sig_oracle(breaks, derivs, w)
+
+    @pytest.mark.parametrize("vertices", [(), ((1, 2),)], ids=["none", "one"])
+    @_BOTH_ROUTES
+    def test_fewer_than_two_vertices_are_refused(self, route, vertices):
+        with pytest.raises(ValueError, match="need at least 2 vertices"):
+            route(vertices)
+
+    @_BOTH_ROUTES
+    def test_vertices_of_different_dimensions_are_refused(self, route):
+        vertices = ((0, 0), (1, 2), (3, 1, 4))
+        with pytest.raises(ValueError, match="vertices must share a dimension"):
+            route(vertices)
+
+    @_BOTH_ROUTES
+    def test_a_float_coordinate_is_refused(self, route):
+        vertices = ((0, 0), (1, 0.5))
+        with pytest.raises(TypeError, match="floats are inexact"):
+            route(vertices)
 
     @given(st.lists(rationals(), min_size=2, max_size=2))
     @settings(max_examples=20)
@@ -147,16 +169,20 @@ class TestPwLinearPathSig:
 
 class TestPolyOracle:
     def test_single_letter_is_total_increment(self):
-        path = PolynomialPath(((rat(2), rat(-1)), (rat(0), rat(1, 3))))
+        path = ((rat(2), rat(-1)), (rat(0), rat(1, 3)))
         # X_i(1) - X_i(0) = sum of coefficients
         assert poly_path_sig_oracle(path, (1,)) == rat(1)
         assert poly_path_sig_oracle(path, (2,)) == rat(1, 3)
 
     def test_linear_path_level2(self):
         u = (rat(3), rat(-2))
-        path = PolynomialPath(((u[0],), (u[1],)))
+        path = ((u[0],), (u[1],))
         for i, j in words_iter(2, 2):
             assert poly_path_sig_oracle(path, (i, j)) == u[i - 1] * u[j - 1] / 2
+
+    def test_float_coefficient_is_refused(self):
+        with pytest.raises(TypeError, match="floats are inexact"):
+            poly_path_sig_oracle(((1, 0.5), (0, 1)), (1, 2))
 
 
 def _rank1_check(matrix: Matrix, level1: SigTensor):
@@ -175,7 +201,7 @@ class TestShuffleRankOne:
         # each family as (dimension, entry function on words)
         u = (rat(2), rat(-1), rat(1, 3))
         vertices = tuple(tuple(rat(rng.randint(-3, 3)) for _ in range(3)) for _ in range(5))
-        poly = PolynomialPath(tuple(tuple(rat(rng.randint(-2, 2)) for _ in range(3)) for _ in range(2)))
+        poly = tuple(tuple(rat(rng.randint(-2, 2)) for _ in range(3)) for _ in range(2))
         families = [
             (3, lambda w: linear_path_sig(u, len(w)).get(w)),
             (3, moment_path_sig_entry),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from memsig.rational import clear_denominators, lcm_all, rat
+from memsig.rational import cleared_array, lcm_all, rat
 
 
 def test_rat_returns_a_rational_unchanged():
@@ -24,15 +24,17 @@ def test_rat_rejects_strings(args):
         rat(*args)
 
 
-def test_clear_denominators_mixed_signs_and_denominators():
-    ints, scale = clear_denominators([rat(-1, 4), rat(5, 6), rat(3), rat(-7, 9), 2])
+def test_cleared_array_mixed_signs_and_denominators():
+    ints, scale = cleared_array([rat(-1, 4), rat(5, 6), rat(3), rat(-7, 9), 2, rat(1, 2)], (2, 3))
     assert scale == 36
-    assert ints == [-9, 30, 108, -28, 72]
-    assert all(type(x) is int for x in ints)
+    assert ints.dtype == object and ints.shape == (2, 3)
+    assert ints.tolist() == [[-9, 30, 108], [-28, 72, 18]]
+    assert all(type(x) is int for x in ints.ravel())
 
 
-def test_clear_denominators_of_nothing():
-    assert clear_denominators([]) == ([], 1)
+def test_cleared_array_of_nothing():
+    ints, scale = cleared_array([], (0,))
+    assert ints.shape == (0,) and scale == 1
 
 
 @given(st.sets(st.integers(-(10**30), 10**30).filter(bool), max_size=40))
