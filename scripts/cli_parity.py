@@ -50,7 +50,10 @@ MEMSIG_SEED; malformed grid and polynomial documents
 with one fault at each nesting level, and one bad leaf of each kind; and,
 with and without ``--out``, calls that argparse refuses (no or an unknown
 subcommand, and for each subcommand a missing required flag or input, an
-unknown flag, a choice outside ``--kind``/``--level`` or a non-integer value).
+unknown flag, a choice outside ``--kind``/``--level`` or a non-integer value);
+and ``--help`` of the top level and of each of the seven subcommands, whose
+text is stdout (the battery's subprocess runs with ``COLUMNS=80``, so that
+argparse wraps the help text the same way in both trees).
 """
 
 import hashlib
@@ -334,6 +337,9 @@ def write_battery(work: Path) -> list:
     cases.append(("bench --sizes 1_0x2 --repeats 0", ["bench", "--sizes", "1_0x2", "--repeats", "0"], None, None))
     for seed in (" 1_0", "\u0662", "+1", "01"):
         cases.append((f"dim seed {seed!r}", ["dim", "--d", "2", "--m", "1", "--n", "1"], seed, None))
+    cases.append(("--help", ["--help"], None, None))
+    for command in ("sig", "core", "dim", "invariants", "check-relations", "bench", "decompose"):
+        cases.append((f"{command} --help", [command, "--help"], None, None))
     return cases
 
 
@@ -375,7 +381,10 @@ def run_battery(src: str, work: Path) -> dict:
 
 
 def _run_tree(src: str, work: Path) -> dict:
-    done = subprocess.run([sys.executable, __file__, "--run", src, str(work)], capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, __file__, "--run", src, str(work)],
+        capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"},
+    )
     if done.returncode:
         sys.exit(f"the battery did not run on {src}:\n{done.stderr}")
     return json.loads(done.stdout)

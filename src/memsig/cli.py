@@ -11,6 +11,11 @@ malformed file, an integer outside that grammar) or unreadable/unwritable
 file, 3 shape/contract error (also arguments that measure nothing, such as
 d = 0, a negative size or zero samples), 4 relation-check failure (the
 report is still written).
+
+The argparse parser is built once per process, at import (``PARSER``), and
+``main`` parses every call with it, so a job forked from an imported CLI
+pays no parser build.  ``bench`` is imported by its command alone: no other
+command needs it or the ``statistics`` import it brings.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import os
 import random
 import sys
 
-from . import bench as bench_mod
 from . import fileio
 from .fastsig import sig_tensor_fast
 from .membranes import GridData, bilinear_decompose, core_tensor, sig_via_congruence
@@ -102,7 +106,9 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 
 
 def _cmd_bench(args) -> str:
-    result = bench_mod.run_bench(
+    from . import bench
+
+    result = bench.run_bench(
         _parse_sizes(args.sizes),
         d=args.d,
         level=args.level,
@@ -180,8 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         result = args.fn(args)
         text = result if isinstance(result, str) else fileio.dump_json(result)

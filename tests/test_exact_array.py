@@ -110,6 +110,15 @@ class TestStoredForm:
         with pytest.raises(ValueError, match="no tensor over dimension"):
             SigTensor.of(np.zeros(shape, dtype=object), 1, dim)
 
+    def test_a_cleared_tensor_reads_its_dim_off_the_axes(self):
+        t = SigTensor.cleared([1, 2], (2,))
+        assert t == SigTensor(1, 2, [1, 2]) and t.dim == 2
+        assert SigTensor.cleared([3], (), dim=2) == SigTensor(0, 2, (3,))
+        with pytest.raises(ValueError, match="no tensor over dimension"):
+            SigTensor.cleared([1], ())
+        with pytest.raises(ValueError, match="no tensor over dimension"):
+            SigTensor.cleared([0] * 6, (2, 3))
+
     @pytest.mark.parametrize("level, dim", [(-1, 2), (0, 0), (2, 0), (1, -1)])
     def test_the_constructor_refuses_a_negative_level_or_a_dim_below_1(self, level, dim):
         # the constructor's shape is (dim,) * level, so only these reach no tensor

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -1036,6 +1038,57 @@ class TestCliCommands:
         assert out1 == out2
         doc = json.loads(out1)
         assert doc["measured_dim"] == 14 and doc["formula_dim"] == 14 and doc["agree"] is True
+
+
+class TestSharedParser:
+    """``main`` parses every call with the one parser built at import; no call leaks into the next."""
+
+    def test_a_flag_of_one_call_is_unset_in_the_next(self, tmp_path, single_cell_grid_file):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(["sig", single_cell_grid_file, "--float", "--out", str(a)]) == (0, "")
+        assert run_cli(["sig", single_cell_grid_file, "--out", str(b)]) == (0, "")
+        assert "entries_float" in json.loads(a.read_text())
+        assert "entries_float" not in json.loads(b.read_text())
+
+    def test_an_option_of_one_call_is_back_to_its_default_in_the_next(self):
+        argv = ["dim", "--d", "2", "--m", "1", "--n", "1"]
+        code, out = run_cli([*argv, "--trials", "5"])
+        assert code == 0 and json.loads(out)["trials"] == 5
+        code, out = run_cli(argv)
+        assert code == 0 and json.loads(out)["trials"] == 3
+
+    def test_a_refused_call_leaves_the_next_one_working(self, capsys, single_cell_grid_file):
+        with redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+            cli.main(["sig", single_cell_grid_file, "--level", "two"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+        code, out = run_cli(["sig", single_cell_grid_file])
+        assert code == 0 and json.loads(out)["level"] == 2
+
+    def test_main_builds_no_parser(self, monkeypatch, single_cell_grid_file):
+        def build_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        code, out = run_cli(["sig", single_cell_grid_file, "--level", "1"])
+        assert code == 0 and json.loads(out)["entries"] == ["2"]
+
+
+def test_importing_the_cli_leaves_bench_unimported():
+    """``bench`` and its ``statistics`` import load with the bench command only, not with ``memsig.cli``."""
+    code = (
+        "import io, sys, contextlib\n"
+        "from memsig import cli\n"
+        "print(sorted(m for m in ('memsig.bench', 'statistics') if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['bench', '--sizes', '2x2', '--repeats', '1'])\n"
+        "print(rc, 'memsig.bench' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "0 True"]
 
 
 # --------------------------------------------------------------------------
