@@ -88,9 +88,9 @@ class SigTensor(ExactArray):
         return super().of(ints, den)._set_dim(dim)
 
     @classmethod
-    def cleared(cls, values, shape: tuple, dim: int | None = None) -> "SigTensor":
-        """``ExactArray.cleared``; ``dim`` defaults to the length of the axes, and level 0 needs it."""
-        return super().cleared(values, shape)._set_dim(dim)
+    def cleared(cls, values, shape: tuple) -> "SigTensor":
+        """``ExactArray.cleared``; ``dim`` is the length of the axes, so a level-0 shape is refused."""
+        return super().cleared(values, shape)._set_dim(None)
 
     def _set_dim(self, dim: int | None) -> "SigTensor":
         shape = self.ints.shape

@@ -113,7 +113,6 @@ class TestStoredForm:
     def test_a_cleared_tensor_reads_its_dim_off_the_axes(self):
         t = SigTensor.cleared([1, 2], (2,))
         assert t == SigTensor(1, 2, [1, 2]) and t.dim == 2
-        assert SigTensor.cleared([3], (), dim=2) == SigTensor(0, 2, (3,))
         with pytest.raises(ValueError, match="no tensor over dimension"):
             SigTensor.cleared([1], ())
         with pytest.raises(ValueError, match="no tensor over dimension"):
