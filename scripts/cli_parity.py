@@ -16,7 +16,9 @@ a difference.
 The battery: ``sig`` at levels 0-3, with and without ``--float``, on an
 integer, a small-rational and a huge-rational grid and on a dense and a
 sparse polynomial spec, and once with ``--method fast`` (an option that
-exits 2 since the input kind picks the route); ``decompose``
+exits 2 since the input kind picks the route); ``sig`` at levels 4 and 5,
+with and without ``--float``, on a d=2 3x2 and a d=3 2x2 small-rational
+grid (the deepest walks of the letter recursion); ``decompose``
 on those grids and on larger ones; ``decompose`` and level-2 ``sig`` on grids
 whose literals have up to 18 or 19 digits (the reader's int64 bound) and on
 two whose cell differences over den 2 stay below 2^62 or reach past it (the
@@ -243,6 +245,8 @@ def write_battery(work: Path) -> list:
     # "p/q" as written, not reduced: the lcm of the qs as written exceeds that of the reduced ones; at 20x20
     # the level-2 entries stay below the writer's digit limit (at 30x30 they pass it)
     unreduced = {"hugeden-unreduced": _grid_doc(rng, 2, 20, 20, lambda r: f"{r.randint(-9, 9)}/{r.randint(1, 10**6)}")}
+    # small rational grids for walks deeper than level 3: fields of up to 5 x 5 coefficients per cell
+    deep = {"deep-d2": _grid_doc(rng, 2, 3, 2, _small_rational), "deep-d3": _grid_doc(rng, 3, 2, 2, _small_rational)}
     # one coordinate and one cell: every level up to the entry budget's 10^7 fits, so the level limit decides
     single = {
         "single": {"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", "2"]]]},
@@ -251,7 +255,8 @@ def write_battery(work: Path) -> list:
     }
     malformed = _malformed_docs()
     docs = {
-        **grids, **big_grids, **bound_grids, **node_grids, **specs, **huge_float, **unreduced, **single, **malformed
+        **grids, **big_grids, **bound_grids, **node_grids, **specs, **huge_float, **unreduced, **deep, **single,
+        **malformed,
     }
     for name, doc in docs.items():
         (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -264,6 +269,11 @@ def write_battery(work: Path) -> list:
                 argv = ["sig", path, "--level", str(level), *flt]
                 cases.append((f"sig {name} L{level}{' float' if flt else ''}", argv, None, None))
         cases.append((f"sig {name} --out", ["sig", path], None, "out.json"))
+    for name in deep:
+        for level in (4, 5):
+            for flt in ([], ["--float"]):
+                argv = ["sig", str(work / f"{name}.json"), "--level", str(level), *flt]
+                cases.append((f"sig {name} L{level}{' float' if flt else ''}", argv, None, None))
     cases.append(("sig int --method fast", ["sig", str(work / "int.json"), "--method", "fast"], None, None))
     for name in [*grids, *big_grids]:
         cases.append((f"decompose {name}", ["decompose", str(work / f"{name}.json")], None, "out.json"))

@@ -6,7 +6,6 @@ algorithm and the variety diagnostics.
 """
 
 from .fastsig import (
-    CellPolyField,
     advance_letter,
     sig_tensor_fast,
     sig_word_fast,

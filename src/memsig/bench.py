@@ -139,9 +139,9 @@ def run_bench(
     method is refused, before any grid is drawn.
     All grids are drawn first, in size order; then each repeat times every
     (size, method) pair once, in that order.
-    ``doubling_ratios`` maps each method to median(t at size) / median(t at
-    the previous size) for consecutive size pairs where m*n quadruples (i.e.
-    both orders double); only the largest such pair is reported.
+    ``doubling_ratios`` maps each method to median(t at 2m x 2n) / median(t
+    at m x n) for the pair of given sizes with the largest 2m x 2n, in any
+    order of ``sizes``; it is empty when no size doubles another.
     """
     if repeats < 1:
         raise ValueError(f"need at least one repeat, got {repeats}")
@@ -173,17 +173,9 @@ def run_bench(
         (m * n, medians[("fast", (m, n))]) for m, n in sizes if ("fast", (m, n)) in medians
     ]
     exponent = fit_exponent(fast_points) if len(fast_points) >= 2 else None
+    pairs = [(small, big) for small in sizes for big in sizes if big == (2 * small[0], 2 * small[1])]
     ratios: dict[str, float] = {}
-    for method in methods:
-        pairs = [
-            (small, big)
-            for small in sizes
-            for big in sizes
-            if (big[0], big[1]) == (2 * small[0], 2 * small[1])
-            and (method, small) in medians
-            and (method, big) in medians
-        ]
-        if pairs:
-            small, big = pairs[-1]
-            ratios[method] = medians[(method, big)] / medians[(method, small)]
+    if pairs:
+        small, big = max(pairs, key=lambda pair: pair[1][0] * pair[1][1])
+        ratios = {method: medians[(method, big)] / medians[(method, small)] for method in methods}
     return BenchResult(tuple(rows), exponent, ratios)

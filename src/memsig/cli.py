@@ -121,9 +121,7 @@ def _cmd_bench(args) -> str:
 
 def _cmd_decompose(args) -> dict:
     grid = fileio.grid_from_doc(fileio.load_json_file(args.input))
-    return fileio.matrix_to_doc(
-        bilinear_decompose(grid), note="columns are nu(i,j) = n*(i-1)+j ordered"
-    )
+    return fileio.matrix_to_doc(bilinear_decompose(grid))
 
 
 def _int(text: str) -> int:

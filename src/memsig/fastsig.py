@@ -29,7 +29,10 @@ per target cell into four regions:
 
 Scaling every coefficient by (S!)^2 at the step to word length S turns the
 weights 1/(p+1)! into integers S!/(p+1)!, so the whole recursion runs on Python
-ints in numpy object arrays, vectorized over cells.  One letter costs
+ints in numpy object arrays, vectorized over cells.  A field is its
+coefficient array, an (m, n, j + 1, j + 1) object array: cell (a, b) holds
+the sum over p, q of coeffs[a, b, p, q] / _step_scales(j) * x^p/p! * y^q/q!.
+The empty word's field is np.ones((m, n, 1, 1), dtype=object).  One letter costs
 Theta(j^2 m n) and a length-k word costs O(k^3 m n).  Every entry of the
 tensor shares one denominator, the product of the step scales, the
 evaluation weights at (1, 1) and L^k, so the integer results become the
@@ -39,12 +42,11 @@ The last letter of a word needs only the value at (1, 1), the sum of the
 full-cell integrals, so ``sig_tensor_fast`` builds no last field: the d entries
 below one prefix are one product Delta.reshape(d, -1) @ (coeffs @ w @ w).ravel()
 with the parent's coefficients.  ``sig_word_fast`` keeps the full advance and
-``corner()`` as the independent route.
+evaluates the last field at (1, 1) itself, the independent route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 
 import numpy as np
@@ -64,62 +66,22 @@ def _weights(top: int, size: int, start: int) -> np.ndarray:
     return np.array([factorial(top) // factorial(start + p) for p in range(size)], dtype=object)
 
 
-@dataclass(frozen=True, eq=False)
-class CellPolyField:
-    """A continuous piecewise polynomial: cell (a, b) holds
-    sum over p, q of coeffs[a, b, p, q] / scale * x^p/p! * y^q/q!.
+def advance_letter(coeffs: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """One recursion step: the double cumulative integral of the field times Delta.
 
-    ``coeffs`` is an (m, n, S, S) object array of Python ints, S = word_len + 1.
-    Fields are never mutated after construction; advancing builds a new field.
+    ``coeffs`` is a field, the (m, n, S, S) object array of a word of length
+    S - 1; ``delta`` is the (m, n) integer table of the appended letter, from
+    ``cell_derivatives``.  Returns the field of the longer word, shape
+    (m, n, S + 1, S + 1).  Work is Theta(S^2 m n).
     """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = self.coeffs
-        if c.dtype != object or c.ndim != 4 or c.shape[2] != c.shape[3]:
-            raise ValueError("malformed field: coefficients need an (m, n, S, S) object array")
-
-    @property
-    def m(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def word_len(self) -> int:
-        return self.coeffs.shape[2] - 1
-
-    @property
-    def scale(self) -> int:
-        """prod(s! for s <= word_len) squared: the product of the step scales of ``advance_letter``."""
-        return _step_scales(self.word_len)
-
-    @classmethod
-    def ones(cls, m: int, n: int) -> "CellPolyField":
-        return cls(np.ones((m, n, 1, 1), dtype=object))
-
-    def corner(self) -> tuple[int, int]:
-        """(num, den) of the value at (u, v) = (1, 1)."""
-        k = self.word_len
-        w = _weights(k, k + 1, 0)
-        return w @ self.coeffs[-1, -1] @ w, self.scale * factorial(k) ** 2
-
-
-def advance_letter(field: CellPolyField, delta: np.ndarray) -> CellPolyField:
-    """One recursion step: the double cumulative integral of field * Delta.
-
-    ``delta`` is the (m, n) integer table of the appended letter, from
-    ``cell_derivatives``.  Work is Theta(word_len^2 m n).
-    """
-    m, n, s = field.m, field.n, field.word_len + 1
+    if coeffs.dtype != object or coeffs.ndim != 4 or coeffs.shape[2] != coeffs.shape[3]:
+        raise ValueError("malformed field: coefficients need an (m, n, S, S) object array")
+    m, n, s = coeffs.shape[:3]
     if delta.shape != (m, n):
         raise ValueError(f"delta has shape {delta.shape}, the field has {m} x {n} cells")
     top = factorial(s)
     w = _weights(s, s, 1)  # s!/(p+1)!, the weight of a full cell in x or y
-    g = field.coeffs * delta[:, :, None, None]
+    g = coeffs * delta[:, :, None, None]
     strip_y = (g * w[:, None]).sum(axis=2)  # x over the full cell: poly in y
     strip_x = g @ w  # y over the full cell: poly in x
     full = strip_y @ w
@@ -128,19 +90,20 @@ def advance_letter(field: CellPolyField, delta: np.ndarray) -> CellPolyField:
     out[1:, :, 0, 1:] = np.cumsum(strip_y, axis=0)[:-1] * top
     out[:, 1:, 1:, 0] = np.cumsum(strip_x, axis=1)[:, :-1] * top
     out[1:, 1:, 0, 0] = np.cumsum(np.cumsum(full, axis=0), axis=1)[:-1, :-1]
-    return CellPolyField(out)
+    return out
 
 
 def sig_word_fast(grid: GridData, word) -> Rat:
     """<sigma(X), w> for the piecewise bilinear interpolant of the grid."""
     delta, scale = cell_derivatives(grid)
-    field = CellPolyField.ones(grid.m, grid.n)
+    coeffs = np.ones((grid.m, grid.n, 1, 1), dtype=object)
     for letter in word:
         if not 1 <= letter <= grid.d:
             raise ValueError(f"letter {letter} out of range [1, {grid.d}]")
-        field = advance_letter(field, delta[letter - 1])
-    num, den = field.corner()
-    return rat(num, den * scale ** len(word))
+        coeffs = advance_letter(coeffs, delta[letter - 1])
+    k = len(word)
+    w = _weights(k, k + 1, 0)  # k!/p!: the value at (1, 1) of the last cell
+    return rat(w @ coeffs[-1, -1] @ w, _step_scales(k) * factorial(k) ** 2 * scale**k)
 
 
 def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
@@ -153,13 +116,13 @@ def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
     nums = np.empty(d**k, dtype=object)
     w = _weights(k, k, 1)  # k!/(p+1)!: a full cell's weight at the last letter
 
-    def walk(field: CellPolyField, depth: int, offset: int) -> None:
-        """Fill the entries below the prefix."""
+    def walk(coeffs: np.ndarray, depth: int, offset: int) -> None:
+        """Fill the entries below the prefix whose field is ``coeffs``."""
         if depth + 1 == k:
-            nums[offset * d : offset * d + d] = delta.reshape(d, -1) @ (field.coeffs @ w @ w).ravel()
+            nums[offset * d : offset * d + d] = delta.reshape(d, -1) @ (coeffs @ w @ w).ravel()
             return
         for letter in range(d):
-            walk(advance_letter(field, delta[letter]), depth + 1, offset * d + letter)
+            walk(advance_letter(coeffs, delta[letter]), depth + 1, offset * d + letter)
 
-    walk(CellPolyField.ones(grid.m, grid.n), 0, 0)
+    walk(np.ones((grid.m, grid.n, 1, 1), dtype=object), 0, 0)
     return SigTensor.of(nums.reshape((d,) * k), _step_scales(k) * scale**k)

@@ -264,16 +264,15 @@ def tensor_to_doc(t: SigTensor, include_float: bool = False) -> dict:
     return doc
 
 
-def matrix_to_doc(m: Matrix, note: str | None = None) -> dict:
-    doc = {
+def matrix_to_doc(m: Matrix) -> dict:
+    """The document of a decomposition matrix, whose columns are ordered by nu."""
+    return {
         "rows": m.rows,
         "cols": m.cols,
         "entries": rational_texts(m),
         "order": MATRIX_ORDER,
+        "note": "columns are nu(i,j) = n*(i-1)+j ordered",
     }
-    if note:
-        doc["note"] = note
-    return doc
 
 
 _ENCODE = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": ")).encode

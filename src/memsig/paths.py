@@ -28,7 +28,6 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .linalg import Matrix
-from .polyops import padd, peval, pint, pmul
 from .rational import ONE, Rat, ZERO, rat
 from .tensor import CORE_CACHE_SIZE, SigTensor, tucker_apply
 
@@ -147,12 +146,38 @@ def pw_poly_path_sig_oracle(breaks, derivs, word) -> Rat:
         g = []
         acc = ZERO
         for s in range(nseg):
-            h = pint(pmul(f[s], dcoord[s]))
-            shift = acc - peval(h, breaks[s])
-            g.append(padd(h, [shift]))
-            acc = peval(g[s], breaks[s + 1])
+            h = _pint(_pmul(f[s], dcoord[s]))
+            h[0] += acc - _peval(h, breaks[s])
+            g.append(h)
+            acc = _peval(h, breaks[s + 1])
         f = g
-    return peval(f[-1], breaks[-1])
+    return _peval(f[-1], breaks[-1])
+
+
+# dense univariate polynomials of the oracle: coefficient lists [c0, c1, ...]
+
+
+def _pmul(p: list, q: list) -> list:
+    out = [ZERO] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        if not a:
+            continue
+        for j, b in enumerate(q):
+            if b:
+                out[i + j] += a * b
+    return out
+
+
+def _pint(p: list) -> list:
+    """Antiderivative with zero constant term."""
+    return [ZERO] + [c / (i + 1) for i, c in enumerate(p)]
+
+
+def _peval(p: list, x):
+    acc = ZERO
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def axis_path_pieces(m: int) -> tuple[list, list]:

@@ -108,6 +108,20 @@ class TestHarness:
             assert len(row.times) == 3
             assert row.nanos == int(statistics.median(row.times))
 
+    def test_doubling_ratio_comes_from_the_largest_pair_in_any_order(self, monkeypatch):
+        # a fake clock that reads 10 m n + 100 ns for an m x n grid
+        cost = {}
+        monkeypatch.setattr(bench, "sig_tensor_fast", lambda grid, level: cost.update(ns=10 * grid.m * grid.n + 100))
+
+        def fake_time_ns(fn):
+            fn()
+            return cost["ns"]
+
+        monkeypatch.setattr(bench, "_time_ns", fake_time_ns)
+        result = run_bench([(2, 2), (4, 4), (1, 1)], methods=("fast",), repeats=1, seed=1)
+        assert result.doubling_ratios == {"fast": 260 / 140}
+        assert run_bench([(1, 3), (2, 2)], methods=("fast",), repeats=1, seed=1).doubling_ratios == {}
+
     def test_congruence_baseline_is_level2_only(self):
         with pytest.raises(ValueError):
             run_bench([(2, 2)], level=3, methods=("congruence",), seed=1)
