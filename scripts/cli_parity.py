@@ -18,7 +18,9 @@ integer, a small-rational and a huge-rational grid and on a dense and a
 sparse polynomial spec, and once with ``--method fast`` (an option that
 exits 2 since the input kind picks the route); ``sig`` at levels 4 and 5,
 with and without ``--float``, on a d=2 3x2 and a d=3 2x2 small-rational
-grid (the deepest walks of the letter recursion); ``decompose``
+grid (the deepest walks of the letter recursion); ``sig`` at levels 1-4,
+with and without ``--float``, on d=2 small-rational 1x5 and 5x1 grids (one
+row or column of cells); ``decompose``
 on those grids and on larger ones; ``decompose`` and level-2 ``sig`` on grids
 whose literals have up to 18 or 19 digits (the reader's int64 bound) and on
 two whose cell differences over den 2 stay below 2^62 or reach past it (the
@@ -254,9 +256,11 @@ def write_battery(work: Path) -> list:
         "single-poly": {"kind": "polynomial", "d": 1, "m": 1, "n": 1, "A": [["2"]]},
     }
     malformed = _malformed_docs()
+    # one row or one column of cells, drawn last so that every other input keeps its values
+    strips = {"strip-1x5": _grid_doc(rng, 2, 1, 5, _small_rational), "strip-5x1": _grid_doc(rng, 2, 5, 1, _small_rational)}
     docs = {
         **grids, **big_grids, **bound_grids, **node_grids, **specs, **huge_float, **unreduced, **deep, **single,
-        **malformed,
+        **malformed, **strips,
     }
     for name, doc in docs.items():
         (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -271,6 +275,11 @@ def write_battery(work: Path) -> list:
         cases.append((f"sig {name} --out", ["sig", path], None, "out.json"))
     for name in deep:
         for level in (4, 5):
+            for flt in ([], ["--float"]):
+                argv = ["sig", str(work / f"{name}.json"), "--level", str(level), *flt]
+                cases.append((f"sig {name} L{level}{' float' if flt else ''}", argv, None, None))
+    for name in strips:
+        for level in range(1, 5):
             for flt in ([], ["--float"]):
                 argv = ["sig", str(work / f"{name}.json"), "--level", str(level), *flt]
                 cases.append((f"sig {name} L{level}{' float' if flt else ''}", argv, None, None))

@@ -38,11 +38,23 @@ tensor shares one denominator, the product of the step scales, the
 evaluation weights at (1, 1) and L^k, so the integer results become the
 tensor through one ``SigTensor.of``.
 
-The last letter of a word needs only the value at (1, 1), the sum of the
-full-cell integrals, so ``sig_tensor_fast`` builds no last field: the d entries
-below one prefix are one product Delta.reshape(d, -1) @ (coeffs @ w @ w).ravel()
-with the parent's coefficients.  ``sig_word_fast`` keeps the full advance and
-evaluates the last field at (1, 1) itself, the independent route.
+The last two letters of a word build no field.  The value at (1, 1) after
+appending letters a then b is the sum over cells of Delta_b times H_a, the
+cell's weighted full-cell integral coeffs @ w @ w of advance_letter(F, Delta_a),
+with F the field of the prefix and w = _weights(k, k, 1).  H_a is linear in
+Delta_a.  With ws = _weights(k - 1, k - 1, 1), top = (k - 1)! and w0 = k!,
+four weighted sums of F per cell, alpha = F @ w[1:] @ w[1:],
+beta = F @ w[1:] @ ws, beta' = F @ ws @ w[1:] and gamma = F @ ws @ ws, give
+
+    H_a = top^2 Delta_a alpha + top w0 (excl-cumsum_a(Delta_a beta)
+          + excl-cumsum_b(Delta_a beta')) + w0^2 excl-cumsum2(Delta_a gamma)
+
+for all d letters a at once (the code folds top and w0 into the weights), and
+the d^2 entries below the prefix are one product
+H.reshape(d, -1) @ Delta.reshape(d, -1).T.  So ``sig_tensor_fast`` advances
+only prefixes of length up to k - 2: none at level 2.  ``sig_word_fast``
+keeps every advance and evaluates the last field at (1, 1) itself, the
+independent route.
 """
 
 from __future__ import annotations
@@ -113,13 +125,27 @@ def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
     if k == 0:
         return SigTensor.level_zero(d)
     delta, scale = cell_derivatives(grid)
+    flat = delta.reshape(d, -1)
+    if k == 1:
+        return SigTensor.of(flat.sum(axis=1), scale)
     nums = np.empty(d**k, dtype=object)
-    w = _weights(k, k, 1)  # k!/(p+1)!: a full cell's weight at the last letter
+    # row j is (k-1)! k!/(p + 2 - j)!: a full cell's weight at the last letter past its index shift
+    # (j = 0) times (k-1)!, and at the letter before (j = 1) times k!
+    scaled = factorial(k - 1) * factorial(k)
+    weights = np.array([[scaled // factorial(p + 2 - j) for p in range(k - 1)] for j in (0, 1)], dtype=object)
 
     def walk(coeffs: np.ndarray, depth: int, offset: int) -> None:
         """Fill the entries below the prefix whose field is ``coeffs``."""
-        if depth + 1 == k:
-            nums[offset * d : offset * d + d] = delta.reshape(d, -1) @ (coeffs @ w @ w).ravel()
+        if depth + 2 == k:
+            # g[..., i, j] is Delta_a times F weighed by row i in x and row j in y: alpha, beta' in row 0 and
+            # beta, gamma in row 1 of the module docstring; a row-1 weight belongs to the full cells before
+            # the target, so that part is summed exclusively along a (i = 1) or b (j = 1)
+            g = delta[..., None, None] * (weights @ coeffs @ weights.T)
+            h = g[..., 0, 0]
+            h[:, 1:] += np.cumsum(g[..., 1, 0], axis=1)[:, :-1]
+            h[:, :, 1:] += np.cumsum(g[..., 0, 1], axis=2)[:, :, :-1]
+            h[:, 1:, 1:] += np.cumsum(np.cumsum(g[..., 1, 1], axis=1), axis=2)[:, :-1, :-1]
+            nums[offset * d * d : (offset + 1) * d * d] = (h.reshape(d, -1) @ flat.T).ravel()
             return
         for letter in range(d):
             walk(advance_letter(coeffs, delta[letter]), depth + 1, offset * d + letter)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import grids, rationals
+from memsig import fastsig
 from memsig.fastsig import (
     _step_scales,
     advance_letter,
@@ -228,23 +229,45 @@ class TestSigTensorFast:
     def test_oracle_equivalence_level3(self, g):
         assert sig_tensor_fast(g, 3) == sig_via_congruence(g, 3)
 
+    @given(grids(max_d=2, max_m=2, max_n=2))
+    @settings(max_examples=10)
+    def test_oracle_equivalence_level4(self, g):
+        assert sig_tensor_fast(g, 4) == sig_via_congruence(g, 4)
+
     def test_every_entry_matches_the_word_route(self, rng):
-        for k in (1, 2, 3):
-            g = GridData(
-                3,
-                2,
-                3,
-                tuple(
+        # d = 1 and strips of one cell row or column: the fused step's exclusive cumsums run over length-1 axes
+        shapes = [(1, 1, 4), (1, 3, 1), (2, 1, 1), (2, 1, 3), (2, 4, 1), (3, 2, 3)]
+        for k in range(1, 6):
+            for d, m, n in shapes:
+                g = GridData(
+                    d,
+                    m,
+                    n,
                     tuple(
-                        tuple(rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4))
-                        for _ in range(3)
-                    )
-                    for _ in range(3)
-                ),
-            )
-            t = sig_tensor_fast(g, k)
-            for w in words_iter(3, k):
-                assert t.get(w) == sig_word_fast(g, w), (k, w)
+                        tuple(
+                            tuple(rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n + 1))
+                            for _ in range(m + 1)
+                        )
+                        for _ in range(d)
+                    ),
+                )
+                t = sig_tensor_fast(g, k)
+                for w in words_iter(d, k):
+                    assert t.get(w) == sig_word_fast(g, w), (d, m, n, k, w)
+
+    @pytest.mark.parametrize("d, k, advances", [(3, 0, 0), (3, 1, 0), (2, 2, 0), (4, 3, 4), (2, 4, 6), (3, 4, 12)])
+    def test_the_walk_stops_two_letters_short(self, monkeypatch, d, k, advances):
+        # the fused step replaces the deepest layer of advances: sum of d^j for j = 1 .. k - 2
+        calls = []
+
+        def counted(coeffs, delta):
+            calls.append(coeffs.shape[2])
+            return advance_letter(coeffs, delta)
+
+        monkeypatch.setattr(fastsig, "advance_letter", counted)
+        g = GridData(d, 2, 3, tuple((((rat(1),) * 4),) * 3 for _ in range(d)))
+        sig_tensor_fast(g, k)
+        assert len(calls) == advances and all(s <= k - 2 for s in calls)
 
     def test_level0(self):
         assert sig_tensor_fast(bilinear_grid((rat(2),)), 0).entries == (rat(1),)
