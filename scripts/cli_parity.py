@@ -8,10 +8,11 @@ OLD_SRC and NEW_SRC are directories that hold the ``memsig`` package (the
 seeds, into a temporary directory; then each tree runs the whole battery of
 ``memsig.cli.main`` calls in one subprocess.  A case's result is its exit
 code (1 for an uncaught exception, as in a process), the SHA-256 of its
-stdout and, for ``--out`` cases, of the file written.  Every case whose
-result differs is printed, and the exit status is 1 if any differs, else 0.
-A differing first line of stderr is printed as a note and does not count as
-a difference.
+stdout and, for ``--out`` cases, of the file written (an argv that ends in
+``--out=`` gets the path in that token, any other gets ``--out PATH``
+appended).  Every case whose result differs is printed, and the exit status
+is 1 if any differs, else 0.  A differing first line of stderr is printed as
+a note and does not count as a difference.
 
 The battery: ``sig`` at levels 0-3, with and without ``--float``, on an
 integer, a small-rational and a huge-rational grid and on a dense and a
@@ -57,7 +58,11 @@ subcommand, and for each subcommand a missing required flag or input, an
 unknown flag, a choice outside ``--kind``/``--level`` or a non-integer value);
 and ``--help`` of the top level and of each of the seven subcommands, whose
 text is stdout (the battery's subprocess runs with ``COLUMNS=80``, so that
-argparse wraps the help text the same way in both trees).
+argparse wraps the help text the same way in both trees); last, the
+spellings of one call that argparse reads alike or refuses: ``--opt=value``
+(``--out=PATH`` too), an abbreviated option, a repeated option (the last
+one wins), a repeated choice whose first value is refused, ``--`` before the
+input, a value starting with ``-`` and a flag given a value.
 """
 
 import hashlib
@@ -359,6 +364,27 @@ def write_battery(work: Path) -> list:
     cases.append(("--help", ["--help"], None, None))
     for command in ("sig", "core", "dim", "invariants", "check-relations", "bench", "decompose"):
         cases.append((f"{command} --help", [command, "--help"], None, None))
+    # spellings of one call, after every other case so that those keep their inputs
+    path = str(work / "int.json")
+    size = ["--m", "2", "--n", "2"]
+    spellings = {
+        "sig --level=3": ["sig", path, "--level=3"],
+        "sig --lev 3": ["sig", path, "--lev", "3"],
+        "sig --level 1 --level 3": ["sig", path, "--level", "1", "--level", "3"],
+        "sig --level=1 --level 3 --float --float": ["sig", "--level=1", path, "--level", "3", "--float", "--float"],
+        "sig -- input": ["sig", "--level", "2", "--", path],
+        "sig --level -1": ["sig", path, "--level", "-1"],
+        "sig --float=1": ["sig", path, "--float=1"],
+        "core --kind=moment --m=2 --n=2": ["core", "--kind=moment", "--m=2", "--n=2"],
+        "invariants --kind bad --kind axis": ["invariants", "--kind", "bad", "--kind", "axis", *size],
+        "invariants --kind axis --kind moment": ["invariants", "--kind", "axis", "--kind", "moment", *size],
+        "dim --level 4 --level 3": ["dim", "--d", "4", *size, "--level", "4", "--level", "3"],
+        "dim --level 3 --level 2": ["dim", "--d", "4", *size, "--level", "3", "--level", "2"],
+    }
+    for name, argv in spellings.items():
+        cases.append((name, argv, "1", None))
+    cases.append(("sig --out=PATH", ["sig", path, "--level", "3", "--out="], None, "out.json"))
+    cases.append(("decompose --out=PATH", ["decompose", path, "--out="], None, "out.json"))
     return cases
 
 
@@ -381,9 +407,9 @@ def run_battery(src: str, work: Path) -> dict:
         else:
             os.environ["MEMSIG_SEED"] = seed
         out_path = work / out if out else None
-        if out_path is not None:
+        if out_path is not None:  # an argv ending in "--out=" gets the path in that token
             out_path.unlink(missing_ok=True)
-            argv = [*argv, "--out", str(out_path)]
+            argv = [*argv[:-1], f"--out={out_path}"] if argv[-1:] == ["--out="] else [*argv, "--out", str(out_path)]
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             try:

@@ -13,9 +13,17 @@ d = 0, a negative size or zero samples), 4 relation-check failure (the
 report is still written).
 
 The argparse parser is built once per process, at import (``PARSER``), and
-``main`` parses every call with it, so a job forked from an imported CLI
-pays no parser build.  ``bench`` is imported by its command alone: no other
-command needs it or the ``statistics`` import it brings.
+stays the one declaration of the options and the parser of record: of
+``--help``, every usage and error message and every unusual spelling.  At
+import each command's actions are also read into a plain spec, and ``main``
+tries ``read_plain`` first.  It takes a command followed by exact option names
+(``--opt value``, ``--opt=value``, flags), and positionals that do not start
+with ``-``, and it returns the Namespace ``PARSER.parse_args`` would; for any
+other argv it returns None and ``main`` parses with ``PARSER``.  A job forked
+from an imported CLI thus pays no parser build and no first ``parse_args``,
+which touches some 230 of the parent's pages where the reader touches some 80.
+``bench`` is imported by its command alone: no other command needs it or the
+``statistics`` import it brings.
 """
 
 from __future__ import annotations
@@ -187,8 +195,93 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+def _plain_specs(parser: argparse.ArgumentParser) -> dict:
+    """command -> (defaults, flags, options, positionals, required), read off the subparsers' actions.
+
+    ``flags`` maps each store_true option to its dest, ``options`` each store
+    option to (dest, type, choices), ``positionals`` lists (dest, type,
+    choices) in order, and ``required`` holds the dests of required options.
+    A command with any other kind of action gets no spec.
+    """
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    specs = {}
+    for name, p in sub.choices.items():
+        flags, options, positionals, required = {}, {}, [], set()
+        for a in p._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            if isinstance(a, argparse._StoreTrueAction):
+                flags.update(dict.fromkeys(a.option_strings, a.dest))
+            # argparse converts a string default by the option's type, so such an option leaves its command unread
+            elif type(a) is argparse._StoreAction and a.nargs is None and not (a.type and isinstance(a.default, str)):
+                entry = (a.dest, a.type, a.choices)
+                if not a.option_strings:
+                    positionals.append(entry)
+                    continue
+                options.update(dict.fromkeys(a.option_strings, entry))
+                if a.required:
+                    required.add(a.dest)
+            else:
+                break
+        else:
+            defaults = {a.dest: a.default for a in p._actions if argparse.SUPPRESS not in (a.dest, a.default)}
+            specs[name] = ({**p._defaults, **defaults, sub.dest: name}, flags, options, positionals, required)
+    return specs
+
+
+_SPECS = _plain_specs(PARSER)
+
+
+def _value(text: str, convert, choices):
+    value = convert(text) if convert else text
+    if choices is not None and value not in choices:
+        raise ValueError(text)
+    return value
+
+
+def read_plain(argv) -> argparse.Namespace | None:
+    """``PARSER.parse_args(argv)`` for an argv in the plain forms, else None.
+
+    The plain forms are a command followed by exact option names, as
+    ``--opt value`` or ``--opt=value``, store_true flags without ``=``, and
+    positionals that do not start with ``-``.  Each value is converted and
+    checked against its choices where it occurs, as argparse does, so the
+    last occurrence of an option wins.  Anything else (an abbreviation,
+    ``-h``, ``--``, a value starting with ``-``, a missing or extra
+    positional, a missing required option, a bad value) returns None, and
+    argparse decides it.  A forked job reads the few pages of these specs
+    instead of the many pages a first ``parse_args`` touches.
+    """
+    if not argv or argv[0] not in _SPECS:
+        return None
+    defaults, flags, options, positionals, required = _SPECS[argv[0]]
+    values, given = {}, []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if token in flags:
+                values[flags[token]] = True
+            elif not token.startswith("-"):
+                given.append(token)
+            else:
+                name, eq, text = token.partition("=")
+                text = text if eq else next(tokens, "-")  # a missing value reads as a refused one
+                if name not in options or text.startswith("-"):
+                    return None
+                dest, convert, choices = options[name]
+                values[dest] = _value(text, convert, choices)
+        if len(given) != len(positionals) or not required <= values.keys():
+            return None
+        for (dest, convert, choices), text in zip(positionals, given):
+            values[dest] = _value(text, convert, choices)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = read_plain(argv) or PARSER.parse_args(argv)
     try:
         result = args.fn(args)
         text = result if isinstance(result, str) else fileio.dump_json(result)

@@ -55,6 +55,11 @@ H.reshape(d, -1) @ Delta.reshape(d, -1).T.  So ``sig_tensor_fast`` advances
 only prefixes of length up to k - 2: none at level 2.  ``sig_word_fast``
 keeps every advance and evaluates the last field at (1, 1) itself, the
 independent route.
+
+Before any advance both check the coefficients their live fields hold against
+``tensor.MAX_ENTRIES``: m n times the sum of s^2 for s < k for the walk, which
+holds the field of each prefix on its path, and m n (k^2 + (k + 1)^2) for one
+word, whose last advance holds two fields.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ import numpy as np
 
 from .membranes import GridData, cell_derivatives
 from .rational import Rat, rat
-from .tensor import SigTensor, check_entry_count
+from .tensor import SigTensor, check_budget, check_entry_count
 
 
 def _step_scales(k: int) -> int:
@@ -107,13 +112,16 @@ def advance_letter(coeffs: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def sig_word_fast(grid: GridData, word) -> Rat:
     """<sigma(X), w> for the piecewise bilinear interpolant of the grid."""
+    k = len(word)
+    # the last advance holds the fields of lengths k - 1 and k, k^2 + (k + 1)^2 coefficients per cell
+    cells = grid.m * grid.n
+    check_budget(cells * (k**2 + (k + 1) ** 2), f"the walk to a length-{k} word over {cells} cells")
     delta, scale = cell_derivatives(grid)
     coeffs = np.ones((grid.m, grid.n, 1, 1), dtype=object)
     for letter in word:
         if not 1 <= letter <= grid.d:
             raise ValueError(f"letter {letter} out of range [1, {grid.d}]")
         coeffs = advance_letter(coeffs, delta[letter - 1])
-    k = len(word)
     w = _weights(k, k + 1, 0)  # k!/p!: the value at (1, 1) of the last cell
     return rat(w @ coeffs[-1, -1] @ w, _step_scales(k) * factorial(k) ** 2 * scale**k)
 
@@ -122,6 +130,9 @@ def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
     """All d^k entries, sharing fields across words with a common prefix."""
     d = grid.d
     check_entry_count(d, k)
+    # the walk holds the field of every prefix on its path, lengths 0 to k - 2: (j + 1)^2 coefficients per cell
+    cells = grid.m * grid.n
+    check_budget(cells * sum(s * s for s in range(1, k)), f"the level-{k} walk over {cells} cells")
     if k == 0:
         return SigTensor.level_zero(d)
     delta, scale = cell_derivatives(grid)

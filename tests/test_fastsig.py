@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import grids, rationals
-from memsig import fastsig
+from memsig import fastsig, tensor
 from memsig.fastsig import (
     _step_scales,
     advance_letter,
@@ -294,6 +294,64 @@ class TestSigTensorFast:
         )
         v = g.values[0]
         assert sig_tensor_fast(g, 1).entries[0] == v[3][2] - v[0][2] - v[3][0] + v[0][0]
+
+
+def zero_grid(d, m, n):
+    return GridData(d, m, n, [[[0] * (n + 1)] * (m + 1)] * d)
+
+
+class Allocated(Exception):
+    """Raised in place of ``cell_derivatives``: the budget let the call through to its first allocation."""
+
+
+class TestWorkingSetBudget:
+    """Both routes count the coefficients their live fields hold before they allocate any of them."""
+
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        def cell_derivatives(grid):
+            raise Allocated
+
+        monkeypatch.setattr(fastsig, "cell_derivatives", cell_derivatives)
+
+    def test_a_one_entry_tensor_over_a_large_grid_is_refused(self):
+        # one entry passes check_entry_count; the walk would hold 10^4 * (1^2 + ... + 63^2) coefficients
+        with pytest.raises(ValueError, match="the level-64 walk over 10000 cells has more than 10000000 entries"):
+            sig_tensor_fast(zero_grid(1, 100, 100), 64)
+
+    @pytest.mark.parametrize(
+        "route, d, m, n, k, coefficients",
+        [
+            ("tensor", 2, 3, 4, 4, 12 * (1 + 4 + 9)),
+            ("tensor", 1, 2, 2, 2, 4),
+            ("word", 2, 3, 4, 3, 12 * (9 + 16)),
+            ("word", 1, 2, 2, 0, 4),
+        ],
+    )
+    def test_the_bound_is_inclusive(self, monkeypatch, route, d, m, n, k, coefficients):
+        grid = zero_grid(d, m, n)
+
+        def call():
+            return sig_tensor_fast(grid, k) if route == "tensor" else sig_word_fast(grid, [1] * k)
+
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", coefficients)
+        with pytest.raises(Allocated):
+            call()
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", coefficients - 1)
+        with pytest.raises(ValueError, match=f"more than {coefficients - 1} entries"):
+            call()
+
+    def test_levels_without_a_field_are_not_counted(self, monkeypatch):
+        monkeypatch.setattr(tensor, "MAX_ENTRIES", 1)  # below the 4 cells of the grid
+        grid = zero_grid(1, 2, 2)
+        assert sig_tensor_fast(grid, 0).entries == (rat(1),)
+        with pytest.raises(Allocated):
+            sig_tensor_fast(grid, 1)
+
+    def test_long_words_on_large_grids_stay_allowed(self):
+        # one word of length 16 on a d=3 100 x 100 grid holds 10^4 * (16^2 + 17^2) = 5.45 * 10^6 coefficients
+        with pytest.raises(Allocated):
+            sig_word_fast(zero_grid(3, 100, 100), [1, 2, 3, 1] * 4)
 
 
 class TestSigMatrixFast:

@@ -784,6 +784,19 @@ class TestCliCommands:
         code, out = run_cli(["sig", single_cell_grid_file, "--level", "64"])
         assert code == 0 and json.loads(out)["entries"] == [rat_str(rat(2**64, factorial(64) ** 2))]
 
+    def test_a_one_entry_level_over_the_working_set_budget_exits_3_before_any_work(self, monkeypatch, capsys, tmp_path):
+        # d = 1 at level 64 is one entry, but the walk over 100 x 100 cells would hold 10^4 (1^2 + ... + 63^2)
+        # coefficients, scaled by prod(s!)^2 for s <= 63: the budget refuses it before the cell differences
+        def no_work(*args):
+            raise AssertionError("no cell difference may be computed")
+
+        monkeypatch.setattr(fastsig, "cell_derivatives", no_work)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"d": 1, "m": 100, "n": 100, "values": [[["0"] * 101] * 101]}))
+        code, out = run_cli(["sig", str(path), "--level", "64"])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == "error: the level-64 walk over 10000 cells has more than 10000000 entries\n"
+
     @pytest.mark.parametrize("level", [33, 64])
     def test_the_congruence_route_reaches_the_fast_routes_level(self, tmp_path, single_cell_grid_file, level):
         # A = [[2]] on the 1x1 moment core and the single cell (mixed difference 2) on the
@@ -1041,7 +1054,7 @@ class TestCliCommands:
 
 
 class TestSharedParser:
-    """``main`` parses every call with the one parser built at import; no call leaks into the next."""
+    """``main`` reads every call with the parser built at import or the specs read off it; no call leaks into the next."""
 
     def test_a_flag_of_one_call_is_unset_in_the_next(self, tmp_path, single_cell_grid_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -1072,6 +1085,164 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "build_parser", build_parser)
         code, out = run_cli(["sig", single_cell_grid_file, "--level", "1"])
         assert code == 0 and json.loads(out)["entries"] == ["2"]
+
+
+# every option of every command, written out here rather than read off the parser, and options it does not have
+_OPTIONS = [
+    "--out", "--level", "--float", "--kind", "--m", "--n", "--d", "--trials", "--samples", "--sizes", "--methods",
+    "--lev", "--flo", "--method", "-h", "--help", "--",
+]
+# values that some option reads, drawn twice as often as ones that start with "-" or fail a type or choice
+_VALUES = st.one_of(
+    *[st.sampled_from(["2", "3", "+2", "02", "axis", "moment", "fast", "2x2", "a b", ""])] * 2,
+    st.sampled_from(["-1", "1_0", "x", "bad", "-", "--", "-h"]),
+)
+# each command's required options and positionals, and all its options, so that drawn calls often are plain
+_CALLS = {
+    "sig": ([["in.json"]], ["--out", "--level", "--float"]),
+    "core": ([["--kind", "axis"], ["--m", "2"], ["--n", "2"]], ["--out", "--kind", "--m", "--n", "--level", "--float"]),
+    "dim": ([["--d", "2"], ["--m", "1"], ["--n", "1"]], ["--out", "--d", "--m", "--n", "--level", "--trials", "--kind"]),
+    "invariants": ([["--kind", "moment"], ["--m", "2"], ["--n", "2"]], ["--out", "--kind", "--m", "--n"]),
+    "check-relations": ([["--d", "2"], ["--m", "2"], ["--n", "1"]], ["--out", "--d", "--m", "--n", "--samples"]),
+    "bench": ([["--sizes", "2x2"]], ["--out", "--sizes", "--d", "--level", "--repeats", "--methods"]),
+    "decompose": ([["in.json"]], ["--out"]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from([*_CALLS, "signature", "-h", ""]))
+    required, own = _CALLS.get(command, ([], []))
+    option = st.one_of(*[st.sampled_from(own)] * 2, st.sampled_from(_OPTIONS)) if own else st.sampled_from(_OPTIONS)
+    chunk = st.one_of(
+        *[st.tuples(option, _VALUES).map(list)] * 2,
+        st.tuples(option, _VALUES).map(lambda ov: ["=".join(ov)]),
+        st.one_of(option, _VALUES).map(lambda token: [token]),
+    )
+    chunks = draw(st.lists(chunk, max_size=3))
+    if draw(st.integers(0, 3)):
+        chunks += required
+    return [command, *(token for chunk in draw(st.permutations(chunks)) for token in chunk)]
+
+
+class TestPlainReader:
+    """``cli.read_plain`` takes the plain forms of a call and leaves every other argv to argparse."""
+
+    @given(command_lines())
+    @settings(max_examples=600)
+    def test_every_call_the_reader_takes_parses_the_same_in_argparse(self, argv):
+        args = cli.read_plain(argv)
+        if args is not None:
+            assert cli.PARSER.parse_args(argv) == args
+
+    @given(st.sampled_from(sorted(_CALLS)), st.data())
+    @settings(max_examples=300)
+    def test_a_repeated_option_reads_as_in_argparse(self, command, data):
+        # argparse converts and checks each occurrence where it occurs, so a bad first value is refused
+        # even when a good one follows, and of two good values the last wins
+        required, own = _CALLS[command]
+        option = data.draw(st.sampled_from([o for o in own if o != "--float"]))
+        pool = {"--kind": ["axis", "moment", "bad"], "--out": ["o.json", "", "-"], "--sizes": ["2x2", "x"]}
+        values = st.sampled_from(pool.get(option, ["2", "3", "4", "-1", "1_0", "x"]))
+        chunks = [*required, [option, data.draw(values)], [option, data.draw(values)]]
+        argv = [command, *(token for chunk in data.draw(st.permutations(chunks)) for token in chunk)]
+        args = cli.read_plain(argv)
+        if args is not None:
+            assert cli.PARSER.parse_args(argv) == args
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sig", "in.json"],
+            ["sig", "in.json", "--level=3", "--out=o.json", "--float"],
+            ["sig", "--level", "1", "in.json", "--level", "3", "--float", "--float"],
+            ["sig", "", "--out", ""],
+            ["sig", "in.json", "--out="],
+            ["sig", "in.json", "--out=a=b"],
+            ["decompose", "a b.json", "--out", "o.json"],
+            ["core", "--m", "+2", "--n", "02", "--kind", "moment", "--level", "0"],
+            ["dim", "--d", "2", "--m", "1", "--n", "1", "--level", "3", "--level=2", "--kind=moment", "--trials", "1"],
+            ["invariants", "--kind", "axis", "--m", "2", "--n", "2"],
+            ["check-relations", "--d", "2", "--m", "2", "--n", "1", "--samples", "5"],
+            ["bench", "--sizes", "2x2,3x3", "--methods", "fast", "--repeats", "1", "--d", "1"],
+        ],
+    )
+    def test_plain_forms_are_read_as_argparse_reads_them(self, argv):
+        args = cli.read_plain(argv)
+        assert args is not None and args == cli.PARSER.parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["signature", "in.json"],  # an unknown command
+            ["--help"],
+            ["sig", "-h"],
+            ["sig", "in.json", "--help"],
+            ["sig", "in.json", "--lev", "3"],  # an abbreviation, which argparse reads as --level
+            ["sig", "in.json", "--float=1"],  # a flag given a value
+            ["sig", "in.json", "--method", "fast"],  # an unknown option
+            ["sig", "in.json", "--level", "-1"],  # a value starting with "-", which argparse reads as -1
+            ["sig", "in.json", "--out", "-"],
+            ["sig", "in.json", "--level"],  # a missing value
+            ["sig", "--", "in.json"],
+            ["sig", "-"],  # a positional starting with "-"
+            ["sig", "--level 3"],  # a token holding a space, which argparse reads as the input
+            ["sig"],  # a missing positional
+            ["decompose", "a.json", "b.json"],  # an extra positional
+            ["core", "--kind", "axis", "--m", "2"],  # a missing required option
+            ["sig", "in.json", "--level", "1_0"],  # a value outside the type's grammar
+            ["sig", "in.json", "--level="],
+            ["dim", "--d", "2", "--m", "1", "--n", "1", "--level", "4"],  # a value outside the choices
+            # a choice is checked where it occurs: a later valid --kind does not mend an earlier bad one
+            ["invariants", "--kind", "bad", "--kind", "axis", "--m", "2", "--n", "2"],
+            ["dim", "--d", "2", "--m", "1", "--n", "1", "--level", "4", "--level", "2"],
+        ],
+    )
+    def test_everything_else_falls_back_to_argparse(self, argv):
+        assert cli.read_plain(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["invariants", "--kind", "bad", "--kind", "axis", "--m", "2", "--n", "2"], ["sig", "in.json", "--float=1"]],
+    )
+    def test_argparse_refuses_what_the_reader_leaves_to_it(self, capsys, argv):
+        with redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: memsig ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sig", "GRID", "--lev", "1"],
+            ["sig", "--level", "1", "--", "GRID"],
+            ["sig", "GRID", "--level", "-1", "--level=1"],
+        ],
+    )
+    def test_argparse_reads_what_the_reader_leaves_to_it(self, single_cell_grid_file, argv):
+        code, out = run_cli([single_cell_grid_file if a == "GRID" else a for a in argv])
+        assert code == 0 and json.loads(out)["entries"] == ["2"]
+
+    def test_a_plain_call_never_reaches_argparse(self, monkeypatch, tmp_path, single_cell_grid_file):
+        def parse_args(argv=None):
+            raise AssertionError("argparse parsed a plain call")
+
+        monkeypatch.setattr(cli.PARSER, "parse_args", parse_args)
+        sig_out, decompose_out = tmp_path / "sig.json", tmp_path / "decompose.json"
+        calls = [
+            ["sig", single_cell_grid_file, "--level=1", f"--out={sig_out}"],
+            ["sig", single_cell_grid_file, "--level", "1", "--float"],
+            ["decompose", single_cell_grid_file, "--out", str(decompose_out)],
+            ["core", "--kind", "axis", "--m", "1", "--n", "1", "--level", "1"],
+            ["invariants", "--kind", "axis", "--m", "1", "--n", "1"],
+            ["dim", "--d", "2", "--m", "1", "--n", "1", "--trials", "1"],
+            ["check-relations", "--d", "2", "--m", "2", "--n", "1", "--samples", "1"],
+            ["bench", "--sizes", "1x1", "--repeats", "1", "--methods", "fast"],
+        ]
+        for argv in calls:
+            assert run_cli(argv)[0] == 0, argv
+        assert json.loads(sig_out.read_text())["entries"] == ["2"]
+        assert json.loads(decompose_out.read_text())["entries"] == ["2"]
 
 
 def test_importing_the_cli_leaves_bench_unimported():
