@@ -62,7 +62,11 @@ argparse wraps the help text the same way in both trees); last, the
 spellings of one call that argparse reads alike or refuses: ``--opt=value``
 (``--out=PATH`` too), an abbreviated option, a repeated option (the last
 one wins), a repeated choice whose first value is refused, ``--`` before the
-input, a value starting with ``-`` and a flag given a value.
+input, a value starting with ``-`` and a flag given a value; after those,
+``decompose`` and ``sig`` at levels 2 and 3 on grids over den 2^20 written
+in literals of at most 18 digits whose cleared nodes lie just below, at or
+past 2^61 (the bound under which a grid keeps its nodes in int64), read by
+the int64 bulk route or, with a larger numerator, per leaf.
 """
 
 import hashlib
@@ -132,6 +136,24 @@ def _digits(most, dens=None):
         return f"{p}/{q}" if q != 1 else str(p)
 
     return value
+
+
+def _straddle_doc(rng, d, m, n, step, edge):
+    """Nodes over den 2^20 in texts of at most 18 digits; the last node clears to ``edge``, next to 2^61.
+
+    The other nodes are odd/2^20 or, with alternating signs, within 8 steps below 2^61 once cleared.
+    With ``step`` 2^20 those are integers near 2^41, which the reader's int64 bulk route takes; with 2^10
+    they are "p/q" with p near 2^51, and den * max|p| passes 2^63, so the reader goes per leaf.
+    """
+
+    def node(i, a, b):
+        big = Fraction(2**61 - step * rng.randint(1, 8), 2**20)
+        return str((-1) ** (a + b + i) * rng.choice([big, Fraction(2 * rng.randint(-9, 9) + 1, 2**20)]))
+
+    values = [[[node(i, a, b) for b in range(n + 1)] for a in range(m + 1)] for i in range(d)]
+    values[0][0][0] = str(Fraction(1, 2**20))
+    values[-1][-1][-1] = str(Fraction(edge, 2**20))
+    return {"d": d, "m": m, "n": n, "values": values}
 
 
 def _malformed_docs():
@@ -263,9 +285,15 @@ def write_battery(work: Path) -> list:
     malformed = _malformed_docs()
     # one row or one column of cells, drawn last so that every other input keeps its values
     strips = {"strip-1x5": _grid_doc(rng, 2, 1, 5, _small_rational), "strip-5x1": _grid_doc(rng, 2, 5, 1, _small_rational)}
+    # cleared nodes next to the int64 grid bound 2^61, drawn after the strips for the same reason
+    straddle = {
+        f"straddle-{route}-{label}": _straddle_doc(rng, 3, 4, 4, step, edge)
+        for route, step in (("bulk", 2**20), ("per-leaf", 2**10))
+        for edge, label in ((2**61 - step, "below"), (2**61, "at"), (-(2**61), "at-neg"), (2**61 + step, "past"))
+    }
     docs = {
         **grids, **big_grids, **bound_grids, **node_grids, **specs, **huge_float, **unreduced, **deep, **single,
-        **malformed, **strips,
+        **malformed, **strips, **straddle,
     }
     for name, doc in docs.items():
         (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -385,6 +413,11 @@ def write_battery(work: Path) -> list:
         cases.append((name, argv, "1", None))
     cases.append(("sig --out=PATH", ["sig", path, "--level", "3", "--out="], None, "out.json"))
     cases.append(("decompose --out=PATH", ["decompose", path, "--out="], None, "out.json"))
+    for name in straddle:
+        path = str(work / f"{name}.json")
+        cases.append((f"decompose {name}", ["decompose", path], None, "out.json"))
+        cases.append((f"sig {name} L2", ["sig", path], None, None))
+        cases.append((f"sig {name} L3", ["sig", path, "--level", "3"], None, None))
     return cases
 
 

@@ -34,9 +34,9 @@ from .tensor import check_budget, check_entry_count
 
 
 def random_integer_grid(d: int, m: int, n: int, rng: random.Random, bound: int = 9) -> GridData:
-    """Integer node values uniform in [-bound, bound], drawn in row-major order."""
+    """Integer node values uniform in [-bound, bound], drawn in row-major order straight into int64."""
     draws = [rng.randint(-bound, bound) for _ in range(d * (m + 1) * (n + 1))]
-    return GridData.of(np.array(draws, dtype=object).reshape(d, m + 1, n + 1), 1)
+    return GridData.of(np.array(draws, dtype=np.int64).reshape(d, m + 1, n + 1), 1)
 
 
 def congruence_matrix_quadratic(grid: GridData) -> Matrix:

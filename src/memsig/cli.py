@@ -36,7 +36,7 @@ import sys
 
 from . import fileio
 from .fastsig import sig_tensor_fast
-from .membranes import GridData, bilinear_decompose, core_tensor, sig_via_congruence
+from .membranes import GridData, cell_derivatives, core_tensor, sig_via_congruence
 from .rational import rat_str
 from .variety import core_invariants, dimension_report, relation_checks
 
@@ -95,7 +95,7 @@ def _cmd_check_relations(args) -> dict:
         "relations": list(report.relations),
     }
     if report.status == "fail":
-        doc["counterexample"] = fileio.rational_texts(report.counterexample)
+        doc["counterexample"] = fileio.rational_texts(report.counterexample.ints, report.counterexample.den)
     if report.status in ("fail", "no-relations"):
         doc["detail"] = report.detail
     return doc
@@ -128,8 +128,10 @@ def _cmd_bench(args) -> str:
 
 
 def _cmd_decompose(args) -> dict:
+    """The cell differences of ``cell_derivatives``, written over the grid's ``den`` with no ``Matrix`` built."""
     grid = fileio.grid_from_doc(fileio.load_json_file(args.input))
-    return fileio.matrix_to_doc(bilinear_decompose(grid))
+    delta, den = cell_derivatives(grid)
+    return fileio.matrix_to_doc(delta.reshape(grid.d, grid.m * grid.n), den)
 
 
 def _int(text: str) -> int:
@@ -287,8 +289,8 @@ def main(argv=None) -> int:
         text = result if isinstance(result, str) else fileio.dump_json(result)
         if args.out:
             try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                with open(args.out, "wb") as fh:
+                    fh.write(text.encode())
             except OSError as exc:
                 raise fileio.FileFormatError(f"{args.out}: {exc}") from None
         else:

@@ -12,8 +12,11 @@ second (size n) is t.  Each cell stores its piece in the local coordinates
 x = m u - a, y = n v - b in [0, 1], in the divided-power basis
 x^p/p! * y^q/q!.  In these coordinates d12 X_i du dv = D dx dy, where D is the
 cell's mixed node difference, and after scaling the grid by the lcm L of its
-denominators D becomes an integer Delta (``membranes.cell_derivatives``,
-an object array of Python ints).
+denominators D becomes an integer Delta (``membranes.cell_derivatives``, in
+the grid's dtype).  ``sig_tensor_fast`` and ``sig_word_fast`` convert Delta
+to an object array of Python ints once, before any kernel operation, so every
+product and sum below is exact; an int64 grid is converted here and nowhere
+else.
 
 Appending a letter integrates f_w * Delta over [0, u] x [0, v], which splits
 per target cell into four regions:
@@ -117,6 +120,7 @@ def sig_word_fast(grid: GridData, word) -> Rat:
     cells = grid.m * grid.n
     check_budget(cells * (k**2 + (k + 1) ** 2), f"the walk to a length-{k} word over {cells} cells")
     delta, scale = cell_derivatives(grid)
+    delta = delta.astype(object, copy=False)
     coeffs = np.ones((grid.m, grid.n, 1, 1), dtype=object)
     for letter in word:
         if not 1 <= letter <= grid.d:
@@ -136,6 +140,7 @@ def sig_tensor_fast(grid: GridData, k: int) -> SigTensor:
     if k == 0:
         return SigTensor.level_zero(d)
     delta, scale = cell_derivatives(grid)
+    delta = delta.astype(object, copy=False)
     flat = delta.reshape(d, -1)
     if k == 1:
         return SigTensor.of(flat.sum(axis=1), scale)

@@ -13,14 +13,17 @@ docstring says which route runs when.  A tensor or matrix document is only
 written: no command reads one back, and ``json.loads`` re-reads its text.  A
 location is computed only on failure: ``_locate`` walks the array again and
 raises the error of its first fault, so messages do not depend on the
-route.  ``rational_texts`` formats an array's entries straight from its
-``ints`` and ``den`` after one ``np.gcd`` against ``den`` (int64 when
-``den`` and every entry are below 2^62, see ``rational.int_view``), so no
-entry is rebuilt as a ``Rat`` to be printed, and ``dump_json`` encodes each
-top-level value with json's C encoder.  In a forked CLI job, each numpy
-loop used for the first time pages about 1-1.5 MB into the job's RSS, and
-the first call of the default (hash-based) ``np.unique`` costs 11-26 ms, so
-distinct denominators are taken with ``set(....tolist())``.
+route.  The writer takes integers and a denominator, not an array object:
+``rational_texts(ints, den)`` formats each ints[i] / den in lowest terms
+after one ``np.gcd`` against ``den`` (int64 when ``den`` and every entry
+are below 2^62, see ``rational.int_view``), so no array is reduced or
+rebuilt as ``Rat``s to be printed, and ``decompose`` writes a grid's cell
+differences over its ``den`` as they come (``matrix_to_doc``).
+``dump_json`` encodes each top-level value with json's C encoder.  In a
+forked CLI job, each numpy loop used for the first time pages about 1-1.5 MB
+into the job's RSS, and the first call of the default (hash-based)
+``np.unique`` costs 11-26 ms, so distinct denominators are taken with
+``set(....tolist())``.
 
 Integers outside a document (CLI options, ``MEMSIG_SEED``) are read by
 ``parse_int`` in the grammar of a rational's numerator, ``[+-]?[0-9]+``.
@@ -84,8 +87,8 @@ def parse_int(text: str, where: str) -> int:
 
 
 # the leaves joined by "," with a trailing ",", each number of at most 18 digits, so below 10^18 < 2^63;
-# possessive, so the match keeps no backtracking stack
-_BOUNDED = re.compile(r"(?:[+-]?[0-9]{1,18}(?:/[0-9]{1,18})?,)*+")
+# every quantifier possessive, so the match keeps no backtracking state
+_BOUNDED = re.compile(r"(?:[+-]?+[0-9]{1,18}+(?:/[0-9]{1,18}+)?+,)*+")
 
 
 def _parsed(cls, value, nesting: tuple, where: str) -> ExactArray:
@@ -162,18 +165,19 @@ def _locate(value, shape: tuple, where: str) -> None:
         _locate(x, shape[1:], f"{where}[{i}]")
 
 
-def rational_texts(a: ExactArray) -> list[str]:
-    """The entries of ``a`` in row-major order as ``"p"`` or ``"p/q"`` in lowest terms.
+def rational_texts(ints: np.ndarray, den: int) -> list[str]:
+    """The rationals ints[i] / den in row-major order as ``"p"`` or ``"p/q"`` in lowest terms.
 
-    Formatted straight from ``a.ints`` and ``a.den``: ``str(x)`` when ``den``
-    is 1, else through one ``np.gcd`` of all entries against ``den``, on the
-    int64 view of ``rational.int_view`` when the bound holds, and ``str(p)``
-    plus the ``"/q"`` text of the entry's reduced denominator.
+    ``ints`` is an integer array (int64 or object) and ``den`` a positive
+    int, which need not be the lcm of the reduced denominators: each entry
+    is reduced on its own.  ``str(x)`` when ``den`` is 1, else one
+    ``np.gcd`` of all entries against ``den``, on the int64 view of
+    ``rational.int_view`` when the bound holds, and ``str(p)`` plus the
+    ``"/q"`` text of the entry's reduced denominator.
     """
-    den = a.den
     if den == 1:
-        return [str(x) for x in a.ints.ravel()]
-    view = int_view(a.ints, den).ravel()
+        return [str(x) for x in ints.ravel().tolist()]
+    view = int_view(ints, den).ravel()
     g = np.gcd(view, den)
     nums, dens = (view // g).tolist(), (den // g).tolist()
     tails = {q: f"/{q}" for q in set(dens)} | {1: ""}  # one "/q" per distinct q, not one f-string per entry
@@ -253,7 +257,7 @@ def tensor_to_doc(t: SigTensor, include_float: bool = False) -> dict:
     doc = {
         "level": t.level,
         "dim": t.dim,
-        "entries": rational_texts(t),
+        "entries": rational_texts(t.ints, t.den),
         "order": TENSOR_ORDER,
     }
     if include_float:
@@ -264,12 +268,13 @@ def tensor_to_doc(t: SigTensor, include_float: bool = False) -> dict:
     return doc
 
 
-def matrix_to_doc(m: Matrix) -> dict:
-    """The document of a decomposition matrix, whose columns are ordered by nu."""
+def matrix_to_doc(ints: np.ndarray, den: int) -> dict:
+    """The document of the decomposition matrix ints / den, whose columns are ordered by nu."""
+    rows, cols = ints.shape
     return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": rational_texts(m),
+        "rows": rows,
+        "cols": cols,
+        "entries": rational_texts(ints, den),
         "order": MATRIX_ORDER,
         "note": "columns are nu(i,j) = n*(i-1)+j ordered",
     }

@@ -9,8 +9,11 @@ outer product of the two level-k path cores with their axes interleaved.
 
 A grid, like every exact array here, is an ``ExactArray``: integer nodes
 ``GridData.ints`` over one denominator ``GridData.den``, the form the grid
-kernels read, so a cell's mixed node difference is an integer difference of
-Python ints (``cell_derivatives``).
+kernels read, so a cell's mixed node difference is an integer difference
+(``cell_derivatives``).  The nodes are int64 when every |node| < 2^61,
+where a difference of four nodes fits in int64, and Python ints otherwise;
+a pixel grid with small integer nodes never leaves int64 on its way from
+the file reader to ``decompose``'s text.
 The core tensors, ``reduce_grid`` and ``bilinear_decompose`` compute on
 stored integers too and return their results through ``of``.
 
@@ -58,8 +61,10 @@ def nu_inv(x: int, n: int) -> tuple[int, int]:
 class GridData(ExactArray):
     """Rational node values X_i(a/m, b/n) over one common denominator.
 
-    ``ints`` is a read-only (d, m+1, n+1) numpy object array of Python ints,
-    which ``d``, ``m`` and ``n`` are read off, and ``den`` the lcm L of the
+    ``ints`` is a read-only (d, m+1, n+1) numpy integer array, which ``d``,
+    ``m`` and ``n`` are read off: int64 exactly when every |node| < 2^61
+    (``_int64_below``, applied on every route by ``ExactArray._store``), and
+    Python ints in an object array otherwise.  ``den`` is the lcm L of the
     node denominators in lowest terms, so
     X_i(a/m, b/n) = ints[i, a, b] / L; ``values`` derives the rationals.
     ``GridData(d, m, n, values)`` takes nested values[i][a][b] (ints or
@@ -68,6 +73,7 @@ class GridData(ExactArray):
     """
 
     _least_shape = (1, 2, 2)
+    _int64_below = 2**61  # 4 (2^61 - 1) < 2^63: ``cell_derivatives`` stays in int64
     d = property(lambda self: self.ints.shape[0])
     m = property(lambda self: self.ints.shape[1] - 1)
     n = property(lambda self: self.ints.shape[2] - 1)
@@ -95,8 +101,11 @@ def cell_derivatives(grid: GridData) -> tuple[np.ndarray, int]:
     difference in a followed by one in b, and L the grid's ``den``, so
     nothing is cleared here and d12 X_i du dv = Delta/L dx dy.  Read
     row-major, Delta[i] lists the cells (a, b) in the column order
-    nu(a + 1, b + 1) of the axis dictionary.  Delta is a (d, m, n) object
-    array of Python ints, exact at any node size.
+    nu(a + 1, b + 1) of the axis dictionary.  Delta is a (d, m, n) array in
+    the grid's dtype, exact at any node size: on an int64 grid every
+    |node| < 2^61, so |Delta| <= 4 (2^61 - 1) < 2^63, and an object grid
+    subtracts Python ints.  Kernels that multiply Delta convert it to object
+    first (``fastsig``).
     """
     v = grid.ints
     da = v[:, 1:] - v[:, :-1]
@@ -163,7 +172,8 @@ def reduce_grid(grid: GridData) -> GridData:
     """Subtract the axis restrictions: same signature, zero on row 0 / col 0.
 
     Row 0 is subtracted first and then column 0 of the result, which is
-    X - X(0, .) - X(., 0) + X(0, 0).
+    X - X(0, .) - X(., 0) + X(0, 0): four nodes, so it stays exact in an
+    int64 grid's dtype as ``cell_derivatives`` does.
     """
     v = grid.ints - grid.ints[:, :1]
     return GridData.of(v - v[:, :, :1], grid.den)

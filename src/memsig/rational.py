@@ -5,30 +5,39 @@ package is an exact rational, a ``fractions.Fraction`` (in lowest terms with
 positive denominator, and interoperable with plain ints).
 
 Arrays of them (``Matrix``, ``SigTensor`` and ``GridData``) share one stored
-form, ``ExactArray``: a read-only numpy object array ``ints`` of Python ints
-over one denominator ``den``, the lcm of the reduced denominators of the
-entries.  Its docstring states the contract: the shape is read off ``ints``,
-and each array is made canonical exactly once, by ``_clear`` from rationals
-(through ``cleared_array``, the one place that clears denominators) or by
-``of`` from an integer pair.  The file reader takes one route or the
-other (``fileio._parsed``).
+form, ``ExactArray``: a read-only numpy integer array ``ints`` over one
+denominator ``den``, the lcm of the reduced denominators of the entries.
+Its docstring states the contract: the shape is read off ``ints``, and each
+array is made canonical exactly once, by ``_clear`` from rationals (through
+``cleared_array``, the one place that clears denominators) or by ``of``
+from an integer pair.  The file reader takes one route or the other
+(``fileio._parsed``).
+
+The dtype of ``ints`` follows one rule, applied by ``_store`` on every
+route.  ``Matrix`` and ``SigTensor`` hold Python ints in an object array,
+since their kernels multiply entries.  A class with an ``_int64_below``
+bound, ``GridData`` alone, holds int64 exactly when every |entry| is below
+that bound and Python ints otherwise; a grid's kernels only subtract nodes
+(``membranes.cell_derivatives``).  Readers of the stored form go through
+``tolist``, so no numpy scalar reaches a ``Rat``, ``==`` or ``hash``, and
+equal arrays compare and hash equal whatever their dtype.
 
 Serialization convention (shared with the CLI file formats): decimal-integer
 strings ``"p"`` or ``"p/q"`` in lowest terms.  ``fileio.rational_texts``
-writes an array's entries from ``ints`` and ``den`` directly, and
-``rat_str`` formats one scalar.
+writes integers over a denominator directly, and ``rat_str`` formats one
+scalar.
 
 ``int_view`` gives an int64 view of an integer array when ``den`` and
 every entry are below 2^62 in magnitude, where gcds with ``den`` and the
-quotients by divisors of ``den`` are exact; ``of`` and
-``fileio.rational_texts`` are its only callers.  On that view ``of`` takes one
-reduction, canon = |den| / gcd(|den|, x_1, ..., x_N): the reduced
+quotients by divisors of ``den`` are exact; ``of``, ``_store`` (at ``den``
+1) and ``fileio.rational_texts`` are its only callers.  On that view ``of``
+takes one reduction, canon = |den| / gcd(|den|, x_1, ..., x_N): the reduced
 denominator of x_i/den is den/g_i with g_i = gcd(x_i, den), and as every
 g_i divides den, lcm_i(den/g_i) = den/gcd_i(g_i).  On object dtype (Python
 ints) it takes the gcd of every entry with ``den`` in one ``np.gcd`` call
 and the lcm of the quotients, since a running gcd stays as large as a huge
 ``den`` and is far slower.  ``rational_texts`` takes the elementwise
-``np.gcd`` on either view.  The stored form stays object ints over ``den``.
+``np.gcd`` on either view.
 """
 
 from __future__ import annotations
@@ -85,6 +94,18 @@ def int_view(ints: np.ndarray, den: int) -> np.ndarray:
     return view if fits else ints.astype(object, copy=False)
 
 
+def _stored_ints(ints: np.ndarray, below: int | None) -> np.ndarray:
+    """The integer array ``ints`` in its stored dtype: int64 if ``below`` is set and every |entry| < below, else object.
+
+    An array already in that dtype is returned as it is, not copied.
+    """
+    if below is not None:
+        view = int_view(ints, 1)  # int64 when every |entry| < 2^62
+        if view.dtype == np.int64 and -below < view.min(initial=0) and view.max(initial=0) < below:
+            return view
+    return ints.astype(object, copy=False)
+
+
 def cleared_array(values, shape) -> tuple[np.ndarray, int]:
     """(ints, L): L is the lcm of the denominators and ints[i] = L * values[i].
 
@@ -101,8 +122,9 @@ class ExactArray:
     """Rational array entries[i] = ints[i] / den, stored in canonical form.
 
     ``ints`` and ``den`` are the only stored fields: ``ints`` is a read-only
-    numpy object array of Python ints and ``den`` the lcm of the reduced
-    denominators of the entries (1 when all are integers).  Every shape fact
+    numpy integer array, in the dtype of ``_stored_ints`` (module docstring),
+    and ``den`` the lcm of the reduced denominators of the entries (1 when
+    all are integers).  Every shape fact
     (``Matrix.rows``, ``GridData.m``, ``SigTensor.level``, ...) is read off
     ``ints.shape``; ``SigTensor`` alone also stores ``dim``, which a level-0
     tensor has no axis to hold.  The form is canonical, so arrays with equal
@@ -129,6 +151,7 @@ class ExactArray:
     ints: np.ndarray
     den: int
     _least_shape = None
+    _int64_below = None  # a bound under which ``ints`` is stored as int64; None keeps Python ints
 
     @classmethod
     def of(cls, ints, den: int):
@@ -138,7 +161,8 @@ class ExactArray:
         ``np.gcd.reduce`` seeded with |den| on ``int_view``'s int64 view when
         its bound holds, else one elementwise ``np.gcd`` against ``den`` on
         Python ints, and one exact division per entry when ``den`` changes.
-        An object array is taken over, not copied: it is made read-only.
+        An array already in the stored dtype is taken over, not copied: it
+        is made read-only.
         """
         if den != 1:
             view = int_view(np.asarray(ints), den)  # a kernel's 0-d result may come as a scalar
@@ -148,7 +172,7 @@ class ExactArray:
             else:
                 canon = lcm_all(set((abs(den) // np.gcd(flat, den)).tolist()))
             ints, den = (view // (den // canon), canon) if canon != den else (ints, den)
-        return cls.__new__(cls)._store(np.asarray(ints, dtype=object), den)
+        return cls.__new__(cls)._store(np.asarray(ints), den)
 
     @classmethod
     def cleared(cls, values, shape: tuple):
@@ -169,6 +193,7 @@ class ExactArray:
         least = self._least_shape
         if least and (ints.ndim != len(least) or any(s < k for s, k in zip(ints.shape, least))):
             raise ValueError(f"a {type(self).__name__} needs axes at least {least} long, got shape {ints.shape}")
+        ints = _stored_ints(ints, self._int64_below)
         ints.flags.writeable = False
         self.__dict__.update(ints=ints, den=den)
         return self
@@ -176,10 +201,10 @@ class ExactArray:
     @property
     def entries(self) -> tuple:
         """The entries in row-major order, as rationals."""
-        return tuple(rat(x, self.den) for x in self.ints.ravel())
+        return tuple(rat(x, self.den) for x in self.ints.ravel().tolist())
 
     def _key(self) -> tuple:
-        return self.ints.shape, self.den, tuple(self.ints.ravel())
+        return self.ints.shape, self.den, tuple(self.ints.ravel().tolist())
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()

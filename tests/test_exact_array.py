@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import grid_values, matrices, rationals
-from memsig import rational
+from memsig import fileio, membranes, rational
 from memsig.bench import congruence_matrix_quadratic
 from memsig.fastsig import sig_tensor_fast
 from memsig.linalg import (
@@ -29,8 +29,9 @@ from memsig.membranes import (
     core_matrix,
     core_tensor,
     reduce_grid,
+    sig_via_congruence,
 )
-from memsig.rational import rat
+from memsig.rational import Rat, rat
 from memsig.tensor import SigTensor, tucker_apply
 from memsig.variety import tucker_jacobian_rank
 
@@ -235,3 +236,77 @@ def test_kernels_clear_nothing(monkeypatch, rng):
     with pytest.raises(AssertionError, match="cleared"):
         Matrix(1, 1, (rat(1, 2),))  # constructors still clear
     assert [kernel() for kernel in kernels] == expected
+
+
+class TestGridDtype:
+    """A grid's nodes are int64 exactly when every |node| < 2^61, on every route; readers see Python ints."""
+
+    EDGES = [2**61 - 1, -(2**61 - 1), 2**61, -(2**61)]
+
+    @staticmethod
+    def routes(top):
+        """The d=1 1x1 grid of three zero nodes and ``top`` (den 1), built by every constructor."""
+        values = [[[0, 0], [0, top]]]
+        flat = [0, 0, 0, top]
+        return {
+            "init": GridData(1, 1, 1, values),
+            "cleared": GridData.cleared(flat, (1, 2, 2)),
+            "of object": GridData.of(np.array(flat, dtype=object).reshape(1, 2, 2), 1),
+            "of int64": GridData.of(np.array(flat, dtype=np.int64).reshape(1, 2, 2), 1),
+            "of reduced": GridData.of(np.array([0, 0, 0, 6 * top], dtype=object).reshape(1, 2, 2), 6),
+            "reduce_grid": reduce_grid(GridData(1, 1, 1, values)),
+            "per-leaf reader": fileio.grid_from_doc({"d": 1, "m": 1, "n": 1, "values": [[["0", "0"], ["0", str(top)]]]}),
+        }
+
+    @pytest.mark.parametrize("top", EDGES)
+    def test_the_rule_on_every_constructor(self, top):
+        want = np.int64 if abs(top) < 2**61 else object
+        for route, grid in self.routes(top).items():
+            assert grid.ints.dtype == want, route
+            assert grid.den == 1 and grid.ints.ravel().tolist() == [0, 0, 0, top], route
+
+    # 2^61 - 1 is prime, so no text of 18-digit literals clears to it: 2^61 - 2 is the largest such node below 2^61
+    @pytest.mark.parametrize("top, q", [(2**61 - 2, 2 * 1321 * 331), (2**61, 2**20)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_rule_on_the_bulk_reader(self, monkeypatch, top, q, sign):
+        # the leaves top/q (an integer) and "1/q" have at most 18 digits, so the int64 bulk route reads them; den = q
+        values = [[["0", str(sign * top // q)], ["1/" + str(q), "0"]]]
+        monkeypatch.setattr(fileio, "parse_rational", lambda *args: pytest.fail("the per-leaf route ran"))
+        grid = fileio.grid_from_doc({"d": 1, "m": 1, "n": 1, "values": values})
+        assert grid.den == q and grid.ints.ravel().tolist() == [0, sign * top, 1, 0]
+        assert grid.ints.dtype == (np.int64 if top < 2**61 else object)
+
+    def test_equal_grids_in_either_dtype_compare_and_hash_equal(self, monkeypatch):
+        values = [[[rat(1, 2), -3], [rat(2**61 - 1, 6), rat(-5, 6)]], [[0, 7], [rat(1, 3), 1]]]  # den 6
+        wide = GridData(2, 1, 1, values)
+        with monkeypatch.context() as patch:
+            patch.setattr(GridData, "_int64_below", 0)
+            narrow = GridData(2, 1, 1, values)
+        assert wide.ints.dtype == np.int64 and narrow.ints.dtype == object
+        assert wide == narrow and hash(wide) == hash(narrow) and len({wide, narrow}) == 1
+        assert wide != GridData(2, 1, 1, [*values[:1], [[0, 7], [rat(1, 3), 2]]])
+
+    def test_entries_and_values_hold_python_ints(self):
+        grid = GridData(1, 1, 2, [[[rat(1, 2), -3, rat(2**61 - 1, 6)], [0, rat(7, 3), 5]]])  # den 6
+        assert grid.ints.dtype == np.int64
+        values = [x for comp in grid.values for row in comp for x in row]
+        for x in (*grid.entries, *values):
+            assert type(x) is Rat and type(x.numerator) is int and type(x.denominator) is int
+        assert values == list(grid.entries) and grid.ints[0, 0, 2] == 2**61 - 1
+
+    @pytest.mark.parametrize("top", [2**61 - 1, 12345])
+    def test_cell_derivatives_in_int64_equal_the_object_route(self, monkeypatch, top):
+        # nodes +-top alternating in a and b: every cell difference is +-4 top, 4 (2^61 - 1) at the bound
+        d, m, n = 2, 3, 2
+        values = [[[(-1) ** (a + b + i) * top for b in range(n + 1)] for a in range(m + 1)] for i in range(d)]
+        grid = GridData(d, m, n, values)
+        with monkeypatch.context() as patch:
+            patch.setattr(GridData, "_int64_below", 0)
+            oracle = GridData(d, m, n, values)
+        delta, den = membranes.cell_derivatives(grid)
+        want, want_den = membranes.cell_derivatives(oracle)
+        assert grid.ints.dtype == delta.dtype == np.int64 and want.dtype == object
+        assert den == want_den == 1 and delta.tolist() == want.tolist()
+        assert int(np.abs(delta).max()) == 4 * top
+        assert sig_tensor_fast(grid, 2) == sig_tensor_fast(oracle, 2) == sig_via_congruence(oracle, 2)
+        assert reduce_grid(grid) == reduce_grid(oracle)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -224,7 +225,7 @@ class TestReaderAndWriter:
     def test_rational_texts_match_rat_str(self, den, data):
         a = data.draw(_arrays(_INTEGERS if den == "1" else rationals()))
         assume((a.den == 1) == (den == "1"))
-        assert fileio.rational_texts(a) == [rat_str(x) for x in a.entries]
+        assert fileio.rational_texts(a.ints, a.den) == [rat_str(x) for x in a.entries]
 
     @pytest.mark.parametrize(
         "doc, error, where",
@@ -318,7 +319,28 @@ class TestReaderAndWriter:
         got = fileio.polynomial_from_doc({"d": 1, "m": len(leaves), "n": 1, "A": [leaves]}).coeffs
         want = Matrix(1, len(leaves), xs)
         assert got == want and got.den == want.den
-        assert fileio.rational_texts(got) == [rat_str(x) for x in xs]
+        assert fileio.rational_texts(got.ints, got.den) == [rat_str(x) for x in xs]
+
+    def test_the_possessive_grammar_accepts_what_the_backtracking_one_did(self):
+        # the grammar before every inner quantifier was made possessive, kept as the oracle
+        backtracking = re.compile(r"(?:[+-]?[0-9]{1,18}(?:/[0-9]{1,18})?,)*+")
+        rng = random.Random(20240801)
+
+        def token():
+            r = rng.random()
+            if r < 0.05:
+                return str(rng.randint(10**18, 10**20 - 1))  # 19 or 20 digits
+            if r < 0.1:
+                return str(rng.randint(10**17, 10**18 - 1))  # 18 digits
+            return rng.choice("0123456789" * 3 + "+-/,,,,, \u0663")
+
+        accepted = 0
+        for _ in range(100_000):
+            text = "".join(token() for _ in range(rng.randint(0, 12)))
+            want = backtracking.fullmatch(text) is not None
+            assert (fileio._BOUNDED.fullmatch(text) is not None) == want, text
+            accepted += want
+        assert 5_000 < accepted < 95_000
 
     @pytest.mark.parametrize("big", ["", "12345678901234567890"])
     @pytest.mark.parametrize("zero", ["5/0", "0/0", "-7/000"])
@@ -423,7 +445,7 @@ class TestReaderAndWriter:
         a = Matrix.of(xs.reshape(1, -1), den)
         want = Matrix(1, len(xs), [rat(y, den) for y in xs.tolist()])
         assert a == want and a.den == want.den and a.ints.dtype == object
-        assert fileio.rational_texts(a) == [rat_str(rat(y, den)) for y in xs.tolist()]
+        assert fileio.rational_texts(a.ints, a.den) == [rat_str(rat(y, den)) for y in xs.tolist()]
 
     def test_rational_grid_parse_peak_memory(self):
         rng = random.Random(20240801)
@@ -685,6 +707,22 @@ class TestCliCommands:
         assert code == 4
         assert json.loads(out)["counterexample"] == ["1/2", "0", "-2/3", "3"]
 
+    @pytest.mark.parametrize("value", [lambda r: r.randint(-9, 9), lambda r: rat(r.randint(-9, 9), r.randint(1, 9)),
+                                       lambda r: r.randint(-(2**62), 2**62)], ids=["int", "rat", "big"])
+    def test_decompose_builds_no_matrix(self, monkeypatch, tmp_path, rng, value):
+        d, m, n = 3, 4, 5
+        grid = GridData(d, m, n, [[[value(rng) for _ in range(n + 1)] for _ in range(m + 1)] for _ in range(d)])
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid_doc(grid)))
+        a = membranes.bilinear_decompose(grid)  # the library's Matrix route, the oracle
+        want = fileio.dump_json(fileio.matrix_to_doc(a.ints, a.den))
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("decompose built a Matrix")
+
+        monkeypatch.setattr(Matrix, "of", no_matrix)
+        assert run_cli(["decompose", str(path)]) == (0, want)
+
     def test_decompose_command(self, single_cell_grid_file):
         code, out = run_cli(["decompose", single_cell_grid_file])
         doc = json.loads(out)
@@ -902,6 +940,18 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert missing_code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["sig", "GRID", "--level", "3"], ["decompose", "GRID"]], ids=["sig", "decompose"])
+    def test_a_process_writes_the_same_bytes_to_out_and_stdout(self, tmp_path, argv):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(grid_doc(GridData(2, 2, 3, [[[rat(a - b, b + 1) for b in range(4)] for a in range(3)]] * 2))))
+        argv = [sys.executable, "-m", "memsig.cli", *(str(grid) if a == "GRID" else a for a in argv)]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        stdout = subprocess.run(argv, capture_output=True, env=env, timeout=120, check=True).stdout
+        target = tmp_path / "out.json"
+        done = subprocess.run([*argv, "--out", str(target)], capture_output=True, env=env, timeout=120, check=True)
+        assert done.stdout == b"" and "/" in stdout.decode() and target.read_bytes() == stdout
 
     def test_input_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

@@ -283,8 +283,10 @@ class TestGridData:
         flat = [x for comp in vals for row in comp for x in row]
         assert g.den == lcm(*(x.denominator for x in flat))
         assert g.ints.shape == (d, m + 1, n + 1)
-        assert all(type(x) is int for x in g.ints.flat)
-        assert [x * g.den for x in flat] == list(g.ints.flat)
+        nodes = g.ints.ravel().tolist()
+        assert all(type(x) is int for x in nodes)
+        assert g.ints.dtype == (np.int64 if all(abs(x) < 2**61 for x in nodes) else object)
+        assert [x * g.den for x in flat] == nodes
 
     def test_nodes_are_read_only(self):
         g = axis_grid(2, 2)
