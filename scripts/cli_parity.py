@@ -66,7 +66,11 @@ input, a value starting with ``-`` and a flag given a value; after those,
 ``decompose`` and ``sig`` at levels 2 and 3 on grids over den 2^20 written
 in literals of at most 18 digits whose cleared nodes lie just below, at or
 past 2^61 (the bound under which a grid keeps its nodes in int64), read by
-the int64 bulk route or, with a larger numerator, per leaf.
+the int64 bulk route or, with a larger numerator, per leaf; last of all,
+``sig`` with an empty ``--out`` path, as ``--out ""`` and as ``--out=``,
+which exits 2 with nothing on stdout: against a tree that still writes such
+a call to stdout and exits 0, these two cases are the one intended
+difference.
 """
 
 import hashlib
@@ -418,6 +422,9 @@ def write_battery(work: Path) -> list:
         cases.append((f"decompose {name}", ["decompose", path], None, "out.json"))
         cases.append((f"sig {name} L2", ["sig", path], None, None))
         cases.append((f"sig {name} L3", ["sig", path, "--level", "3"], None, None))
+    path = str(work / "int.json")
+    cases.append(("sig --out ''", ["sig", path, "--out", ""], None, None))
+    cases.append(("sig --out= (empty)", ["sig", path, "--out="], None, None))
     return cases
 
 

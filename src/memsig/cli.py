@@ -12,16 +12,17 @@ file, 3 shape/contract error (also arguments that measure nothing, such as
 d = 0, a negative size or zero samples), 4 relation-check failure (the
 report is still written).
 
-The argparse parser is built once per process, at import (``PARSER``), and
-stays the one declaration of the options and the parser of record: of
-``--help``, every usage and error message and every unusual spelling.  At
-import each command's actions are also read into a plain spec, and ``main``
-tries ``read_plain`` first.  It takes a command followed by exact option names
-(``--opt value``, ``--opt=value``, flags), and positionals that do not start
-with ``-``, and it returns the Namespace ``PARSER.parse_args`` would; for any
-other argv it returns None and ``main`` parses with ``PARSER``.  A job forked
-from an imported CLI thus pays no parser build and no first ``parse_args``,
-which touches some 230 of the parent's pages where the reader touches some 80.
+Each command's options are declared once, as plain data, in ``COMMANDS``:
+its function, its help text and its ``add_argument`` calls.  ``main`` tries
+``read_plain`` first, which reads that table directly.  It takes a command
+followed by exact option names (``--opt value``, ``--opt=value``, flags), and
+positionals that do not start with ``-``, and it returns the Namespace that
+argparse would; for any other argv it returns None, and only then does
+``main`` build the argparse parser from the table (``build_parser``), the
+parser of record of ``--help``, of every usage and error message and of
+every unusual spelling.  A plain job thus builds no parser and runs no
+``parse_args``, whose first call touches some 230 of a forked child's pages
+where the reader touches some 80.
 ``bench`` is imported by its command alone: no other command needs it or the
 ``statistics`` import it brings.
 """
@@ -142,152 +143,129 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+_SIZE = [("--m", {"type": _int, "required": True}), ("--n", {"type": _int, "required": True})]
+_OUT = ("--out", {})
+
+# command -> (function, help, options): each option is a name and its ``add_argument`` keywords, in the
+# order of ``--help``; the options are store options, positionals and store_true flags only
+COMMANDS = {
+    "sig": (_cmd_sig, "signature tensor of a grid or polynomial membrane", [
+        _OUT,
+        ("input", {"help": "JSON grid file or polynomial spec file"}),
+        ("--level", {"type": _int, "default": 2}),
+        ("--float", {"action": "store_true", "help": "append float approximations"}),
+    ]),
+    "core": (_cmd_core, "dictionary core tensor (dim m*n)", [
+        *_SIZE, _OUT,
+        ("--kind", {"choices": ["moment", "axis"], "required": True}),
+        ("--level", {"type": _int, "default": 2}),
+        ("--float", {"action": "store_true"}),
+    ]),
+    "dim": (_cmd_dim, "variety dimension via generic Jacobian rank", [
+        *_SIZE, _OUT,
+        ("--d", {"type": _int, "required": True}),
+        ("--level", {"type": _int, "choices": [2, 3], "default": 2}),
+        ("--trials", {"type": _int, "default": 3}),
+        ("--kind", {"choices": ["axis", "moment"], "default": "axis"}),
+    ]),
+    "invariants": (_cmd_invariants, "rank profile, det and congruence blocks of a core", [
+        *_SIZE, _OUT,
+        ("--kind", {"choices": ["moment", "axis"], "required": True}),
+    ]),
+    "check-relations": (_cmd_check_relations, "test the built-in orbit relations", [
+        *_SIZE, _OUT,
+        ("--d", {"type": _int, "required": True}),
+        ("--samples", {"type": _int, "default": 100}),
+    ]),
+    "bench": (_cmd_bench, "wall-clock scaling of the two backends", [
+        _OUT,
+        ("--sizes", {"required": True, "help": "comma list of MxN, e.g. 100x100,200x200"}),
+        ("--d", {"type": _int, "default": 2}),
+        ("--level", {"type": _int, "default": 2}),
+        ("--repeats", {"type": _int, "default": 3}),
+        ("--methods", {"default": "fast,congruence"}),
+    ]),
+    "decompose": (_cmd_decompose, "grid -> axis-dictionary transform matrix", [_OUT, ("input", {})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``COMMANDS``, for the command lines that ``read_plain`` leaves to it."""
     parser = argparse.ArgumentParser(
         prog="memsig",
         description="Exact signature tensors of paths and membranes, "
         "variety diagnostics and benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    size = argparse.ArgumentParser(add_help=False)
-    size.add_argument("--m", type=_int, required=True)
-    size.add_argument("--n", type=_int, required=True)
-
-    def command(name, fn, help, *parents):
-        p = sub.add_parser(name, help=help, parents=parents)
-        p.add_argument("--out")
+    for command, (fn, help, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help)
         p.set_defaults(fn=fn)
-        return p
-
-    p = command("sig", _cmd_sig, "signature tensor of a grid or polynomial membrane")
-    p.add_argument("input", help="JSON grid file or polynomial spec file")
-    p.add_argument("--level", type=_int, default=2)
-    p.add_argument("--float", action="store_true", help="append float approximations")
-
-    p = command("core", _cmd_core, "dictionary core tensor (dim m*n)", size)
-    p.add_argument("--kind", choices=["moment", "axis"], required=True)
-    p.add_argument("--level", type=_int, default=2)
-    p.add_argument("--float", action="store_true")
-
-    p = command("dim", _cmd_dim, "variety dimension via generic Jacobian rank", size)
-    p.add_argument("--d", type=_int, required=True)
-    p.add_argument("--level", type=_int, choices=[2, 3], default=2)
-    p.add_argument("--trials", type=_int, default=3)
-    p.add_argument("--kind", choices=["axis", "moment"], default="axis")
-
-    p = command("invariants", _cmd_invariants, "rank profile, det and congruence blocks of a core", size)
-    p.add_argument("--kind", choices=["moment", "axis"], required=True)
-
-    p = command("check-relations", _cmd_check_relations, "test the built-in orbit relations", size)
-    p.add_argument("--d", type=_int, required=True)
-    p.add_argument("--samples", type=_int, default=100)
-
-    p = command("bench", _cmd_bench, "wall-clock scaling of the two backends")
-    p.add_argument("--sizes", required=True, help="comma list of MxN, e.g. 100x100,200x200")
-    p.add_argument("--d", type=_int, default=2)
-    p.add_argument("--level", type=_int, default=2)
-    p.add_argument("--repeats", type=_int, default=3)
-    p.add_argument("--methods", default="fast,congruence")
-
-    p = command("decompose", _cmd_decompose, "grid -> axis-dictionary transform matrix")
-    p.add_argument("input")
+        for name, kwargs in options:
+            p.add_argument(name, **kwargs)
     return parser
 
 
-PARSER = build_parser()
-
-
-def _plain_specs(parser: argparse.ArgumentParser) -> dict:
-    """command -> (defaults, flags, options, positionals, required), read off the subparsers' actions.
-
-    ``flags`` maps each store_true option to its dest, ``options`` each store
-    option to (dest, type, choices), ``positionals`` lists (dest, type,
-    choices) in order, and ``required`` holds the dests of required options.
-    A command with any other kind of action gets no spec.
-    """
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    specs = {}
-    for name, p in sub.choices.items():
-        flags, options, positionals, required = {}, {}, [], set()
-        for a in p._actions:
-            if isinstance(a, argparse._HelpAction):
-                continue
-            if isinstance(a, argparse._StoreTrueAction):
-                flags.update(dict.fromkeys(a.option_strings, a.dest))
-            # argparse converts a string default by the option's type, so such an option leaves its command unread
-            elif type(a) is argparse._StoreAction and a.nargs is None and not (a.type and isinstance(a.default, str)):
-                entry = (a.dest, a.type, a.choices)
-                if not a.option_strings:
-                    positionals.append(entry)
-                    continue
-                options.update(dict.fromkeys(a.option_strings, entry))
-                if a.required:
-                    required.add(a.dest)
-            else:
-                break
-        else:
-            defaults = {a.dest: a.default for a in p._actions if argparse.SUPPRESS not in (a.dest, a.default)}
-            specs[name] = ({**p._defaults, **defaults, sub.dest: name}, flags, options, positionals, required)
-    return specs
-
-
-_SPECS = _plain_specs(PARSER)
-
-
-def _value(text: str, convert, choices):
-    value = convert(text) if convert else text
-    if choices is not None and value not in choices:
+def _value(text: str, kwargs: dict):
+    value = kwargs["type"](text) if "type" in kwargs else text
+    if "choices" in kwargs and value not in kwargs["choices"]:
         raise ValueError(text)
     return value
 
 
 def read_plain(argv) -> argparse.Namespace | None:
-    """``PARSER.parse_args(argv)`` for an argv in the plain forms, else None.
+    """``build_parser().parse_args(argv)`` for an argv in the plain forms, else None.
 
-    The plain forms are a command followed by exact option names, as
-    ``--opt value`` or ``--opt=value``, store_true flags without ``=``, and
-    positionals that do not start with ``-``.  Each value is converted and
-    checked against its choices where it occurs, as argparse does, so the
-    last occurrence of an option wins.  Anything else (an abbreviation,
-    ``-h``, ``--``, a value starting with ``-``, a missing or extra
-    positional, a missing required option, a bad value) returns None, and
-    argparse decides it.  A forked job reads the few pages of these specs
-    instead of the many pages a first ``parse_args`` touches.
+    The plain forms are a command of ``COMMANDS`` followed by exact option
+    names, as ``--opt value`` or ``--opt=value``, store_true flags without
+    ``=``, and positionals that do not start with ``-``.  Each value is
+    converted and checked against its choices where it occurs, as argparse
+    does, so the last occurrence of an option wins.  Anything else (an
+    abbreviation, ``-h``, ``--``, a value starting with ``-``, a missing or
+    extra positional, a missing required option, a bad value) returns None,
+    and argparse decides it.
     """
-    if not argv or argv[0] not in _SPECS:
+    if not argv or argv[0] not in COMMANDS:
         return None
-    defaults, flags, options, positionals, required = _SPECS[argv[0]]
+    fn, _, options = COMMANDS[argv[0]]
+    named = dict(options)
+    positionals = [name for name, _ in options if not name.startswith("-")]
     values, given = {}, []
     tokens = iter(argv[1:])
     try:
         for token in tokens:
-            if token in flags:
-                values[flags[token]] = True
-            elif not token.startswith("-"):
+            if not token.startswith("-"):
                 given.append(token)
-            else:
-                name, eq, text = token.partition("=")
-                text = text if eq else next(tokens, "-")  # a missing value reads as a refused one
-                if name not in options or text.startswith("-"):
-                    return None
-                dest, convert, choices = options[name]
-                values[dest] = _value(text, convert, choices)
+                continue
+            name, eq, text = token.partition("=")
+            kwargs = named.get(name)
+            if kwargs is None or (eq and "action" in kwargs):
+                return None
+            if "action" in kwargs:
+                values[name.lstrip("-")] = True
+                continue
+            text = text if eq else next(tokens, "-")  # a missing value reads as a refused one
+            if text.startswith("-"):
+                return None
+            values[name.lstrip("-")] = _value(text, kwargs)
+        required = {name.lstrip("-") for name, kwargs in options if kwargs.get("required")}
         if len(given) != len(positionals) or not required <= values.keys():
             return None
-        for (dest, convert, choices), text in zip(positionals, given):
-            values[dest] = _value(text, convert, choices)
+        for name, text in zip(positionals, given):
+            values[name] = _value(text, named[name])
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         return None
-    return argparse.Namespace(**{**defaults, **values})
+    for name, kwargs in options:
+        values.setdefault(name.lstrip("-"), kwargs.get("default", False if "action" in kwargs else None))
+    return argparse.Namespace(command=argv[0], fn=fn, **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = read_plain(argv) or PARSER.parse_args(argv)
+    args = read_plain(argv) or build_parser().parse_args(argv)
     try:
         result = args.fn(args)
         text = result if isinstance(result, str) else fileio.dump_json(result)
-        if args.out:
+        if args.out is not None:
             try:
                 with open(args.out, "wb") as fh:
                     fh.write(text.encode())

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -906,6 +908,13 @@ class TestCliCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(path) in err
 
+    @pytest.mark.parametrize("out", [["--out", ""], ["--out="]])
+    def test_an_empty_out_path_exits_2(self, single_cell_grid_file, capsys, out):
+        code, text = run_cli(["sig", single_cell_grid_file, "--level", "1", *out])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "argv, fail, code",
         [
@@ -1104,7 +1113,7 @@ class TestCliCommands:
 
 
 class TestSharedParser:
-    """``main`` reads every call with the parser built at import or the specs read off it; no call leaks into the next."""
+    """``main`` reads every call with ``read_plain`` or with a parser built for it; no call leaks into the next."""
 
     def test_a_flag_of_one_call_is_unset_in_the_next(self, tmp_path, single_cell_grid_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -1139,24 +1148,37 @@ class TestSharedParser:
 
 # every option of every command, written out here rather than read off the parser, and options it does not have
 _OPTIONS = [
-    "--out", "--level", "--float", "--kind", "--m", "--n", "--d", "--trials", "--samples", "--sizes", "--methods",
-    "--lev", "--flo", "--method", "-h", "--help", "--",
+    "--out", "--level", "--float", "--kind", "--m", "--n", "--d", "--trials", "--samples", "--sizes", "--repeats",
+    "--methods", "--lev", "--flo", "--method", "-h", "--help", "--",
 ]
 # values that some option reads, drawn twice as often as ones that start with "-" or fail a type or choice
 _VALUES = st.one_of(
     *[st.sampled_from(["2", "3", "+2", "02", "axis", "moment", "fast", "2x2", "a b", ""])] * 2,
     st.sampled_from(["-1", "1_0", "x", "bad", "-", "--", "-h"]),
 )
-# each command's required options and positionals, and all its options, so that drawn calls often are plain
+# each command's required options and positionals, and all its options in the order of ``cli.COMMANDS``, so that
+# drawn calls often are plain
 _CALLS = {
     "sig": ([["in.json"]], ["--out", "--level", "--float"]),
-    "core": ([["--kind", "axis"], ["--m", "2"], ["--n", "2"]], ["--out", "--kind", "--m", "--n", "--level", "--float"]),
-    "dim": ([["--d", "2"], ["--m", "1"], ["--n", "1"]], ["--out", "--d", "--m", "--n", "--level", "--trials", "--kind"]),
-    "invariants": ([["--kind", "moment"], ["--m", "2"], ["--n", "2"]], ["--out", "--kind", "--m", "--n"]),
-    "check-relations": ([["--d", "2"], ["--m", "2"], ["--n", "1"]], ["--out", "--d", "--m", "--n", "--samples"]),
+    "core": ([["--kind", "axis"], ["--m", "2"], ["--n", "2"]], ["--m", "--n", "--out", "--kind", "--level", "--float"]),
+    "dim": ([["--d", "2"], ["--m", "1"], ["--n", "1"]], ["--m", "--n", "--out", "--d", "--level", "--trials", "--kind"]),
+    "invariants": ([["--kind", "moment"], ["--m", "2"], ["--n", "2"]], ["--m", "--n", "--out", "--kind"]),
+    "check-relations": ([["--d", "2"], ["--m", "2"], ["--n", "1"]], ["--m", "--n", "--out", "--d", "--samples"]),
     "bench": ([["--sizes", "2x2"]], ["--out", "--sizes", "--d", "--level", "--repeats", "--methods"]),
     "decompose": ([["in.json"]], ["--out"]),
 }
+
+
+def test_the_drawn_calls_match_the_command_table():
+    """``_CALLS`` is written out by hand; it names the commands, options and required ones of ``cli.COMMANDS``."""
+    assert list(_CALLS) == list(cli.COMMANDS)
+    for command, (_, _, options) in cli.COMMANDS.items():
+        required, own = _CALLS[command]
+        assert own == [name for name, _ in options if name.startswith("-")], command
+        needed = [name for name, kwargs in options if not name.startswith("-") or kwargs.get("required")]
+        drawn = sorted(chunk[0] if chunk[0].startswith("-") else "input" for chunk in required)
+        assert drawn == sorted(needed), command
+        assert set(own) <= set(_OPTIONS), command
 
 
 @st.composite
@@ -1183,7 +1205,7 @@ class TestPlainReader:
     def test_every_call_the_reader_takes_parses_the_same_in_argparse(self, argv):
         args = cli.read_plain(argv)
         if args is not None:
-            assert cli.PARSER.parse_args(argv) == args
+            assert cli.build_parser().parse_args(argv) == args
 
     @given(st.sampled_from(sorted(_CALLS)), st.data())
     @settings(max_examples=300)
@@ -1198,7 +1220,7 @@ class TestPlainReader:
         argv = [command, *(token for chunk in data.draw(st.permutations(chunks)) for token in chunk)]
         args = cli.read_plain(argv)
         if args is not None:
-            assert cli.PARSER.parse_args(argv) == args
+            assert cli.build_parser().parse_args(argv) == args
 
     @pytest.mark.parametrize(
         "argv",
@@ -1219,7 +1241,7 @@ class TestPlainReader:
     )
     def test_plain_forms_are_read_as_argparse_reads_them(self, argv):
         args = cli.read_plain(argv)
-        assert args is not None and args == cli.PARSER.parse_args(argv)
+        assert args is not None and args == cli.build_parser().parse_args(argv)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1277,7 +1299,7 @@ class TestPlainReader:
         def parse_args(argv=None):
             raise AssertionError("argparse parsed a plain call")
 
-        monkeypatch.setattr(cli.PARSER, "parse_args", parse_args)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
         sig_out, decompose_out = tmp_path / "sig.json", tmp_path / "decompose.json"
         calls = [
             ["sig", single_cell_grid_file, "--level=1", f"--out={sig_out}"],
@@ -1293,6 +1315,42 @@ class TestPlainReader:
             assert run_cli(argv)[0] == 0, argv
         assert json.loads(sig_out.read_text())["entries"] == ["2"]
         assert json.loads(decompose_out.read_text())["entries"] == ["2"]
+
+
+def test_every_benchmark_call_is_read_without_argparse(monkeypatch):
+    """Each kind of each perfbench workload, at full size, is a plain call that the reader takes as argparse would."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    parser = cli.build_parser()
+
+    def build_parser():
+        raise AssertionError("a benchmark call built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    for name, make_kinds in workloads.WORKLOADS.items():
+        for kind in make_kinds(False):
+            argv = kind.argv("in.json", "out.json", {})
+            args = cli.read_plain(argv)
+            assert args is not None and args == parser.parse_args(argv), (name, kind.label)
+
+
+def test_importing_the_cli_builds_no_parser():
+    """``memsig.cli`` declares its options as data; an argparse parser is built only for a call the reader leaves."""
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "from memsig import cli\n"
+        "print(len(built))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 def test_importing_the_cli_leaves_bench_unimported():
